@@ -1,12 +1,16 @@
 """Enumeration budget.
 
-Exhaustive enumerations (group elements, faces, torus faces) refuse to start
-if the number of objects they would produce exceeds a configurable budget.
-The default is one million objects; it can be overridden programmatically or
-through the ``STEINTORUS_BUDGET`` environment variable.
+Exhaustive enumerations (group elements, faces, torus faces) and the |W|^2
+group multiplication table refuse to start if the number of objects or
+entries they would produce exceeds a configurable budget.  The default is
+one million; it can be overridden programmatically or through the
+``STEINTORUS_BUDGET`` environment variable, whose value must be a positive
+integer.
 """
 
 import os
+
+from .errors import BudgetExceededError, UsageError
 
 DEFAULT_BUDGET = 10**6
 _ENV_VAR = "STEINTORUS_BUDGET"
@@ -19,16 +23,16 @@ def current_budget() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_BUDGET
-    return value if value > 0 else DEFAULT_BUDGET
+        value = 0
+    if value < 1:
+        raise UsageError(f"{_ENV_VAR} must be a positive integer, got {raw!r}")
+    return value
 
 
 def check_budget(count: int, what: str) -> None:
-    from .errors import BudgetExceededError
-
     budget = current_budget()
     if count > budget:
         raise BudgetExceededError(
-            f"{what}: {count} objects exceed the enumeration budget of {budget} "
+            f"{what}: {count} exceeds the enumeration budget of {budget} "
             f"(override with {_ENV_VAR})"
         )

@@ -2,8 +2,8 @@
 
 Subcommands: enumerate, product, act, descent-table, mult-table, verify.
 All output is deterministic JSON on stdout.  Exit codes: 0 success,
-1 verification/validation failure, 2 usage or parse error, 3 enumeration
-budget exceeded.
+1 verification/validation failure, 2 usage or parse error (including a
+malformed STEINTORUS_BUDGET), 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -16,13 +16,10 @@ from . import coxfaces, descent_algebra, torusfaces, weyl
 from .errors import (
     BudgetExceededError,
     SteintorusError,
+    UsageError,
     ValidationError,
 )
 from .weyl import ColorSet, Family
-
-
-class _ParseError(Exception):
-    pass
 
 
 def _load_json_arg(text: str):
@@ -32,11 +29,11 @@ def _load_json_arg(text: str):
             with open(text[1:]) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _ParseError(f"cannot read {text[1:]}: {exc}") from None
+            raise UsageError(f"cannot read {text[1:]}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _ParseError(f"invalid JSON: {exc}") from None
+        raise UsageError(f"invalid JSON: {exc}") from None
 
 
 def _family(args) -> Family:
@@ -48,7 +45,7 @@ def _color(args, family):
         return None
     indices = _load_json_arg(args.color)
     if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
-        raise _ParseError("--color must be a JSON list of integers")
+        raise UsageError("--color must be a JSON list of integers")
     return ColorSet(family, frozenset(indices))
 
 
@@ -206,7 +203,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except _ParseError as exc:
+    except UsageError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

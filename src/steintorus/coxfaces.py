@@ -323,10 +323,28 @@ def to_wire(F: Composition) -> dict:
     return {"blocks": [list(b) for b in F.full_blocks()]}
 
 
+def _is_ints(value) -> bool:
+    """True for a JSON list of integers; bools and floats do not count."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
+def _wire_ints(value, field: str) -> Tuple[int, ...]:
+    if not _is_ints(value):
+        raise ValidationError(f"'{field}' must be a list of integers")
+    return tuple(value)
+
+
+def _wire_blocks(value, field: str) -> Tuple[Block, ...]:
+    """A JSON list of integer lists, each block sorted."""
+    if not isinstance(value, list) or not all(_is_ints(b) for b in value):
+        raise ValidationError(f"'{field}' must be a list of integer lists")
+    return tuple(tuple(sorted(b)) for b in value)
+
+
 def from_wire(family: Family, data: dict) -> Composition:
     if not isinstance(data, dict) or "blocks" not in data:
         raise ValidationError("face wire form must be an object with a 'blocks' key")
-    blocks = data["blocks"]
+    blocks = _wire_blocks(data["blocks"], "blocks")
     if family.tag == "A":
-        return SetComposition(family, tuple(tuple(sorted(b)) for b in blocks))
+        return SetComposition(family, blocks)
     return SymComposition.from_full(family, blocks)

@@ -13,16 +13,25 @@ and sigma~_J (all torus faces of color J).  The map psi sends a W-invariant
 face sum to the group ring by replacing each face with its canonical group
 element; on invariants it reverses products on the finite side and
 intertwines the module structures.
+
+Internally a group element is its index in the lexicographic enumeration
+of the group by one-line values, so the convolution, the basis sums and the
+|W|^2 multiplication table work on plain integers; because that order is the
+order of ``GroupRingElement.coeffs``, sorting indices gives the same
+``coeffs`` tuple that ``GroupRingElement.from_dict`` gives.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, Tuple
 
+from .budget import check_budget
 from .errors import (
     FamilyMismatchError,
     NotInSpanError,
@@ -48,7 +57,7 @@ class _GroupData:
     def __init__(self, family: Family):
         self.family = family
         self.elements = list(enumerate_group(family))
-        self.index = {w: i for i, w in enumerate(self.elements)}
+        self.index_of = {w.values: i for i, w in enumerate(self.elements)}
         self.descents = [frozenset(descent_set(w).indices) for w in self.elements]
         self.affine_descents = [
             frozenset(affine_descent_set(w).indices) for w in self.elements
@@ -57,14 +66,29 @@ class _GroupData:
 
     @property
     def mult(self):
+        """mult[i][j] is the index of elements[i] * elements[j]."""
         if self._mult is None:
-            from .weyl import multiply as wmult
-
-            idx = self.index
-            self._mult = [
-                [idx[wmult(u, v)] for v in self.elements] for u in self.elements
-            ]
+            check_budget(len(self.elements) ** 2,
+                         f"multiplication table of {self.family}")
+            words = [w.values for w in self.elements]
+            # itemgetter(0, *v) reads u(0) = 0 followed by u(v_1), ..., u(v_n)
+            # off the image list of u, and always returns a tuple.
+            index_of = {(0,) + v: i for i, v in enumerate(words)}
+            getters = [itemgetter(0, *v) for v in words]
+            self._mult = []
+            for u in words:
+                # image[x] = u(x) for x in [-n, n]; negative x count from the end.
+                image = (0,) + u + tuple(-x for x in reversed(u))
+                self._mult.append([index_of[g(image)] for g in getters])
         return self._mult
+
+    def element(self, coeffs) -> "GroupRingElement":
+        """The ring element with coefficient coeffs[i] on elements[i]."""
+        elements = self.elements
+        return GroupRingElement(
+            self.family,
+            tuple((elements[i], c) for i, c in sorted(coeffs.items()) if c),
+        )
 
 
 _group_cache: Dict[Family, _GroupData] = {}
@@ -126,16 +150,16 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
         raise FamilyMismatchError("family mismatch")
     data = _data(a.family)
     table = data.mult
-    idx = data.index
+    index_of = data.index_of
+    right = [(index_of[v.values], cv) for v, cv in b.coeffs]
     acc = {}
+    get = acc.get
     for u, cu in a.coeffs:
-        row = table[idx[u]]
-        for v, cv in b.coeffs:
-            k = row[idx[v]]
-            acc[k] = acc.get(k, 0) + cu * cv
-    return GroupRingElement.from_dict(
-        a.family, {data.elements[k]: c for k, c in acc.items()}
-    )
+        row = table[index_of[u.values]]
+        for j, cv in right:
+            k = row[j]
+            acc[k] = get(k, 0) + cu * cv
+    return data.element(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +194,26 @@ def _check_index(kind: str, J: FrozenSet[int], family: Family) -> None:
         raise ValidationError(f"unknown basis kind {kind!r}")
 
 
+def _class_sum(kind: str, terms, family: Family) -> GroupRingElement:
+    """The sum of c * basis_element(kind, J) over the checked pairs (J, c):
+    a descent class gets the sum of the c whose J contains (x) or equals (y) it."""
+    data = _data(family)
+    sets = data.descents if kind in ("x", "y") else data.affine_descents
+    exact = kind in ("y", "yt")
+    class_value = {}
+    coeffs = {}
+    for i, D in enumerate(sets):
+        if D not in class_value:
+            class_value[D] = sum(c for J, c in terms if (D == J if exact else D <= J))
+        coeffs[i] = class_value[D]
+    return data.element(coeffs)
+
+
 def basis_element(kind: str, index, family: Family) -> GroupRingElement:
     """x_J, y_J, x~_J (kind 'xt') or y~_J (kind 'yt')."""
     J = _as_index_set(index)
     _check_index(kind, J, family)
-    data = _data(family)
-    sets = data.descents if kind in ("x", "y") else data.affine_descents
-    if kind in ("x", "xt"):
-        keep = [w for w, D in zip(data.elements, sets) if D <= J]
-    else:
-        keep = [w for w, D in zip(data.elements, sets) if D == J]
-    return GroupRingElement.from_dict(family, {w: 1 for w in keep})
+    return _class_sum(kind, [(J, 1)], family)
 
 
 def express_in_basis(a: GroupRingElement, kind: str):
@@ -195,11 +228,12 @@ def express_in_basis(a: GroupRingElement, kind: str):
     family = a.family
     data = _data(family)
     sets = data.descents if kind == "x" else data.affine_descents
-    coeffs = a.as_dict()
+    coeffs = [0] * len(data.elements)
+    for w, c in a.coeffs:
+        coeffs[data.index_of[w.values]] = c
     class_value: Dict[FrozenSet[int], int] = {}
     class_rep: Dict[FrozenSet[int], WeylElement] = {}
-    for w, D in zip(data.elements, sets):
-        v = coeffs.get(w, 0)
+    for w, D, v in zip(data.elements, sets, coeffs):
         if D in class_value:
             if class_value[D] != v:
                 raise NotInSpanError(
@@ -232,13 +266,11 @@ def express_in_basis(a: GroupRingElement, kind: str):
 
 
 def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement:
-    total = GroupRingElement.from_dict(family, {})
-    for I, c in expansion.items():
-        term = basis_element(kind, I, family)
-        total = total + GroupRingElement.from_dict(
-            family, {w: c * k for w, k in term.coeffs}
-        )
-    return total
+    """The sum of c * basis_element(kind, I, family) over the items (I, c)."""
+    terms = [(_as_index_set(I), c) for I, c in expansion.items()]
+    for J, _ in terms:
+        _check_index(kind, J, family)
+    return _class_sum(kind, terms, family)
 
 
 def y_from_x_conversion(family: Family):
@@ -404,26 +436,30 @@ def _faces_by_color(family: Family):
     return finite, torus
 
 
-def _key(J) -> str:
-    return json.dumps(sorted(J), separators=(",", ":"))
+def _keyed(expansion) -> dict:
+    """An expansion as JSON-keyed coefficients, ordered by sorted index set."""
+    return {json.dumps(sorted(K), separators=(",", ":")): c
+            for K, c in sorted(expansion.items(), key=lambda kv: sorted(kv[0]))}
+
+
+def _products(kind: str, family: Family):
+    """Yield (I, J, x_I * b_J) over every finite I and every legal J, where
+    b_J is x_J (kind 'x') or x~_J (kind 'xt')."""
+    rights = list(_finite_color_subsets(family) if kind == "x"
+                  else _torus_color_subsets(family))
+    for I in _finite_color_subsets(family):
+        xI = basis_element("x", I, family)
+        for J in rights:
+            yield I, J, multiply(xI, basis_element(kind, J, family))
 
 
 def solomon_table(family: Family) -> dict:
     """All x_I * x_J expanded back in the x basis."""
-    entries = []
-    for I in _finite_color_subsets(family):
-        xI = basis_element("x", I, family)
-        for J in _finite_color_subsets(family):
-            product = multiply(xI, basis_element("x", J, family))
-            expansion = express_in_basis(product, "x")
-            entries.append(
-                {
-                    "I": sorted(I),
-                    "J": sorted(J),
-                    "coeffs": {_key(K): c for K, c in sorted(expansion.items(),
-                                                            key=lambda kv: sorted(kv[0]))},
-                }
-            )
+    entries = [
+        {"I": sorted(I), "J": sorted(J),
+         "coeffs": _keyed(express_in_basis(product, "x"))}
+        for I, J, product in _products("x", family)
+    ]
     return {"kind": "solomon", "family": family.tag, "rank": family.rank,
             "entries": entries}
 
@@ -457,14 +493,8 @@ def module_table(family: Family) -> dict:
                 (v,) = values
                 if v:
                     expansion[K] = v
-            entries.append(
-                {
-                    "I": sorted(I),
-                    "J": sorted(J),
-                    "coeffs": {_key(K): c for K, c in sorted(expansion.items(),
-                                                            key=lambda kv: sorted(kv[0]))},
-                }
-            )
+            entries.append({"I": sorted(I), "J": sorted(J),
+                            "coeffs": _keyed(expansion)})
     return {"kind": "module", "family": family.tag, "rank": family.rank,
             "entries": entries}
 
@@ -484,44 +514,23 @@ def _report(suite, family, checks, failures):
     }
 
 
-def _verify_solomon(family: Family, seed=0):
+def _verify_products(suite: str, kind: str, family: Family, seed=0):
+    """Every x_I * b_J of `_products` expands in the basis of kind and
+    re-evaluates to itself."""
     checks, failures = 0, []
-    for I in _finite_color_subsets(family):
-        xI = basis_element("x", I, family)
-        for J in _finite_color_subsets(family):
-            checks += 1
-            product = multiply(xI, basis_element("x", J, family))
-            try:
-                expansion = express_in_basis(product, "x")
-            except NotInSpanError as exc:
-                failures.append(
-                    {"I": sorted(I), "J": sorted(J), "witness": str(exc.witness)}
-                )
-                continue
-            if evaluate_expansion(expansion, "x", family) != product:
-                failures.append({"I": sorted(I), "J": sorted(J),
-                                 "witness": "expansion does not re-evaluate"})
-    return _report("solomon", family, checks, failures)
-
-
-def _verify_module(family: Family, seed=0):
-    checks, failures = 0, []
-    for I in _finite_color_subsets(family):
-        xI = basis_element("x", I, family)
-        for J in _torus_color_subsets(family):
-            checks += 1
-            product = multiply(xI, basis_element("xt", J, family))
-            try:
-                expansion = express_in_basis(product, "xt")
-            except NotInSpanError as exc:
-                failures.append(
-                    {"I": sorted(I), "J": sorted(J), "witness": str(exc.witness)}
-                )
-                continue
-            if evaluate_expansion(expansion, "xt", family) != product:
-                failures.append({"I": sorted(I), "J": sorted(J),
-                                 "witness": "expansion does not re-evaluate"})
-    return _report("module", family, checks, failures)
+    for I, J, product in _products(kind, family):
+        checks += 1
+        try:
+            expansion = express_in_basis(product, kind)
+        except NotInSpanError as exc:
+            failures.append(
+                {"I": sorted(I), "J": sorted(J), "witness": str(exc.witness)}
+            )
+            continue
+        if evaluate_expansion(expansion, kind, family) != product:
+            failures.append({"I": sorted(I), "J": sorted(J),
+                             "witness": "expansion does not re-evaluate"})
+    return _report(suite, family, checks, failures)
 
 
 def _verify_psi(family: Family, seed=0):
@@ -745,8 +754,8 @@ def _verify_oracle(family: Family, seed=0):
 
 
 _SUITES = {
-    "solomon": _verify_solomon,
-    "module": _verify_module,
+    "solomon": functools.partial(_verify_products, "solomon", "x"),
+    "module": functools.partial(_verify_products, "module", "xt"),
     "psi": _verify_psi,
     "oracle": _verify_oracle,
     "lrb": _verify_lrb,

@@ -13,6 +13,10 @@ class FamilyMismatchError(ValidationError):
     """Operands belong to different families or ranks."""
 
 
+class UsageError(SteintorusError):
+    """Malformed command-line input or environment setting."""
+
+
 class BudgetExceededError(SteintorusError):
     """An enumeration would exceed the configured element budget."""
 

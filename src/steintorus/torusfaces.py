@@ -36,7 +36,14 @@ from .weyl import (
     affine_descent_set,
     enumerate_group,
 )
-from .coxfaces import Composition, SetComposition, SymComposition
+from .coxfaces import (
+    Composition,
+    SetComposition,
+    SymComposition,
+    _ordered_partitions,
+    _wire_blocks,
+    _wire_ints,
+)
 
 Block = Tuple[int, ...]
 
@@ -348,12 +355,6 @@ def enumerate_torus_faces(
                                 yield N
 
 
-def _ordered_partitions(elements):
-    from .coxfaces import _ordered_partitions as op
-
-    return op(elements)
-
-
 def to_wire(N) -> dict:
     if isinstance(N, SpinNecklace):
         return {"blocks": [list(b) for b in N.blocks], "labels": list(N.labels)}
@@ -370,13 +371,16 @@ def from_wire(family: Family, data: dict):
     if family.tag == "A":
         if "blocks" not in data or "labels" not in data:
             raise ValidationError("spin necklace needs 'blocks' and 'labels'")
-        return make_spin(family, data["blocks"], data["labels"])
+        return make_spin(family, _wire_blocks(data["blocks"], "blocks"),
+                         _wire_ints(data["labels"], "labels"))
     if "zero_block" not in data or "clockwise" not in data:
         raise ValidationError("symmetric necklace needs 'zero_block' and 'clockwise'")
     anti = data.get("antipodal")
+    if anti is not None:
+        anti = tuple(sorted(_wire_ints(anti, "antipodal")))
     return SymNecklace(
         family,
-        tuple(sorted(data["zero_block"])),
-        tuple(tuple(sorted(b)) for b in data["clockwise"]),
-        tuple(sorted(anti)) if anti else None,
+        tuple(sorted(_wire_ints(data["zero_block"], "zero_block"))),
+        _wire_blocks(data["clockwise"], "clockwise"),
+        anti if anti else None,
     )

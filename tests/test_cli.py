@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from steintorus import descent_algebra
 from steintorus.cli import main
+
+UNIT_A3 = '{"blocks":[[1,2,3]]}'
+UNIT_C2 = '{"blocks":[[-2,-1,0,1,2]]}'
 
 
 def run(capsys, *argv):
@@ -173,3 +177,63 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--family", "Z", "--rank", "3", "--object", "faces"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("product", "--family", "A", "--rank", "3",
+     "--left", '{"blocks":5}', "--right", UNIT_A3),
+    ("product", "--family", "C", "--rank", "2",
+     "--left", '{"blocks":5}', "--right", UNIT_C2),
+    ("product", "--family", "A", "--rank", "3",
+     "--left", '{"blocks":null}', "--right", UNIT_A3),
+    ("product", "--family", "C", "--rank", "2",
+     "--left", '{"blocks":null}', "--right", UNIT_C2),
+    ("product", "--family", "A", "--rank", "3",
+     "--left", UNIT_A3, "--right", '{"blocks":[[1,"a"],[2,3]]}'),
+    ("product", "--family", "C", "--rank", "2",
+     "--left", '{"blocks":[[1,"a"],[2,3]]}', "--right", UNIT_C2),
+    ("act", "--family", "A", "--rank", "3",
+     "--torus", '{"blocks":[[1],[2],[3]],"labels":[1,"x",3]}', "--face", UNIT_A3),
+    ("act", "--family", "C", "--rank", "2",
+     "--torus", '{"zero_block":[0],"clockwise":5,"antipodal":null}',
+     "--face", UNIT_C2),
+    # bools and floats are not integers, though Python compares them equal
+    ("product", "--family", "A", "--rank", "3",
+     "--left", '{"blocks":[[true],[2,3]]}', "--right", UNIT_A3),
+    ("product", "--family", "A", "--rank", "3",
+     "--left", '{"blocks":[[1.0],[2,3]]}', "--right", UNIT_A3),
+    ("act", "--family", "A", "--rank", "3",
+     "--torus", '{"blocks":[[1],[2],[3]],"labels":[1,2,3.0]}', "--face", UNIT_A3),
+    ("act", "--family", "C", "--rank", "2",
+     "--torus", '{"zero_block":[0],"clockwise":[[1]],"antipodal":[-2,true]}',
+     "--face", UNIT_C2),
+])
+def test_ill_typed_wire_fields_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("validation error") and err.count("\n") == 1
+
+
+def test_budget_counts_the_multiplication_table(capsys, monkeypatch):
+    # 24 elements fit a budget of 500, their 576 products do not.
+    monkeypatch.setattr(descent_algebra, "_group_cache", {})
+    monkeypatch.setenv("STEINTORUS_BUDGET", "500")
+    code, out, err = run(
+        capsys, "mult-table", "--family", "A", "--rank", "4", "--kind", "solomon",
+    )
+    assert code == 3
+    assert out == ""
+    assert "multiplication table" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_budget_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("STEINTORUS_BUDGET", value)
+    code, out, err = run(
+        capsys, "enumerate", "--family", "A", "--rank", "4",
+        "--object", "group", "--count",
+    )
+    assert code == 2
+    assert out == ""
+    assert "STEINTORUS_BUDGET" in err and err.count("\n") == 1

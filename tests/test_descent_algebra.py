@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from steintorus.errors import NotInSpanError, ValidationError
 from steintorus.weyl import Family, WeylElement, enumerate_group, identity
 from steintorus import descent_algebra as da
+from steintorus import weyl
 
 A3 = Family("A", 3)
 C2 = Family("C", 2)
@@ -217,3 +219,71 @@ def test_verify_all():
     report = da.verify("all", A3)
     assert report["pass"]
     assert len(report["reports"]) >= 6
+
+
+KERNEL_FAMILIES = [Family("A", 3), Family("A", 4), Family("C", 2), Family("C", 3)]
+
+
+def _naive_multiply(a, b):
+    acc = {}
+    for u, cu in a.coeffs:
+        for v, cv in b.coeffs:
+            w = weyl.multiply(u, v)
+            acc[w] = acc.get(w, 0) + cu * cv
+    return da.GroupRingElement.from_dict(a.family, acc)
+
+
+def _legal_sets(kind, fam):
+    universe = sorted(fam.finite_indices() if kind in ("x", "y")
+                      else fam.affine_indices())
+    sets = [frozenset(c) for r in range(len(universe) + 1)
+            for c in itertools.combinations(universe, r)]
+    if kind in ("xt", "yt"):
+        sets = [J for J in sets if J]
+    if kind == "yt":
+        sets = [J for J in sets if J != frozenset(universe)]
+    return sets
+
+
+@st.composite
+def _kernel_case(draw):
+    fam = draw(st.sampled_from(KERNEL_FAMILIES))
+    elements = list(enumerate_group(fam))
+    coeff = st.integers(-3, 3)  # zeros drop out; signs make products cancel
+
+    def sparse():
+        mapping = draw(st.dictionaries(st.sampled_from(elements), coeff,
+                                       max_size=12))
+        return da.GroupRingElement.from_dict(fam, mapping)
+
+    kind = draw(st.sampled_from(["x", "y", "xt", "yt"]))
+    expansion = draw(st.dictionaries(st.sampled_from(_legal_sets(kind, fam)),
+                                     coeff, max_size=6))
+    return fam, sparse(), sparse(), kind, expansion
+
+
+def _ordered(g):
+    return g.coeffs == da.GroupRingElement.from_dict(g.family, g.as_dict()).coeffs
+
+
+@given(_kernel_case())
+def test_index_kernel_matches_naive_route(case):
+    fam, a, b, kind, expansion = case
+    product = da.multiply(a, b)
+    assert product == _naive_multiply(a, b)
+    evaluated = da.evaluate_expansion(expansion, kind, fam)
+    total = da.GroupRingElement.from_dict(fam, {})
+    for I, c in expansion.items():
+        term = da.basis_element(kind, I, fam)
+        assert _ordered(term)
+        total = total + da.GroupRingElement.from_dict(
+            fam, {w: c * k for w, k in term.coeffs}
+        )
+    assert evaluated == total
+    assert _ordered(product) and _ordered(evaluated)
+
+
+def test_evaluate_expansion_rejects_illegal_index_sets():
+    for fam in KERNEL_FAMILIES:
+        with pytest.raises(ValidationError):
+            da.evaluate_expansion({frozenset(): 1}, "xt", fam)
