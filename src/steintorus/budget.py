@@ -1,11 +1,12 @@
 """Enumeration budget.
 
-Exhaustive enumerations (group elements, faces, torus faces) and the |W|^2
-group multiplication table refuse to start if the number of objects or
-entries they would produce exceeds a configurable budget.  The default is
-one million; it can be overridden programmatically or through the
-``STEINTORUS_BUDGET`` environment variable, whose value must be a positive
-integer.
+Exhaustive enumerations (group elements, faces, torus faces), the |W|^2
+group multiplication table and the face-product loops (the module table and
+the psi, oracle and lrb suites) refuse to start if the number of objects,
+entries or products they would produce exceeds a configurable budget.  The
+default is one million; it can be overridden programmatically or through
+the ``STEINTORUS_BUDGET`` environment variable, whose value must be a
+positive integer.
 """
 
 import os

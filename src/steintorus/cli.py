@@ -44,7 +44,7 @@ def _color(args, family):
     if args.color is None:
         return None
     indices = _load_json_arg(args.color)
-    if not isinstance(indices, list) or not all(isinstance(i, int) for i in indices):
+    if not coxfaces._is_ints(indices):
         raise UsageError("--color must be a JSON list of integers")
     return ColorSet(family, frozenset(indices))
 
@@ -65,13 +65,11 @@ def _cmd_enumerate(args):
         items = [
             coxfaces.to_wire(F) for F in coxfaces.enumerate_faces(family, color)
         ]
-    elif args.object == "torus":
+    else:  # "torus"; argparse restricts the choices
         items = [
             torusfaces.to_wire(N)
             for N in torusfaces.enumerate_torus_faces(family, color)
         ]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown object {args.object!r}")
     if args.count:
         print(len(items))
     else:
@@ -160,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object", required=True, choices=("faces", "torus", "group"))
     p.add_argument("--color", help="JSON list of simple-root indices to filter by")
     p.add_argument("--count", action="store_true", help="emit only the total")
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("product", help="Tits product of two finite faces")

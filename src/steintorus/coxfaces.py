@@ -8,12 +8,17 @@ only the central block and the right half are stored.
 
 The Tits product of two faces lists the nonempty pairwise block
 intersections lexicographically; this makes the face set a left regular
-band with the one-block composition as unit.
+band with the one-block composition as unit.  Both families compute on the
+full block sequence (``full_blocks``), and the torus module action is the
+same refinement applied to a necklace's block cycle, with a running edge
+label in type A.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
 
@@ -24,6 +29,19 @@ from .weyl import ColorSet, Family, WeylElement
 Block = Tuple[int, ...]
 
 
+def _check_blocks(blocks, lo: int, n: int) -> None:
+    """The blocks must be nonempty, sorted ascending, and partition [lo, n]."""
+    if sorted(x for b in blocks for x in b) != list(range(lo, n + 1)):
+        raise ValidationError(f"blocks do not partition [{lo}, {n}]: {blocks}")
+    if any(tuple(sorted(b)) != b or not b for b in blocks):
+        raise ValidationError("each block must be nonempty and sorted ascending")
+
+
+def _mirror(blocks) -> Tuple[Block, ...]:
+    """Sorted blocks negated, in reverse order: their mirror image through 0."""
+    return tuple(tuple([-x for x in reversed(b)]) for b in reversed(blocks))
+
+
 @dataclass(frozen=True)
 class SetComposition:
     family: Family
@@ -32,12 +50,10 @@ class SetComposition:
     def __post_init__(self):
         if self.family.tag != "A":
             raise ValidationError("SetComposition is a type A object")
-        seen = [x for block in self.blocks for x in block]
-        n = self.family.rank
-        if sorted(seen) != list(range(1, n + 1)):
-            raise ValidationError(f"blocks do not partition 1..{n}: {self.blocks}")
-        if any(tuple(sorted(b)) != b or not b for b in self.blocks):
-            raise ValidationError("each block must be nonempty and sorted ascending")
+        _check_blocks(self.blocks, 1, self.family.rank)
+
+    def full_blocks(self) -> Tuple[Block, ...]:
+        return self.blocks
 
     def __str__(self):
         return "(" + "|".join("".join(map(str, b)) for b in self.blocks) + ")"
@@ -58,32 +74,20 @@ class SymComposition:
             raise ValidationError("the central block must contain 0")
         if tuple(sorted(-x for x in self.zero_block)) != self.zero_block:
             raise ValidationError("the central block must equal its own negation")
-        elements = [x for block in self.full_blocks() for x in block]
         n = self.family.rank
-        if sorted(elements) != list(range(-n, n + 1)):
-            raise ValidationError("blocks do not partition [-n, n]")
-        if any(tuple(sorted(b)) != b or not b for b in (self.zero_block,) + self.right):
-            raise ValidationError("each block must be nonempty and sorted ascending")
+        _check_blocks(self.full_blocks(), -n, n)
 
     def full_blocks(self) -> Tuple[Block, ...]:
         """The full symmetric sequence (B_{-m}, ..., B_0, ..., B_m)."""
-        mirror = tuple(
-            tuple(sorted(-x for x in block)) for block in reversed(self.right)
-        )
-        return mirror + (self.zero_block,) + self.right
+        return _mirror(self.right) + (self.zero_block,) + self.right
 
     @staticmethod
     def from_full(family: Family, blocks) -> "SymComposition":
         blocks = tuple(tuple(sorted(b)) for b in blocks)
-        if len(blocks) % 2 == 0:
-            raise ValidationError("a symmetric composition has an odd number of blocks")
         m = len(blocks) // 2
-        for i in range(len(blocks)):
-            negated = tuple(sorted(-x for x in blocks[len(blocks) - 1 - i]))
-            if blocks[i] != negated:
-                raise ValidationError("block list is not mirror-symmetric")
-        face = SymComposition(family, blocks[m], blocks[m + 1 :])
-        return face
+        if len(blocks) % 2 == 0 or _mirror(blocks) != blocks:
+            raise ValidationError("block list is not mirror-symmetric of odd length")
+        return SymComposition(family, blocks[m], blocks[m + 1 :])
 
     def __str__(self):
         def show(b):
@@ -93,6 +97,13 @@ class SymComposition:
 
 
 Composition = Union[SetComposition, SymComposition]
+
+
+def _from_full(family: Family, blocks) -> Composition:
+    """The face of the family with the given full block sequence."""
+    if family.tag == "A":
+        return SetComposition(family, blocks)
+    return SymComposition.from_full(family, blocks)
 
 
 @dataclass(frozen=True)
@@ -135,15 +146,7 @@ def positive_root_order(family: Family):
 
 def _positions(F: Composition) -> dict:
     """Map each (extended) element to the index of its block."""
-    if isinstance(F, SetComposition):
-        blocks = F.blocks
-    else:
-        blocks = F.full_blocks()
-    pos = {}
-    for idx, block in enumerate(blocks):
-        for x in block:
-            pos[x] = idx
-    return pos
+    return {x: idx for idx, block in enumerate(F.full_blocks()) for x in block}
 
 
 def sign_vector(F: Composition) -> FiniteSignVector:
@@ -165,64 +168,58 @@ def compose_signs(f: FiniteSignVector, g: FiniteSignVector) -> FiniteSignVector:
 
 
 def _intersect_sequences(fblocks, gblocks):
-    """Nonempty pairwise intersections S_i ∩ T_j in lexicographic (i,j) order."""
+    """Nonempty pairwise intersections S_i ∩ T_j in lexicographic (i,j) order.
+
+    The refinement kernel of the Tits product and of the torus module action;
+    the blocks T_j must be sorted, and so are the pieces.
+    """
     out = []
     for S in fblocks:
         sset = set(S)
         for T in gblocks:
-            piece = tuple(x for x in T if x in sset)
+            piece = tuple([x for x in T if x in sset])
             if piece:
-                out.append(tuple(sorted(piece)))
+                out.append(piece)
     return tuple(out)
 
 
 def tits_product(F: Composition, G: Composition) -> Composition:
     if F.family != G.family:
         raise FamilyMismatchError(f"family mismatch: {F.family} vs {G.family}")
-    if isinstance(F, SetComposition):
-        return SetComposition(F.family, _intersect_sequences(F.blocks, G.blocks))
-    blocks = _intersect_sequences(F.full_blocks(), G.full_blocks())
-    return SymComposition.from_full(F.family, blocks)
+    return _from_full(F.family, _intersect_sequences(F.full_blocks(), G.full_blocks()))
 
 
 def unit_face(family: Family) -> Composition:
     """The one-block composition: unit of the Tits product."""
     n = family.rank
-    if family.tag == "A":
-        return SetComposition(family, (tuple(range(1, n + 1)),))
-    return SymComposition(family, tuple(range(-n, n + 1)), ())
+    return _from_full(family, (tuple(range(1 if family.tag == "A" else -n, n + 1)),))
+
+
+# w_of_face and color_set read the last n entries of the concatenated full
+# blocks: all of a type A face; the positive part of the zero block and then
+# the right half of a type C face.
 
 
 def w_of_face(F: Composition) -> WeylElement:
-    if isinstance(F, SetComposition):
-        values = tuple(x for block in F.blocks for x in block)
-        return WeylElement(F.family, values)
-    positives = tuple(x for x in F.zero_block if x > 0)
-    values = positives + tuple(x for block in F.right for x in block)
-    return WeylElement(F.family, values)
+    """The last n entries, in order."""
+    values = tuple(x for block in F.full_blocks() for x in block)
+    return WeylElement(F.family, values[-F.family.rank :])
 
 
 def color_set(F: Composition) -> ColorSet:
-    if isinstance(F, SetComposition):
-        sums = itertools.accumulate(len(b) for b in F.blocks[:-1])
-        return ColorSet(F.family, frozenset(sums))
-    # Type C: start from the number of positive elements of the central
-    # block, then accumulate full block sizes, stopping before the last.
-    a0 = sum(1 for x in F.zero_block if x > 0)
-    indices = []
-    total = a0
-    for block in F.right:
-        indices.append(total)
-        total += len(block)
-    return ColorSet(F.family, frozenset(indices))
+    """The block ends inside the last n entries, counted from their start and
+    without the final end; a type C zero block {0} ends at 0."""
+    n = F.family.rank
+    # The end of a block with t entries after it is index n - t.
+    after = itertools.accumulate(map(len, reversed(F.full_blocks()[1:])))
+    return ColorSet(F.family, frozenset(n - t for t in after if t <= n))
 
 
 def is_subface(F: Composition, G: Composition) -> bool:
     """True iff F is obtained from G by merging consecutive blocks (F <= G)."""
     if F.family != G.family:
         raise FamilyMismatchError("family mismatch")
-    fblocks = F.blocks if isinstance(F, SetComposition) else F.full_blocks()
-    gblocks = G.blocks if isinstance(G, SetComposition) else G.full_blocks()
+    fblocks, gblocks = F.full_blocks(), G.full_blocks()
     gi = 0
     for target in fblocks:
         remaining = set(target)
@@ -234,15 +231,15 @@ def is_subface(F: Composition, G: Composition) -> bool:
     return gi == len(gblocks)
 
 
+def _image(w: WeylElement, blocks) -> Tuple[Block, ...]:
+    """Each block's image under w, sorted; the block order is kept."""
+    return tuple(tuple(sorted(map(w, b))) for b in blocks)
+
+
 def act(w: WeylElement, F: Composition) -> Composition:
     if w.family != F.family:
         raise FamilyMismatchError("family mismatch")
-    if isinstance(F, SetComposition):
-        return SetComposition(
-            F.family, tuple(tuple(sorted(w(x) for x in b)) for b in F.blocks)
-        )
-    blocks = [tuple(sorted(w(x) for x in b)) for b in F.full_blocks()]
-    return SymComposition.from_full(F.family, blocks)
+    return _from_full(F.family, _image(w, F.full_blocks()))
 
 
 def _ordered_partitions(elements) -> Iterator[Tuple[Block, ...]]:
@@ -257,69 +254,66 @@ def _ordered_partitions(elements) -> Iterator[Tuple[Block, ...]]:
                 yield (first,) + tail
 
 
+def _self_negating(universe, extra=()):
+    """Yield (block, rest) for every subset S of the universe, by size and
+    then lexicographically: block is S, -S and `extra`, sorted; rest is the
+    universe without S.  This picks a zero block (extra (0,)) or an
+    antipodal block (empty when S is)."""
+    for size in range(len(universe) + 1):
+        for chosen in itertools.combinations(universe, size):
+            block = tuple(sorted(chosen + extra + tuple(-x for x in chosen)))
+            yield block, tuple(x for x in universe if x not in chosen)
+
+
+def _signed_partitions(elements) -> Iterator[Tuple[Block, ...]]:
+    """Every ordered set partition of the elements with a sign on each one,
+    signs varying fastest; blocks sorted."""
+    for blocks in _ordered_partitions(elements):
+        for signs in itertools.product((-1, 1), repeat=len(elements)):
+            sign_of = dict(zip(elements, signs))
+            yield tuple(tuple(sorted(sign_of[x] * x for x in b)) for b in blocks)
+
+
 def count_faces(family: Family) -> int:
     n = family.rank
     if family.tag == "A":
-        return _fubini(n)
+        return _fubini(n, 1)
+    return sum(math.comb(n, s) * _fubini(n - s, 2) for s in range(n + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _fubini(r: int, signs: int) -> int:
+    """Ordered set partitions of r labeled items, each item carrying one of
+    `signs` signs (1: plain, 2: a sign +-)."""
+    if r == 0:
+        return 1
     return sum(
-        _comb(n, s) * _signed_fubini(n - s) for s in range(n + 1)
+        math.comb(r, j) * signs**j * _fubini(r - j, signs) for j in range(1, r + 1)
     )
-
-
-def _comb(n, k):
-    import math
-
-    return math.comb(n, k)
-
-
-def _fubini(n, _cache={0: 1}):
-    if n not in _cache:
-        _cache[n] = sum(_comb(n, j) * _fubini(n - j) for j in range(1, n + 1))
-    return _cache[n]
-
-
-def _signed_fubini(r, _cache={0: 1}):
-    """Ordered set partitions of r labeled items with a sign on each item."""
-    if r not in _cache:
-        _cache[r] = sum(
-            _comb(r, j) * 2**j * _signed_fubini(r - j) for j in range(1, r + 1)
-        )
-    return _cache[r]
 
 
 def enumerate_faces(
     family: Family, color: Optional[ColorSet] = None
 ) -> Iterator[Composition]:
     """All faces, or the W-orbit of the given color set, each exactly once."""
+    if color is not None and family.affine_index in color:
+        raise ValidationError("finite color sets exclude the affine index")
     check_budget(count_faces(family), f"faces of {family}")
-    n = family.rank
+    universe = tuple(range(1, family.rank + 1))
     if family.tag == "A":
-        for blocks in _ordered_partitions(tuple(range(1, n + 1))):
-            face = SetComposition(family, blocks)
-            if color is None or color_set(face).indices == color.indices:
-                yield face
-        return
-    universe = tuple(range(1, n + 1))
-    for s in range(n + 1):
-        for zero_abs in itertools.combinations(universe, s):
-            zero_block = tuple(sorted(set(zero_abs) | {0} | {-x for x in zero_abs}))
-            rest = tuple(x for x in universe if x not in zero_abs)
-            for blocks in _ordered_partitions(rest):
-                for signs in itertools.product(
-                    *((-1, 1) for _ in range(len(rest)))
-                ):
-                    sign_of = dict(zip(rest, signs))
-                    right = tuple(
-                        tuple(sorted(sign_of[x] * x for x in b)) for b in blocks
-                    )
-                    face = SymComposition(family, zero_block, right)
-                    if color is None or color_set(face).indices == color.indices:
-                        yield face
+        faces = (SetComposition(family, b) for b in _ordered_partitions(universe))
+    else:
+        faces = (
+            SymComposition(family, zero_block, right)
+            for zero_block, rest in _self_negating(universe, (0,))
+            for right in _signed_partitions(rest)
+        )
+    for face in faces:
+        if color is None or color_set(face).indices == color.indices:
+            yield face
 
 
 def to_wire(F: Composition) -> dict:
-    if isinstance(F, SetComposition):
-        return {"blocks": [list(b) for b in F.blocks]}
     return {"blocks": [list(b) for b in F.full_blocks()]}
 
 
@@ -344,7 +338,4 @@ def _wire_blocks(value, field: str) -> Tuple[Block, ...]:
 def from_wire(family: Family, data: dict) -> Composition:
     if not isinstance(data, dict) or "blocks" not in data:
         raise ValidationError("face wire form must be an object with a 'blocks' key")
-    blocks = _wire_blocks(data["blocks"], "blocks")
-    if family.tag == "A":
-        return SetComposition(family, blocks)
-    return SymComposition.from_full(family, blocks)
+    return _from_full(family, _wire_blocks(data["blocks"], "blocks"))

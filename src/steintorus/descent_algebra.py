@@ -343,13 +343,9 @@ def orbit_sum(kind: str, index, family: Family) -> FaceSum:
     J = _as_index_set(index)
     color = ColorSet(family, J)
     if kind == "sigma":
-        if family.affine_index in J:
-            raise ValidationError("finite color sets exclude the affine index")
         faces = coxfaces.enumerate_faces(family, color)
         return FaceSum.from_dict(family, False, {F: 1 for F in faces})
     if kind == "sigmat":
-        if not J:
-            raise ValidationError("torus color sets are nonempty")
         faces = torusfaces.enumerate_torus_faces(family, color)
         return FaceSum.from_dict(family, True, {F: 1 for F in faces})
     raise ValidationError(f"unknown orbit sum kind {kind!r}")
@@ -426,6 +422,14 @@ def _torus_color_subsets(family: Family):
             yield frozenset(J)
 
 
+def _check_face_products(what: str, family: Family, finite: int, torus: int):
+    """Refuse to start finite*|faces|^2 + torus*|faces|*|torus faces| face
+    products."""
+    f = coxfaces.count_faces(family)
+    t = torusfaces.count_torus_faces(family) if torus else 0
+    check_budget(f * (finite * f + torus * t), f"face products of {what} for {family}")
+
+
 def _faces_by_color(family: Family):
     finite = {}
     for F in coxfaces.enumerate_faces(family):
@@ -471,6 +475,7 @@ def module_table(family: Family) -> dict:
     intertwining property the same coefficients expand x_I * x~_J over the
     x~ spanning set (including the full affine index set).
     """
+    _check_face_products("the module table", family, 0, 1)
     finite_orbits, torus_orbits = _faces_by_color(family)
     entries = []
     for I in _finite_color_subsets(family):
@@ -534,6 +539,7 @@ def _verify_products(suite: str, kind: str, family: Family, seed=0):
 
 
 def _verify_psi(family: Family, seed=0):
+    _check_face_products("the psi suite", family, 1, 1)
     checks, failures = 0, []
     finite_orbits, torus_orbits = _faces_by_color(family)
 
@@ -578,6 +584,7 @@ def _verify_psi(family: Family, seed=0):
 
 
 def _verify_lrb(family: Family, seed=0):
+    _check_face_products("the lrb suite", family, 2, 0)
     checks, failures = 0, []
     faces = list(coxfaces.enumerate_faces(family))
     unit = coxfaces.unit_face(family)
@@ -697,6 +704,7 @@ def _verify_oracle(family: Family, seed=0):
     """Cross-check the necklace action against the affine sign-vector model."""
     if family.tag != "A":
         raise ValidationError("the affine sign-vector oracle covers type A only")
+    _check_face_products("the oracle suite", family, 0, 1)
     from . import affine_oracle as oracle
 
     checks, failures = 0, []

@@ -17,8 +17,9 @@ half, an optional self-negating antipodal block, and the implied mirror
 half.
 
 Both kinds form a right module over the corresponding finite face monoid:
-a finite face refines every necklace block into its string of
-intersections.
+the action of a face is its Tits product on the necklace's block cycle
+(each block refined into its string of intersections), and type A carries
+a running edge label through the pieces.
 """
 
 from __future__ import annotations
@@ -40,7 +41,13 @@ from .coxfaces import (
     Composition,
     SetComposition,
     SymComposition,
+    _check_blocks,
+    _image,
+    _intersect_sequences,
+    _mirror,
     _ordered_partitions,
+    _self_negating,
+    _signed_partitions,
     _wire_blocks,
     _wire_ints,
 )
@@ -63,11 +70,7 @@ class SpinNecklace:
         if self.family.tag != "A":
             raise ValidationError("SpinNecklace is a type A object")
         n = self.family.rank
-        elements = [x for b in self.blocks for x in b]
-        if sorted(elements) != list(range(1, n + 1)):
-            raise ValidationError(f"blocks do not partition 1..{n}: {self.blocks}")
-        if any(tuple(sorted(b)) != b or not b for b in self.blocks):
-            raise ValidationError("blocks must be nonempty and sorted")
+        _check_blocks(self.blocks, 1, n)
         k = len(self.blocks)
         if len(self.labels) != k:
             raise ValidationError("one label per edge required")
@@ -109,26 +112,16 @@ class SymNecklace:
         n = self.family.rank
         if 0 not in self.zero_block:
             raise ValidationError("the zero block must contain 0")
-        for b in (self.zero_block,) + self.clockwise + (
-            (self.antipodal,) if self.antipodal is not None else ()
-        ):
-            if not b or tuple(sorted(b)) != b:
-                raise ValidationError("blocks must be nonempty and sorted")
         for b in (self.zero_block, self.antipodal):
             if b is not None and tuple(sorted(-x for x in b)) != b:
                 raise ValidationError("central/antipodal blocks must be self-negating")
-        elements = [x for b in full_cycle(self) for x in b]
-        if sorted(elements) != list(range(-n, n + 1)):
-            raise ValidationError("blocks do not partition [-n, n]")
+        _check_blocks(full_cycle(self), -n, n)
 
 
 def full_cycle(N: SymNecklace) -> Tuple[Block, ...]:
     """The full clockwise cycle starting at the zero block."""
-    mirror = tuple(
-        tuple(sorted(-x for x in b)) for b in reversed(N.clockwise)
-    )
     middle = (N.antipodal,) if N.antipodal is not None else ()
-    return (N.zero_block,) + N.clockwise + middle + mirror
+    return (N.zero_block,) + N.clockwise + middle + _mirror(N.clockwise)
 
 
 def sym_from_cycle(family: Family, cycle) -> SymNecklace:
@@ -201,41 +194,19 @@ def contract_edge(N: SpinNecklace, p: int) -> SpinNecklace:
 
 
 def module_action(N, G: Composition):
-    """Right action of a finite face on a torus face."""
+    """Right action of a finite face on a torus face: the Tits product on the
+    block cycle.  A type A piece's outgoing label is the clasp's incoming
+    label plus the sizes of the pieces up to it (mod n)."""
     if N.family != G.family:
         raise FamilyMismatchError("family mismatch")
-    n = N.family.rank
-    if isinstance(N, SpinNecklace):
-        if not isinstance(G, SetComposition):
-            raise FamilyMismatchError("type A necklace needs a type A face")
-        k = len(N.blocks)
-        new_blocks = []
-        new_labels = []
-        for idx, block in enumerate(N.blocks):
-            incoming = N.labels[idx - 1]
-            bset = set(block)
-            pieces = [
-                piece
-                for T in G.blocks
-                if (piece := tuple(sorted(x for x in T if x in bset)))
-            ]
-            running = incoming
-            for piece in pieces:
-                new_blocks.append(piece)
-                running = _norm_label(running + len(piece), n)
-                new_labels.append(running)
-        return make_spin(N.family, new_blocks, new_labels)
-    if not isinstance(G, SymComposition):
-        raise FamilyMismatchError("type C necklace needs a type C face")
+    if not isinstance(G, (SetComposition, SymComposition)):
+        raise FamilyMismatchError("a torus face is acted on by a finite face")
     gblocks = G.full_blocks()
-    refined = []
-    for block in full_cycle(N):
-        bset = set(block)
-        for T in gblocks:
-            piece = tuple(sorted(x for x in T if x in bset))
-            if piece:
-                refined.append(piece)
-    return sym_from_cycle(N.family, refined)
+    if isinstance(N, SpinNecklace):
+        pieces = _intersect_sequences(N.blocks, gblocks)
+        running = itertools.accumulate(map(len, pieces), initial=N.labels[-1])
+        return make_spin(N.family, pieces, tuple(running)[1:])
+    return sym_from_cycle(N.family, _intersect_sequences(full_cycle(N), gblocks))
 
 
 def w_of_torus_face(N) -> WeylElement:
@@ -267,14 +238,9 @@ def act(w: WeylElement, N):
     if w.family != N.family:
         raise FamilyMismatchError("family mismatch")
     if isinstance(N, SpinNecklace):
-        blocks = [tuple(sorted(w(x) for x in b)) for b in N.blocks]
-        return make_spin(N.family, blocks, N.labels)
-    return SymNecklace(
-        N.family,
-        tuple(sorted(w(x) for x in N.zero_block)),
-        tuple(tuple(sorted(w(x) for x in b)) for b in N.clockwise),
-        tuple(sorted(w(x) for x in N.antipodal)) if N.antipodal is not None else None,
-    )
+        return make_spin(N.family, _image(w, N.blocks), N.labels)
+    zero, anti, *clockwise = _image(w, (N.zero_block, N.antipodal or ()) + N.clockwise)
+    return SymNecklace(N.family, zero, tuple(clockwise), anti or None)
 
 
 def maximal_from_perm(w: WeylElement):
@@ -314,45 +280,31 @@ def enumerate_torus_faces(
     family: Family, color: Optional[ColorSet] = None
 ) -> Iterator:
     """Every torus face exactly once (the empty face does not exist here)."""
+    if color is not None and not color.indices:
+        raise ValidationError("torus color sets are nonempty")
     check_budget(count_torus_faces(family), f"torus faces of {family}")
     n = family.rank
-    if family.tag == "A":
-        universe = tuple(range(1, n + 1))
-        for ts in range(n):  # tail size; the tail never exhausts [n]
-            for tail in itertools.combinations(universe, ts):
-                rest = tuple(x for x in universe if x not in tail)
-                bound = max(tail) if tail else 0
-                for comp in _ordered_partitions(rest):
-                    if min(comp[0]) <= bound:
-                        continue  # tail elements must precede C2 inside the clasp
-                    N = from_split(
-                        SplitNecklace(family, comp, tail if tail else None)
-                    )
-                    if color is None or color_set(N).indices == color.indices:
-                        yield N
-        return
     universe = tuple(range(1, n + 1))
-    for zs in range(n + 1):
-        for zero_abs in itertools.combinations(universe, zs):
-            zero_block = tuple(sorted(set(zero_abs) | {0} | {-x for x in zero_abs}))
-            after_zero = tuple(x for x in universe if x not in zero_abs)
-            for As in range(len(after_zero) + 1):
-                for anti_abs in itertools.combinations(after_zero, As):
-                    antipodal = (
-                        tuple(sorted(set(anti_abs) | {-x for x in anti_abs}))
-                        if anti_abs
-                        else None
-                    )
-                    rest = tuple(x for x in after_zero if x not in anti_abs)
-                    for comp in _ordered_partitions(rest):
-                        for signs in itertools.product((-1, 1), repeat=len(rest)):
-                            sign_of = dict(zip(rest, signs))
-                            clockwise = tuple(
-                                tuple(sorted(sign_of[x] * x for x in b)) for b in comp
-                            )
-                            N = SymNecklace(family, zero_block, clockwise, antipodal)
-                            if color is None or color_set(N).indices == color.indices:
-                                yield N
+    if family.tag == "A":
+        # The clasp splits into the tail C1 and the first block C2 of a
+        # composition; tail elements must precede C2 inside the clasp.
+        faces = (
+            from_split(SplitNecklace(family, comp, tail if tail else None))
+            for ts in range(n)  # the tail never exhausts [n]
+            for tail in itertools.combinations(universe, ts)
+            for comp in _ordered_partitions(tuple(x for x in universe if x not in tail))
+            if min(comp[0]) > (max(tail) if tail else 0)
+        )
+    else:
+        faces = (
+            SymNecklace(family, zero_block, clockwise, antipodal or None)
+            for zero_block, after_zero in _self_negating(universe, (0,))
+            for antipodal, rest in _self_negating(after_zero)
+            for clockwise in _signed_partitions(rest)
+        )
+    for N in faces:
+        if color is None or color_set(N).indices == color.indices:
+            yield N
 
 
 def to_wire(N) -> dict:

@@ -104,9 +104,6 @@ class WeylElement:
             return self.values[i - 1]
         return -self.values[-i - 1]
 
-    def is_identity(self) -> bool:
-        return all(self(i) == i for i in range(1, self.family.rank + 1))
-
 
 @dataclass(frozen=True)
 class ColorSet:

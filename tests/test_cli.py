@@ -237,3 +237,46 @@ def test_bad_budget_is_usage_error(capsys, monkeypatch, value):
     assert code == 2
     assert out == ""
     assert "STEINTORUS_BUDGET" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("obj, color, expected", [
+    ("faces", "[3]", 1),  # the affine index, on a finite face
+    ("faces", "[2]", 0),
+    ("torus", "[]", 1),  # a torus face has a nonempty colour set
+    ("torus", "[3]", 0),
+    ("faces", "[true]", 2),  # bools and floats are not integers
+    ("faces", "[1.0]", 2),
+    ("torus", "[1, false]", 2),
+])
+def test_colour_filter_is_validated(capsys, obj, color, expected):
+    code, out, err = run(
+        capsys, "enumerate", "--family", "A", "--rank", "3", "--object", obj,
+        "--color", color, "--count",
+    )
+    assert code == expected
+    if expected:
+        assert out == "" and err.count("\n") == 1
+    else:
+        assert int(out) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("mult-table", "--family", "A", "--rank", "7", "--kind", "module"),
+    ("verify", "--family", "A", "--rank", "7", "--suite", "psi"),
+])
+def test_budget_counts_the_face_products(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "face products" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rank, expected", [(5, 3), (4, 0)])
+def test_module_table_budget_edge(capsys, monkeypatch, rank, expected):
+    # |faces| * |torus faces| is 541 * 750 at A5 and 75 * 104 at A4.
+    monkeypatch.setenv("STEINTORUS_BUDGET", str(10**5))
+    code, _, _ = run(
+        capsys, "mult-table", "--family", "A", "--rank", str(rank),
+        "--kind", "module",
+    )
+    assert code == expected

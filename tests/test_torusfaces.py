@@ -1,9 +1,12 @@
+import functools
+
 import pytest
 from hypothesis import given, strategies as hst
 
 from steintorus.errors import ValidationError
 from steintorus.weyl import ColorSet, Family, WeylElement, enumerate_group
 from steintorus import coxfaces as cf
+from steintorus import descent_algebra as da
 from steintorus import torusfaces as tf
 
 A6 = Family("A", 6)
@@ -167,28 +170,45 @@ def test_wire_roundtrip():
         tf.from_wire(A6, {"blocks": [[1, 2, 3, 4, 5, 6]]})
 
 
-@hst.composite
-def torus_faces_a(draw, n=4):
-    fam = Family("A", n)
-    pool = sorted(tf.enumerate_torus_faces(fam), key=repr)
-    return draw(hst.sampled_from(pool))
+LAW_FAMILIES = (Family("A", 4), Family("C", 3))
+
+
+@functools.lru_cache(maxsize=None)
+def pool(kind, fam):
+    enumerate_fn = tf.enumerate_torus_faces if kind == "torus" else cf.enumerate_faces
+    return sorted(enumerate_fn(fam), key=repr)
 
 
 @hst.composite
-def faces_a(draw, n=4):
-    fam = Family("A", n)
-    pool = sorted(cf.enumerate_faces(fam), key=repr)
-    return draw(hst.sampled_from(pool))
+def drawn(draw, *kinds):
+    """One object of each kind ('torus' or 'face') from one family of
+    LAW_FAMILIES."""
+    fam = draw(hst.sampled_from(LAW_FAMILIES))
+    return [draw(hst.sampled_from(pool(kind, fam))) for kind in kinds]
 
 
-@given(torus_faces_a(), faces_a(), faces_a())
-def test_module_axiom(N, G, H):
+@given(drawn("torus", "face", "face"))
+def test_module_axiom(objects):
+    N, G, H = objects
     lhs = tf.module_action(tf.module_action(N, G), H)
     rhs = tf.module_action(N, cf.tits_product(G, H))
     assert lhs == rhs
 
 
-@given(torus_faces_a(), faces_a())
-def test_action_color_grows(N, G):
+@given(drawn("torus", "face"))
+def test_action_color_grows(objects):
+    N, G = objects
     R = tf.module_action(N, G)
     assert set(tf.color_set(N).indices) <= set(tf.color_set(R).indices)
+
+
+@given(drawn("face", "face", "torus"))
+def test_generators_respect_products(objects):
+    F, G, N = objects
+    for g in da._generators(F.family):
+        assert cf.act(g, cf.tits_product(F, G)) == cf.tits_product(
+            cf.act(g, F), cf.act(g, G)
+        )
+        assert tf.act(g, tf.module_action(N, G)) == tf.module_action(
+            tf.act(g, N), cf.act(g, G)
+        )
