@@ -32,7 +32,9 @@ def _load_json_arg(text: str):
             raise UsageError(f"cannot read {text[1:]}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past Python's digit
+        # limit; RecursionError covers arrays nested too deep.
         raise UsageError(f"invalid JSON: {exc}") from None
 
 

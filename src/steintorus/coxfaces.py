@@ -16,13 +16,12 @@ label in type A.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
-from .budget import check_budget
+from .budget import check_count
 from .errors import FamilyMismatchError, ValidationError
 from .weyl import ColorSet, Family, WeylElement
 
@@ -30,8 +29,10 @@ Block = Tuple[int, ...]
 
 
 def _check_blocks(blocks, lo: int, n: int) -> None:
-    """The blocks must be nonempty, sorted ascending, and partition [lo, n]."""
-    if sorted(x for b in blocks for x in b) != list(range(lo, n + 1)):
+    """The blocks must be nonempty, sorted ascending, and partition [lo, n];
+    the element count is compared first, so a huge n builds no range."""
+    elements = sorted(x for b in blocks for x in b)
+    if len(elements) != n - lo + 1 or elements != list(range(lo, n + 1)):
         raise ValidationError(f"blocks do not partition [{lo}, {n}]: {blocks}")
     if any(tuple(sorted(b)) != b or not b for b in blocks):
         raise ValidationError("each block must be nonempty and sorted ascending")
@@ -42,7 +43,7 @@ def _mirror(blocks) -> Tuple[Block, ...]:
     return tuple(tuple([-x for x in reversed(b)]) for b in reversed(blocks))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SetComposition:
     family: Family
     blocks: Tuple[Block, ...]
@@ -59,7 +60,7 @@ class SetComposition:
         return "(" + "|".join("".join(map(str, b)) for b in self.blocks) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SymComposition:
     """Type C face, stored as the central block plus the right half."""
 
@@ -274,22 +275,23 @@ def _signed_partitions(elements) -> Iterator[Tuple[Block, ...]]:
             yield tuple(tuple(sorted(sign_of[x] * x for x in b)) for b in blocks)
 
 
+def _fubini(n: int) -> List[int]:
+    """[F(0), ..., F(n)]: F(r) ordered set partitions of r labelled items.
+    With a sign on each item there are 2^r * F(r)."""
+    F = [1]
+    for r in range(1, n + 1):
+        F.append(sum(math.comb(r, k) * F[k] for k in range(r)))
+    return F
+
+
 def count_faces(family: Family) -> int:
+    """Type A: F(n).  Type C: the s positive elements of the zero block, then
+    a signed ordered partition of the other n - s."""
     n = family.rank
+    F = _fubini(n)
     if family.tag == "A":
-        return _fubini(n, 1)
-    return sum(math.comb(n, s) * _fubini(n - s, 2) for s in range(n + 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _fubini(r: int, signs: int) -> int:
-    """Ordered set partitions of r labeled items, each item carrying one of
-    `signs` signs (1: plain, 2: a sign +-)."""
-    if r == 0:
-        return 1
-    return sum(
-        math.comb(r, j) * signs**j * _fubini(r - j, signs) for j in range(1, r + 1)
-    )
+        return F[n]
+    return sum(math.comb(n, s) * 2 ** (n - s) * F[n - s] for s in range(n + 1))
 
 
 def enumerate_faces(
@@ -298,7 +300,7 @@ def enumerate_faces(
     """All faces, or the W-orbit of the given color set, each exactly once."""
     if color is not None and family.affine_index in color:
         raise ValidationError("finite color sets exclude the affine index")
-    check_budget(count_faces(family), f"faces of {family}")
+    check_count(family, count_faces, f"faces of {family}")
     universe = tuple(range(1, family.rank + 1))
     if family.tag == "A":
         faces = (SetComposition(family, b) for b in _ordered_partitions(universe))

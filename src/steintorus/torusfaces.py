@@ -25,23 +25,19 @@ a running edge label through the pieces.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from .budget import check_budget
+from .budget import check_count
 from .errors import FamilyMismatchError, ValidationError
-from .weyl import (
-    ColorSet,
-    Family,
-    WeylElement,
-    affine_descent_set,
-    enumerate_group,
-)
+from .weyl import ColorSet, Family, WeylElement
 from .coxfaces import (
     Composition,
     SetComposition,
     SymComposition,
     _check_blocks,
+    _fubini,
     _image,
     _intersect_sequences,
     _mirror,
@@ -60,7 +56,7 @@ def _norm_label(x: int, n: int) -> int:
     return (x - 1) % n + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SpinNecklace:
     family: Family
     blocks: Tuple[Block, ...]
@@ -99,7 +95,7 @@ def make_spin(family: Family, blocks, labels) -> SpinNecklace:
     return SpinNecklace(family, blocks[c:] + blocks[:c], labels[c:] + labels[:c])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SymNecklace:
     family: Family
     zero_block: Block
@@ -270,9 +266,20 @@ def perm_from_maximal(N) -> WeylElement:
 
 
 def count_torus_faces(family: Family) -> int:
-    width = len(family.affine_indices())
+    """Closed form.  Type A: a cyclic order on the blocks of a set partition
+    (the block A of 1, then an ordered partition of the rest) and one of n
+    labels, n * sum over A of F(n - |A|) = sum_a a * C(n, a) * F(n - a).
+    Type C: s and t positive elements in the zero and antipodal blocks, then
+    a signed ordered partition of the other r elements,
+    sum C(n, s) * C(n - s, t) * 2^r * F(r)."""
+    n = family.rank
+    F = _fubini(n)
+    if family.tag == "A":
+        return sum(a * math.comb(n, a) * F[n - a] for a in range(1, n + 1))
     return sum(
-        2 ** (width - len(affine_descent_set(w))) for w in enumerate_group(family)
+        math.comb(n, s) * math.comb(n - s, t) * 2 ** (n - s - t) * F[n - s - t]
+        for s in range(n + 1)
+        for t in range(n - s + 1)
     )
 
 
@@ -282,7 +289,7 @@ def enumerate_torus_faces(
     """Every torus face exactly once (the empty face does not exist here)."""
     if color is not None and not color.indices:
         raise ValidationError("torus color sets are nonempty")
-    check_budget(count_torus_faces(family), f"torus faces of {family}")
+    check_count(family, count_torus_faces, f"torus faces of {family}")
     n = family.rank
     universe = tuple(range(1, n + 1))
     if family.tag == "A":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Tuple
 
-from .budget import check_budget
+from .budget import check_count
 from .errors import FamilyMismatchError, ValidationError
 
 
@@ -42,6 +42,9 @@ class Family:
             raise ValidationError(f"unknown family tag {self.tag!r}")
         if self.rank < 1:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
+        if self.tag == "A" and self.rank < 2:
+            # A_0 is the empty root system: no simple roots, no faces to act on.
+            raise ValidationError("type A needs rank >= 2")
 
     @property
     def affine_index(self) -> int:
@@ -117,10 +120,11 @@ class ColorSet:
     indices: frozenset
 
     def __post_init__(self):
-        allowed = set(self.family.affine_indices())
-        if not set(self.indices) <= allowed:
+        allowed = self.family.affine_indices()
+        if not all(i in allowed for i in self.indices):
             raise ValidationError(
-                f"indices {sorted(self.indices)} outside the legal range {sorted(allowed)}"
+                f"indices {sorted(self.indices)} outside the legal range "
+                f"{allowed.start}..{allowed.stop - 1}"
             )
 
     def sorted(self):
@@ -189,7 +193,9 @@ def descent_set(w: WeylElement) -> ColorSet:
 def affine_descent_set(w: WeylElement) -> ColorSet:
     """Affine descent set: the finite descents plus the affine boundary test.
 
-    Always nonempty, never the full affine index set.
+    Always nonempty, never the full affine index set: the cyclic word of
+    type A (rank >= 2) and the word 0 w_1 ... w_n 0 of type C both rise
+    and fall.
     """
     word, affine = _one_line_with_boundary(w)
     return ColorSet(
@@ -199,7 +205,7 @@ def affine_descent_set(w: WeylElement) -> ColorSet:
 
 def enumerate_group(family: Family) -> Iterator[WeylElement]:
     """All group elements in lexicographic order of their one-line notation."""
-    check_budget(family.group_order(), f"group of {family}")
+    check_count(family, Family.group_order, f"group of {family}")
     n = family.rank
     if family.tag == "A":
         for values in itertools.permutations(range(1, n + 1)):

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from steintorus import descent_algebra
 from steintorus.cli import main
@@ -154,6 +159,19 @@ def test_parse_error_exit_two(capsys):
     assert "parse error" in err
 
 
+# Nested too deep for the decoder, and an integer past Python's digit limit.
+@pytest.mark.parametrize("text", ["[" * 100000, "[" + "1" * 5000 + "]"],
+                         ids=["deep", "long-int"])
+def test_unparseable_json_exit_two(capsys, text):
+    code, out, err = run(
+        capsys, "product", "--family", "A", "--rank", "3",
+        "--left", text, "--right", UNIT_A3,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error") and err.count("\n") == 1
+
+
 def test_validation_error_exit_one(capsys):
     code, _, err = run(
         capsys, "product", "--family", "A", "--rank", "3",
@@ -280,3 +298,118 @@ def test_module_table_budget_edge(capsys, monkeypatch, rank, expected):
         "--kind", "module",
     )
     assert code == expected
+
+
+def test_type_a_rank_one_is_rejected(capsys):
+    code, out, err = run(
+        capsys, "verify", "--family", "A", "--rank", "1", "--suite", "all",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("validation error") and err.count("\n") == 1
+
+
+HUGE = "100000000"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("enumerate", "--family", "A", "--rank", HUGE, "--object", "group", "--count"), 3),
+    (("enumerate", "--family", "C", "--rank", HUGE, "--object", "faces", "--count"), 3),
+    (("enumerate", "--family", "A", "--rank", HUGE, "--object", "torus", "--count"), 3),
+    (("enumerate", "--family", "C", "--rank", HUGE, "--object", "torus",
+      "--color", "[5]", "--count"), 3),
+    (("descent-table", "--family", "C", "--rank", HUGE), 3),
+    (("verify", "--family", "A", "--rank", HUGE, "--suite", "psi"), 3),
+    (("mult-table", "--family", "A", "--rank", HUGE, "--kind", "solomon"), 3),
+    (("enumerate", "--family", "A", "--rank", "600", "--object", "faces", "--count"), 3),
+    (("enumerate", "--family", "A", "--rank", "2000", "--object", "group", "--count"), 3),
+    (("verify", "--family", "C", "--rank", "7", "--suite", "psi"), 3),
+    (("product", "--family", "A", "--rank", HUGE,
+      "--left", '{"blocks":[[1]]}', "--right", '{"blocks":[[1]]}'), 1),
+])
+def test_huge_ranks_stop_at_once(capsys, argv, expected):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == expected
+    assert out == ""
+    assert err.count("\n") == 1
+
+
+# Fuzzed command lines: every flag is well formed for argparse, so each call
+# reaches the program; its values are not.  Values are passed as --flag=value,
+# since argparse takes a separate value such as -1e+16 for an option.  The budget stays at most a few
+# thousand, so no call that passes it does much work.
+_json = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers(-5, 10**9)
+    | hst.floats(allow_nan=False, allow_infinity=False) | hst.text(max_size=3),
+    lambda inner: hst.lists(inner, max_size=4)
+    | hst.dictionaries(hst.text(max_size=8), inner, max_size=3),
+    max_leaves=10,
+)
+_small = hst.integers(-4, 9)
+_blocks = hst.lists(hst.lists(_small, max_size=4), max_size=5)
+_face = hst.one_of(hst.fixed_dictionaries({"blocks": _blocks}), _json)
+_necklace = hst.one_of(
+    hst.fixed_dictionaries({"blocks": _blocks,
+                            "labels": hst.lists(_small, max_size=5)}),
+    hst.fixed_dictionaries({"zero_block": hst.lists(_small, max_size=5),
+                            "clockwise": _blocks,
+                            "antipodal": hst.none() | hst.lists(_small, max_size=4)}),
+    _json,
+)
+
+
+def _arg(values):
+    return hst.one_of(values.map(json.dumps), hst.just("notjson"),
+                      hst.just("@/nonexistent/input.json"))
+
+
+@hst.composite
+def _argv(draw):
+    sub = draw(hst.sampled_from(["enumerate", "product", "act", "descent-table",
+                                 "mult-table", "verify"]))
+    rank = draw(hst.integers(-1, 5) | hst.integers(6, 10**8))
+    argv = [sub, "--family=" + draw(hst.sampled_from("AC")), f"--rank={rank}"]
+    if draw(hst.booleans()):
+        argv.append(f"--seed={draw(hst.integers(-10, 10))}")
+    if sub == "enumerate":
+        argv.append("--object=" + draw(hst.sampled_from(["faces", "torus", "group"])))
+        if draw(hst.booleans()):
+            argv.append("--color=" + draw(_arg(hst.lists(_small, max_size=5) | _json)))
+        if draw(hst.booleans()):
+            argv.append("--count")
+    elif sub == "product":
+        argv += ["--left=" + draw(_arg(_face)), "--right=" + draw(_arg(_face))]
+    elif sub == "act":
+        argv += ["--torus=" + draw(_arg(_necklace)), "--face=" + draw(_arg(_face))]
+    elif sub == "descent-table":
+        if draw(hst.booleans()):
+            argv.append("--affine")
+    elif sub == "mult-table":
+        argv.append("--kind=" + draw(hst.sampled_from(["solomon", "module"])))
+    else:
+        argv.append("--suite=" + draw(hst.sampled_from(
+            ["all", "solomon", "module", "psi", "oracle", "lrb", "euler", "counts"])))
+    budget = draw(hst.integers(-1, 3000))  # -1 stands for a non-number
+    return argv, str(budget) if budget >= 0 else "abc"
+
+
+@settings(max_examples=150)
+@given(_argv())
+def test_fuzzed_command_lines(case):
+    argv, budget = case
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.get("STEINTORUS_BUDGET")
+    os.environ["STEINTORUS_BUDGET"] = budget
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        if saved is None:
+            del os.environ["STEINTORUS_BUDGET"]
+        else:
+            os.environ["STEINTORUS_BUDGET"] = saved
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()

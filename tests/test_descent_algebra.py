@@ -5,7 +5,10 @@ from hypothesis import given, strategies as st
 
 from steintorus.errors import NotInSpanError, ValidationError
 from steintorus.weyl import Family, WeylElement, enumerate_group, identity
+from steintorus import affine_oracle as ao
+from steintorus import coxfaces as cf
 from steintorus import descent_algebra as da
+from steintorus import torusfaces as tf
 from steintorus import weyl
 
 A3 = Family("A", 3)
@@ -213,6 +216,22 @@ def test_oracle_suite_type_a_only():
     assert da.verify("oracle", A3)["pass"]
     with pytest.raises(ValidationError):
         da.verify("oracle", C2)
+
+
+def test_oracle_reports_every_failure(monkeypatch):
+    # A module action that leaves every necklace fixed is wrong exactly
+    # where the oracle moves the necklace; each such pair is one failure.
+    expected = sum(
+        ao.project(ao.oracle_act(ao.lift(N), G)) != N
+        for N in tf.enumerate_torus_faces(A3)
+        for G in cf.enumerate_faces(A3)
+    )
+    assert expected > 6
+    monkeypatch.setattr(tf, "module_action", lambda N, G: N)
+    report = da.verify("oracle", A3)
+    failures = [f for f in report["failures"] if f["check"] == "action equivalence"]
+    assert len(failures) == expected
+    assert not report["pass"]
 
 
 def test_verify_all():

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, strategies as hst
 
 from steintorus.errors import ValidationError
-from steintorus.weyl import ColorSet, Family, WeylElement, enumerate_group
+from steintorus.weyl import (
+    ColorSet,
+    Family,
+    WeylElement,
+    affine_descent_set,
+    enumerate_group,
+)
 from steintorus import coxfaces as cf
 from steintorus import descent_algebra as da
 from steintorus import torusfaces as tf
@@ -116,6 +122,28 @@ def test_counts():
     assert sum(1 for _ in tf.enumerate_torus_faces(Family("C", 2))) == 24
 
 
+def families(a_ranks, c_ranks):
+    return pytest.mark.parametrize(
+        "fam", [Family("A", n) for n in a_ranks] + [Family("C", n) for n in c_ranks],
+        ids=lambda f: f"{f.tag}{f.rank}")
+
+
+@families(range(2, 7), range(1, 5))
+def test_closed_form_counts_match_enumeration(fam):
+    assert cf.count_faces(fam) == sum(1 for _ in cf.enumerate_faces(fam))
+    assert tf.count_torus_faces(fam) == sum(1 for _ in tf.enumerate_torus_faces(fam))
+
+
+@families(range(2, 8), range(1, 6))
+def test_torus_count_matches_affine_descents(fam):
+    # The torus faces of colour J map one-to-one onto the w with Ades(w)
+    # inside J, so each w counts once for every superset of Ades(w).
+    width = len(fam.affine_indices())
+    expected = sum(2 ** (width - len(affine_descent_set(w)))
+                   for w in enumerate_group(fam))
+    assert tf.count_torus_faces(fam) == expected
+
+
 def test_census_a2():
     by_dim = {}
     for N in tf.enumerate_torus_faces(Family("A", 3)):
@@ -212,3 +240,13 @@ def test_generators_respect_products(objects):
         assert tf.act(g, tf.module_action(N, G)) == tf.module_action(
             tf.act(g, N), cf.act(g, G)
         )
+
+
+@pytest.mark.parametrize("kind", ["face", "torus"])
+@families([4], [3])
+def test_faces_sort_by_fields(kind, fam):
+    # Equal zero and clockwise blocks fix a type C antipodal block, so the
+    # ordering never compares None with a tuple.
+    faces = pool(kind, fam)
+    ordered = sorted(faces)
+    assert all(a < b for a, b in zip(ordered, ordered[1:]))

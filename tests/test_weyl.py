@@ -19,10 +19,10 @@ C5 = Family("C", 5)
 
 
 def test_family_validation():
-    with pytest.raises(ValidationError):
-        Family("B", 3)
-    with pytest.raises(ValidationError):
-        Family("A", 0)
+    # A_0 (type A, rank 1) is the empty root system.
+    for tag, rank in [("B", 3), ("A", 0), ("A", 1)]:
+        with pytest.raises(ValidationError):
+            Family(tag, rank)
 
 
 def test_index_ranges():
