@@ -138,8 +138,15 @@ def _cmd_verify(args):
     return 0 if report["pass"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 2 with one stderr line; subparsers inherit this."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="steintorus",
         description=(
             "Face monoids of finite Coxeter complexes (types A and C), the "
@@ -148,6 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    # argparse takes a separate value that starts with "-" (other than a
+    # plain number) for an option.
+    def json_flag(p, name, what, required=True):
+        p.add_argument(f"--{name}", required=required, help=f"{what} (inline or "
+                       f"@file); pass a value starting with '-' as --{name}=VALUE")
 
     def common(p):
         p.add_argument("--family", required=True, choices=("A", "C"))
@@ -158,20 +171,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list faces, torus faces or group elements")
     common(p)
     p.add_argument("--object", required=True, choices=("faces", "torus", "group"))
-    p.add_argument("--color", help="JSON list of simple-root indices to filter by")
+    json_flag(p, "color", "JSON list of simple-root indices to filter by", False)
     p.add_argument("--count", action="store_true", help="emit only the total")
     p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser("product", help="Tits product of two finite faces")
     common(p)
-    p.add_argument("--left", required=True, help="face JSON (inline or @file)")
-    p.add_argument("--right", required=True, help="face JSON (inline or @file)")
+    json_flag(p, "left", "face JSON")
+    json_flag(p, "right", "face JSON")
     p.set_defaults(run=_cmd_product)
 
     p = sub.add_parser("act", help="act by a finite face on a torus face")
     common(p)
-    p.add_argument("--torus", required=True, help="necklace JSON (inline or @file)")
-    p.add_argument("--face", required=True, help="face JSON (inline or @file)")
+    json_flag(p, "torus", "necklace JSON")
+    json_flag(p, "face", "face JSON")
     p.set_defaults(run=_cmd_act)
 
     p = sub.add_parser("descent-table", help="descent sets of every group element")
@@ -197,20 +210,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    # One stderr line, also for a message quoting an argument or a path
+    # that holds a newline.
+    print(f"{kind}: {exc}".replace("\n", "\\n"), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
     except UsageError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("parse error", exc, 2)
     except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
+        return _fail("budget exceeded", exc, 3)
     except SteintorusError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("validation error", exc, 1)
 
 
 if __name__ == "__main__":

@@ -8,16 +8,22 @@ only the central block and the right half are stored.
 
 The Tits product of two faces lists the nonempty pairwise block
 intersections lexicographically; this makes the face set a left regular
-band with the one-block composition as unit.  Both families compute on the
-full block sequence (``full_blocks``), and the torus module action is the
-same refinement applied to a necklace's block cycle, with a running edge
-label in type A.
+band with the one-block composition as unit.
+
+Products are computed on position codes.  A face's code gives each element
+of [1, n] (type A) or [-n, n] (type C), in order, the end of its block in
+the concatenated full blocks: its block position, relabelled monotonically.
+The one kernel ``_refine`` serves the Tits product and the torus module
+action.  Validation stays at the boundary (the public constructors,
+``SymComposition.from_full``, ``from_wire`` and the enumerators); kernel
+output is trusted and built by ``_trusted`` without ``__post_init__``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple, Union
 
@@ -107,6 +113,76 @@ def _from_full(family: Family, blocks) -> Composition:
     return SymComposition.from_full(family, blocks)
 
 
+def _trusted(cls, *fields):
+    """An instance of the frozen dataclass cls with the given field values,
+    built without __post_init__: for kernel output only."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
+    return obj
+
+
+def _encode(blocks, values, n: int) -> Tuple[int, ...]:
+    """The position code over the len(code) integers ending at n that gives
+    every element of each block the block's value."""
+    code = [0] * sum(map(len, blocks))
+    shift = len(code) - n - 1
+    for block, value in zip(blocks, values):
+        for x in block:
+            code[x + shift] = value
+    return tuple(code)
+
+
+def _decode(code, n: int):
+    """(values, blocks): the distinct code values in ascending order, and
+    each one's block of elements, sorted."""
+    groups = {}
+    for x, value in enumerate(code, n + 1 - len(code)):
+        groups.setdefault(value, []).append(x)
+    values = sorted(groups)
+    return tuple(values), tuple(tuple(groups[v]) for v in values)
+
+
+def _refine(p, q, anchor: Optional[int] = None):
+    """The code of the refinement of code p by code q.  Element x lies in the
+    piece of the pair (p[x], q[x]), pieces in lexicographic order, and its
+    new code is the number of elements in the pieces up to its own, counted
+    on from the end max(p) of p's last block, mod len(p) into 1..len(p).
+    With an anchor index, the count starts so that the anchor's piece comes
+    first."""
+    size = len(p)
+    keys = [a * (size + 1) + b for a, b in zip(p, q)]  # codes are <= size
+    ordered = sorted(keys)
+    counts = map(bisect_right, itertools.repeat(ordered), keys)
+    start = max(p) if anchor is None else -bisect_left(ordered, keys[anchor])
+    shift = start % size
+    if not shift:
+        return tuple(counts)
+    # ring[c] is shift + c taken mod size into 1..size.
+    ring = (0, *range(shift + 1, size + 1), *range(1, shift + 1))
+    return tuple(map(ring.__getitem__, counts))
+
+
+def _face_code(F: Composition) -> Tuple[int, ...]:
+    blocks = F.full_blocks()
+    return _encode(blocks, itertools.accumulate(map(len, blocks)), F.family.rank)
+
+
+def _from_code(family: Family, code) -> Composition:
+    """The face with the given code, unchecked."""
+    _, blocks = _decode(code, family.rank)
+    if family.tag == "A":
+        return _trusted(SetComposition, family, blocks)
+    m = len(blocks) // 2
+    return _trusted(SymComposition, family, blocks[m], blocks[m + 1 :])
+
+
+def _moved(code, w: WeylElement) -> Tuple[int, ...]:
+    """The code of w's image of a face or necklace: w keeps the block order
+    and the labels, so w(x) takes over x's code."""
+    n = w.family.rank
+    return _encode([(w(x),) for x in range(n + 1 - len(code), n + 1)], code, n)
+
+
 @dataclass(frozen=True)
 class FiniteSignVector:
     """Signs in {-,0,+} over the canonical positive-root order.
@@ -168,26 +244,10 @@ def compose_signs(f: FiniteSignVector, g: FiniteSignVector) -> FiniteSignVector:
     )
 
 
-def _intersect_sequences(fblocks, gblocks):
-    """Nonempty pairwise intersections S_i ∩ T_j in lexicographic (i,j) order.
-
-    The refinement kernel of the Tits product and of the torus module action;
-    the blocks T_j must be sorted, and so are the pieces.
-    """
-    out = []
-    for S in fblocks:
-        sset = set(S)
-        for T in gblocks:
-            piece = tuple([x for x in T if x in sset])
-            if piece:
-                out.append(piece)
-    return tuple(out)
-
-
 def tits_product(F: Composition, G: Composition) -> Composition:
     if F.family != G.family:
         raise FamilyMismatchError(f"family mismatch: {F.family} vs {G.family}")
-    return _from_full(F.family, _intersect_sequences(F.full_blocks(), G.full_blocks()))
+    return _from_code(F.family, _refine(_face_code(F), _face_code(G)))
 
 
 def unit_face(family: Family) -> Composition:
@@ -232,15 +292,10 @@ def is_subface(F: Composition, G: Composition) -> bool:
     return gi == len(gblocks)
 
 
-def _image(w: WeylElement, blocks) -> Tuple[Block, ...]:
-    """Each block's image under w, sorted; the block order is kept."""
-    return tuple(tuple(sorted(map(w, b))) for b in blocks)
-
-
 def act(w: WeylElement, F: Composition) -> Composition:
     if w.family != F.family:
         raise FamilyMismatchError("family mismatch")
-    return _from_full(F.family, _image(w, F.full_blocks()))
+    return _from_code(F.family, _moved(_face_code(F), w))
 
 
 def _ordered_partitions(elements) -> Iterator[Tuple[Block, ...]]:

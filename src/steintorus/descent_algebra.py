@@ -18,7 +18,10 @@ Internally a group element is its index in the lexicographic enumeration
 of the group by one-line values, so the convolution, the basis sums and the
 |W|^2 multiplication table work on plain integers; because that order is the
 order of ``GroupRingElement.coeffs``, sorting indices gives the same
-``coeffs`` tuple that ``GroupRingElement.from_dict`` gives.
+``coeffs`` tuple that ``GroupRingElement.from_dict`` gives.  Face sums
+likewise multiply on position codes (see ``coxfaces``): ``face_sum_product``
+keys its coefficients by the result's code and builds each distinct result
+face once, unchecked, and ``is_invariant`` permutes codes.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .weyl import (
     affine_descent_set,
     descent_set,
     enumerate_group,
-    identity,
 )
 from . import coxfaces, torusfaces
 
@@ -138,10 +140,6 @@ class GroupRingElement:
 
     def is_zero(self):
         return not self.coeffs
-
-
-def ring_identity(family: Family) -> GroupRingElement:
-    return GroupRingElement.from_dict(family, {identity(family): 1})
 
 
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
@@ -263,30 +261,6 @@ def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement
     return _class_sum(kind, terms, family)
 
 
-def y_from_x_conversion(family: Family):
-    """Triangular transforms between the x- and y-type bases.
-
-    Returns {'x_from_y': J -> [I, ...], 'y_from_x': J -> {I: sign}} over the
-    finite index universe; the same shapes apply verbatim to the affine
-    universe.  Also exposes the refinement relation linking the finite and
-    affine class sums: y_J = y~_J + y~_{J + affine index}.
-    """
-    x_from_y = {}
-    y_from_x = {}
-    for J in _subsets(family.finite_indices()):
-        subs = list(_subsets(J))
-        x_from_y[J] = subs
-        y_from_x[J] = {I: (-1) ** (len(J) - len(I)) for I in subs}
-    return {
-        "x_from_y": x_from_y,
-        "y_from_x": y_from_x,
-        "affine_refinement": lambda J: (
-            frozenset(J),
-            frozenset(J) | {family.affine_index},
-        ),
-    }
-
-
 # ---------------------------------------------------------------------------
 # formal face sums
 
@@ -327,19 +301,32 @@ def orbit_sum(kind: str, index, family: Family) -> FaceSum:
     return FaceSum.from_dict(family, torus, dict.fromkeys(walk(family, color), 1))
 
 
+def _codes(s: FaceSum):
+    """The (position code, coefficient) pairs of a face sum."""
+    code = torusfaces._necklace_code if s.torus else coxfaces._face_code
+    return [(code(F), c) for F, c in s.coeffs]
+
+
 def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
-    """Bilinear extension of the Tits product / module action."""
+    """Bilinear extension of the Tits product / module action, computed on
+    codes; each distinct result face is built once."""
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
     if s.family != t.family:
         raise FamilyMismatchError("family mismatch")
-    op = torusfaces.module_action if s.torus else coxfaces.tits_product
+    family = s.family
+    anchor = torusfaces._anchor(family) if s.torus else None
+    refine = coxfaces._refine
+    right = _codes(t)
     acc = {}
-    for F, cf in s.coeffs:
-        for G, cg in t.coeffs:
-            H = op(F, G)
-            acc[H] = acc.get(H, 0) + cf * cg
-    return FaceSum.from_dict(s.family, s.torus, acc)
+    get = acc.get
+    for p, cp in _codes(s):
+        for q, cq in right:
+            r = refine(p, q, anchor)
+            acc[r] = get(r, 0) + cp * cq
+    build = torusfaces._from_code if s.torus else coxfaces._from_code
+    return FaceSum.from_dict(family, s.torus,
+                             {build(family, r): c for r, c in acc.items()})
 
 
 def _generators(family: Family):
@@ -355,11 +342,16 @@ def _generators(family: Family):
 
 
 def is_invariant(s: FaceSum) -> bool:
-    action = torusfaces.act if s.torus else coxfaces.act
-    coeffs = s.as_dict()
+    """True iff every simple generator maps s to itself.  A group element
+    acts on codes by permuting their entries: entry i of the image reads
+    entry moves[i], where moves is its image of the code 0, 1, 2, ..."""
+    pairs = _codes(s)
+    coeffs = dict(pairs)
+    size = len(pairs[0][0]) if pairs else 0
     for g in _generators(s.family):
-        for F, c in s.coeffs:
-            if coeffs.get(action(g, F), 0) != c:
+        moves = coxfaces._moved(range(size), g)
+        for p, c in pairs:
+            if coeffs.get(tuple(map(p.__getitem__, moves)), 0) != c:
                 return False
     return True
 
@@ -392,9 +384,15 @@ def _subsets(indices, nonempty=False):
             for c in itertools.combinations(indices, r))
 
 
-def _check_face_products(what: str, family: Family, finite: int, torus: int):
-    """Refuse to start finite*|faces|^2 + torus*|faces|*|torus faces| face
-    products."""
+# The face products a table or suite makes, as weights (finite, torus) of
+# |faces|^2 and |faces|*|torus faces|.
+_FACE_PRODUCTS = {"the module table": (0, 1), "the psi suite": (1, 1),
+                  "the oracle suite": (0, 1), "the lrb suite": (2, 0)}
+
+
+def _check_face_products(what: str, family: Family):
+    """Refuse to start the face products of `what`."""
+    finite, torus = _FACE_PRODUCTS[what]
 
     def products(family):
         f = coxfaces.count_faces(family)
@@ -456,7 +454,7 @@ def module_table(family: Family) -> dict:
     intertwining property the same coefficients expand x_I * x~_J over the
     x~ spanning set (including the full affine index set).
     """
-    _check_face_products("the module table", family, 0, 1)
+    _check_face_products("the module table", family)
     sigma, sigmat = _orbit_sums(family)
     entries = []
     for I in _subsets(family.finite_indices()):
@@ -514,7 +512,7 @@ def _verify_products(suite: str, kind: str, family: Family, seed=0):
 
 
 def _verify_psi(family: Family, seed=0):
-    _check_face_products("the psi suite", family, 1, 1)
+    _check_face_products("the psi suite", family)
     checks, failures = 0, []
     sigma, sigmat = _orbit_sums(family)
 
@@ -551,7 +549,7 @@ def _verify_psi(family: Family, seed=0):
 
 
 def _verify_lrb(family: Family, seed=0):
-    _check_face_products("the lrb suite", family, 2, 0)
+    _check_face_products("the lrb suite", family)
     checks, failures = 0, []
     faces = list(coxfaces.enumerate_faces(family))
     unit = coxfaces.unit_face(family)
@@ -670,7 +668,7 @@ def _verify_oracle(family: Family, seed=0):
     """Cross-check the necklace action against the affine sign-vector model."""
     if family.tag != "A":
         raise ValidationError("the affine sign-vector oracle covers type A only")
-    _check_face_products("the oracle suite", family, 0, 1)
+    _check_face_products("the oracle suite", family)
     from . import affine_oracle as oracle
 
     checks, failures = 0, []
@@ -738,11 +736,13 @@ _SUITES = {
 
 def verify(suite: str, family: Family, seed: int = 0) -> dict:
     if suite == "all":
-        reports = [
-            fn(family, seed)
-            for name, fn in _SUITES.items()
-            if not (name == "oracle" and family.tag != "A")
-        ]
+        names = [name for name in _SUITES
+                 if not (name == "oracle" and family.tag != "A")]
+        # Every budget is checked before the first suite runs.
+        for name in names:
+            if f"the {name} suite" in _FACE_PRODUCTS:
+                _check_face_products(f"the {name} suite", family)
+        reports = [_SUITES[name](family, seed) for name in names]
         return {
             "suite": "all",
             "family": family.tag,

@@ -20,6 +20,15 @@ Both kinds form a right module over the corresponding finite face monoid:
 the action of a face is its Tits product on the necklace's block cycle
 (each block refined into its string of intersections), and type A carries
 a running edge label through the pieces.
+
+The action is computed on position codes, by the kernel of the Tits
+product (``coxfaces._refine``).  A spin necklace's code gives each element
+of [1, n] the label of the edge out of its block: the labels fix the
+blocks, and since they increase from the clasp, also the clasp-first order;
+the refined code starts from the clasp's incoming label.  A symmetric
+necklace's code gives each element of [-n, n] the end of its block on the
+cycle read from the zero block, and the refined cycle is rotated back to
+the piece holding 0.  Kernel output is built without revalidation.
 """
 
 from __future__ import annotations
@@ -37,13 +46,17 @@ from .coxfaces import (
     SetComposition,
     SymComposition,
     _check_blocks,
+    _decode,
+    _encode,
+    _face_code,
     _fubini,
-    _image,
-    _intersect_sequences,
     _mirror,
+    _moved,
     _ordered_partitions,
+    _refine,
     _self_negating,
     _signed_partitions,
+    _trusted,
     _wire_blocks,
     _wire_ints,
 )
@@ -120,21 +133,6 @@ def full_cycle(N: SymNecklace) -> Tuple[Block, ...]:
     return (N.zero_block,) + N.clockwise + middle + _mirror(N.clockwise)
 
 
-def sym_from_cycle(family: Family, cycle) -> SymNecklace:
-    """Build a symmetric necklace from a full clockwise cycle (any rotation)."""
-    cycle = [tuple(sorted(b)) for b in cycle if b]
-    zero_at = next(i for i, b in enumerate(cycle) if 0 in b)
-    cycle = cycle[zero_at:] + cycle[:zero_at]
-    t = len(cycle) - 1
-    m = t // 2
-    antipodal = cycle[m + 1] if t % 2 == 1 else None
-    necklace = SymNecklace(family, cycle[0], tuple(cycle[1 : m + 1]), antipodal)
-    # Mirror consistency: the second half must be the negated reverse.
-    if full_cycle(necklace) != tuple(cycle):
-        raise ValidationError("cycle is not flip-symmetric")
-    return necklace
-
-
 @dataclass(frozen=True)
 class SplitNecklace:
     """Linearized spin necklace: blocks (C2, R, ..., L) plus optional tail C1."""
@@ -177,16 +175,34 @@ def contract_edge(N: SpinNecklace, p: int) -> SpinNecklace:
     k = len(N.blocks)
     if k < 2:
         raise ValidationError("a one-block necklace has no contractible edge")
-    q = (p + 1) % k
-    merged = tuple(sorted(N.blocks[p] + N.blocks[q]))
-    blocks = []
-    labels = []
-    for i in range(k):
-        if i == p:
-            continue
-        blocks.append(merged if i == q else N.blocks[i])
-        labels.append(N.labels[i])
-    return make_spin(N.family, blocks, labels)
+    # The merged block leaves by the edge after it.
+    dropped, kept = N.labels[p], N.labels[(p + 1) % k]
+    code = _necklace_code(N)
+    return _from_code(N.family, tuple(kept if c == dropped else c for c in code))
+
+
+def _necklace_code(N) -> Tuple[int, ...]:
+    if isinstance(N, SpinNecklace):
+        return _encode(N.blocks, N.labels, N.family.rank)
+    cycle = full_cycle(N)
+    return _encode(cycle, itertools.accumulate(map(len, cycle)), N.family.rank)
+
+
+def _from_code(family: Family, code):
+    """The necklace with the given code, unchecked."""
+    ends, blocks = _decode(code, family.rank)
+    if family.tag == "A":
+        return _trusted(SpinNecklace, family, blocks, ends)
+    m = (len(blocks) - 1) // 2
+    antipodal = blocks[m + 1] if len(blocks) % 2 == 0 else None
+    return _trusted(SymNecklace, family, blocks[0], blocks[1 : m + 1], antipodal)
+
+
+def _anchor(family: Family) -> Optional[int]:
+    """The kernel's anchor for necklaces: type C rotates the refined cycle
+    to the piece holding 0 (index n of the code); type A starts counting
+    from the clasp's incoming label, the largest value of the code."""
+    return family.rank if family.tag == "C" else None
 
 
 def module_action(N, G: Composition):
@@ -197,12 +213,8 @@ def module_action(N, G: Composition):
         raise FamilyMismatchError("family mismatch")
     if not isinstance(G, (SetComposition, SymComposition)):
         raise FamilyMismatchError("a torus face is acted on by a finite face")
-    gblocks = G.full_blocks()
-    if isinstance(N, SpinNecklace):
-        pieces = _intersect_sequences(N.blocks, gblocks)
-        running = itertools.accumulate(map(len, pieces), initial=N.labels[-1])
-        return make_spin(N.family, pieces, tuple(running)[1:])
-    return sym_from_cycle(N.family, _intersect_sequences(full_cycle(N), gblocks))
+    code = _refine(_necklace_code(N), _face_code(G), _anchor(N.family))
+    return _from_code(N.family, code)
 
 
 def w_of_torus_face(N) -> WeylElement:
@@ -233,10 +245,7 @@ def act(w: WeylElement, N):
     """Left W-action: replace every block by its image, structure unchanged."""
     if w.family != N.family:
         raise FamilyMismatchError("family mismatch")
-    if isinstance(N, SpinNecklace):
-        return make_spin(N.family, _image(w, N.blocks), N.labels)
-    zero, anti, *clockwise = _image(w, (N.zero_block, N.antipodal or ()) + N.clockwise)
-    return SymNecklace(N.family, zero, tuple(clockwise), anti or None)
+    return _from_code(N.family, _moved(_necklace_code(N), w))
 
 
 def maximal_from_perm(w: WeylElement):

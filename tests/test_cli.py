@@ -191,10 +191,22 @@ def test_budget_exit_three(capsys, monkeypatch):
     assert "budget" in err
 
 
-def test_usage_error_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--family", "Z", "--rank", "3", "--object", "faces"])
-    assert exc.value.code == 2
+def test_usage_error_exit_two(capsys):
+    # A bad choice, a missing flag, a JSON value that argparse takes for an
+    # option, and messages quoting a newline: one stderr line, exit 2.
+    for argv in (
+        ("enumerate", "--family", "Z", "--rank", "3", "--object", "faces"),
+        ("enumerate", "--family", "A", "--rank", "3"),
+        ("product", "--family", "A", "--rank", "3", "--left", UNIT_A3,
+         "--right", "-1e+16"),
+        ("enumerate", "--family", "A", "--rank", "3", "--object", "faces", "a\nb"),
+        ("product", "--family", "A", "--rank", "3", "--left", "@no\nfile",
+         "--right", UNIT_A3),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -326,6 +338,8 @@ HUGE = "100000000"
     (("verify", "--family", "C", "--rank", "7", "--suite", "psi"), 3),
     (("product", "--family", "A", "--rank", HUGE,
       "--left", '{"blocks":[[1]]}', "--right", '{"blocks":[[1]]}'), 1),
+    # Every suite's budget is checked before the first suite runs.
+    (("verify", "--family", "A", "--rank", "6", "--suite", "all"), 3),
 ])
 def test_huge_ranks_stop_at_once(capsys, argv, expected):
     start = time.perf_counter()
@@ -336,10 +350,11 @@ def test_huge_ranks_stop_at_once(capsys, argv, expected):
     assert err.count("\n") == 1
 
 
-# Fuzzed command lines: every flag is well formed for argparse, so each call
-# reaches the program; its values are not.  Values are passed as --flag=value,
-# since argparse takes a separate value such as -1e+16 for an option.  The budget stays at most a few
-# thousand, so no call that passes it does much work.
+# Fuzzed command lines: every flag name is well formed, so each call reaches
+# the program or argparse's error; the values are not.  Values are passed as
+# --flag=value or as a separate argument, which argparse takes for an option
+# when it starts with "-" (such as -1e+16): a usage error.  The budget stays
+# at most a few thousand, so no call that passes it does much work.
 _json = hst.recursive(
     hst.none() | hst.booleans() | hst.integers(-5, 10**9)
     | hst.floats(allow_nan=False, allow_infinity=False) | hst.text(max_size=3),
@@ -370,27 +385,31 @@ def _argv(draw):
     sub = draw(hst.sampled_from(["enumerate", "product", "act", "descent-table",
                                  "mult-table", "verify"]))
     rank = draw(hst.integers(-1, 5) | hst.integers(6, 10**8))
-    argv = [sub, "--family=" + draw(hst.sampled_from("AC")), f"--rank={rank}"]
+    flags = [("--family", draw(hst.sampled_from("AC"))), ("--rank", str(rank))]
+    switches = []
     if draw(hst.booleans()):
-        argv.append(f"--seed={draw(hst.integers(-10, 10))}")
+        flags.append(("--seed", str(draw(hst.integers(-10, 10)))))
     if sub == "enumerate":
-        argv.append("--object=" + draw(hst.sampled_from(["faces", "torus", "group"])))
+        flags.append(("--object", draw(hst.sampled_from(["faces", "torus", "group"]))))
         if draw(hst.booleans()):
-            argv.append("--color=" + draw(_arg(hst.lists(_small, max_size=5) | _json)))
+            flags.append(("--color", draw(_arg(hst.lists(_small, max_size=5) | _json))))
         if draw(hst.booleans()):
-            argv.append("--count")
+            switches.append("--count")
     elif sub == "product":
-        argv += ["--left=" + draw(_arg(_face)), "--right=" + draw(_arg(_face))]
+        flags += [("--left", draw(_arg(_face))), ("--right", draw(_arg(_face)))]
     elif sub == "act":
-        argv += ["--torus=" + draw(_arg(_necklace)), "--face=" + draw(_arg(_face))]
+        flags += [("--torus", draw(_arg(_necklace))), ("--face", draw(_arg(_face)))]
     elif sub == "descent-table":
         if draw(hst.booleans()):
-            argv.append("--affine")
+            switches.append("--affine")
     elif sub == "mult-table":
-        argv.append("--kind=" + draw(hst.sampled_from(["solomon", "module"])))
+        flags.append(("--kind", draw(hst.sampled_from(["solomon", "module"]))))
     else:
-        argv.append("--suite=" + draw(hst.sampled_from(
-            ["all", "solomon", "module", "psi", "oracle", "lrb", "euler", "counts"])))
+        flags.append(("--suite", draw(hst.sampled_from(
+            ["all", "solomon", "module", "psi", "oracle", "lrb", "euler", "counts"]))))
+    argv = [sub] + switches
+    for flag, value in flags:
+        argv += [flag + "=" + value] if draw(hst.booleans()) else [flag, value]
     budget = draw(hst.integers(-1, 3000))  # -1 stands for a non-number
     return argv, str(budget) if budget >= 0 else "abc"
 

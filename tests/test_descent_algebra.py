@@ -64,18 +64,8 @@ def test_finite_class_splits_into_two_affine_classes():
                 assert lhs == parts
 
 
-def test_conversion_tables():
-    conv = da.y_from_x_conversion(A3)
-    J = frozenset({1, 2})
-    assert set(conv["x_from_y"][J]) == {
-        frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})
-    }
-    assert conv["y_from_x"][J][frozenset({1})] == -1
-    assert conv["affine_refinement"](J) == (J, frozenset({1, 2, 3}))
-
-
 def test_ring_identity():
-    e = da.ring_identity(A3)
+    e = da.GroupRingElement.from_dict(A3, {identity(A3): 1})
     x = da.basis_element("x", [1, 2], A3)
     assert da.multiply(e, x) == x == da.multiply(x, e)
 
