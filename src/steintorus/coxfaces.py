@@ -263,8 +263,8 @@ def unit_face(family: Family) -> Composition:
 
 def w_of_face(F: Composition) -> WeylElement:
     """The last n entries, in order."""
-    values = tuple(x for block in F.full_blocks() for x in block)
-    return WeylElement(F.family, values[-F.family.rank :])
+    values = tuple(itertools.chain.from_iterable(F.full_blocks()))
+    return _trusted(WeylElement, F.family, values[-F.family.rank :])
 
 
 def color_set(F: Composition) -> ColorSet:
@@ -274,22 +274,6 @@ def color_set(F: Composition) -> ColorSet:
     # The end of a block with t entries after it is index n - t.
     after = itertools.accumulate(map(len, reversed(F.full_blocks()[1:])))
     return ColorSet(F.family, frozenset(n - t for t in after if t <= n))
-
-
-def is_subface(F: Composition, G: Composition) -> bool:
-    """True iff F is obtained from G by merging consecutive blocks (F <= G)."""
-    if F.family != G.family:
-        raise FamilyMismatchError("family mismatch")
-    fblocks, gblocks = F.full_blocks(), G.full_blocks()
-    gi = 0
-    for target in fblocks:
-        remaining = set(target)
-        while remaining:
-            if gi >= len(gblocks) or not set(gblocks[gi]) <= remaining:
-                return False
-            remaining -= set(gblocks[gi])
-            gi += 1
-    return gi == len(gblocks)
 
 
 def act(w: WeylElement, F: Composition) -> Composition:

@@ -17,11 +17,20 @@ intertwines the module structures.
 Internally a group element is its index in the lexicographic enumeration
 of the group by one-line values, so the convolution, the basis sums and the
 |W|^2 multiplication table work on plain integers; because that order is the
-order of ``GroupRingElement.coeffs``, sorting indices gives the same
-``coeffs`` tuple that ``GroupRingElement.from_dict`` gives.  Face sums
-likewise multiply on position codes (see ``coxfaces``): ``face_sum_product``
-keys its coefficients by the result's code and builds each distinct result
-face once, unchecked, and ``is_invariant`` permutes codes.
+order of ``GroupRingElement.coeffs``, a dense coefficient list read in index
+order gives the ``coeffs`` tuple of ``GroupRingElement.from_dict``.  Every
+(affine) descent class is kept as its list of element indices.  ``multiply``
+counts, with a ``Counter``, the table entries over the rows and columns of
+each pair of coefficient groups: x_I * x_J is one exact count over all
+|x_I| * |x_J| pairs, which assumes nothing of Solomon's theorem; the suites
+test it by ``express_in_basis`` checking every member of every class.  Class
+sums give each class one value and fill its list; their zeta sum over index
+sets and the Moebius inversion are one subset transform on bit masks.
+
+Face sums likewise multiply on position codes (see ``coxfaces``):
+``face_sum_product`` keys its coefficients by the result's code and builds
+each distinct result face once, unchecked, and ``is_invariant`` permutes
+codes.  ``psi`` reads each face's group element straight off its blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +38,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, FrozenSet, Tuple
@@ -60,10 +71,20 @@ class _GroupData:
         self.family = family
         self.elements = list(enumerate_group(family))
         self.index_of = {w.values: i for i, w in enumerate(self.elements)}
-        self.descents = [frozenset(descent_set(w).indices) for w in self.elements]
-        self.affine_descents = [
-            frozenset(affine_descent_set(w).indices) for w in self.elements
-        ]
+        # Per basis kind: each (affine) descent class as its ascending element
+        # indices, keyed by descent set in the order of first elements; and
+        # the bit mask of each legal index set, in the order of _subsets.
+        self.classes, self.masks = {}, {}
+        for kinds, descents in ((("x", "y"), descent_set),
+                                (("xt", "yt"), affine_descent_set)):
+            classes = {}
+            for i, w in enumerate(self.elements):
+                classes.setdefault(frozenset(descents(w).indices), []).append(i)
+            universe = _universe(kinds[0], family)
+            masks = {I: sum(1 << (i - universe.start) for i in I)
+                     for I in _subsets(universe, nonempty=kinds[0] == "xt")}
+            for kind in kinds:
+                self.classes[kind], self.masks[kind] = classes, masks
         self._mult = None
 
     @property
@@ -86,11 +107,8 @@ class _GroupData:
 
     def element(self, coeffs) -> "GroupRingElement":
         """The ring element with coefficient coeffs[i] on elements[i]."""
-        elements = self.elements
-        return GroupRingElement(
-            self.family,
-            tuple((elements[i], c) for i, c in sorted(coeffs.items()) if c),
-        )
+        return GroupRingElement(self.family, tuple(
+            zip(itertools.compress(self.elements, coeffs), filter(None, coeffs))))
 
 
 _group_cache: Dict[Family, _GroupData] = {}
@@ -142,21 +160,35 @@ class GroupRingElement:
         return not self.coeffs
 
 
+def _groups(data: _GroupData, g: GroupRingElement):
+    """g's element indices grouped by coefficient, as (c, [index, ...])."""
+    index_of = data.index_of
+    groups = {}
+    for w, c in g.coeffs:
+        groups.setdefault(c, []).append(index_of[w.values])
+    return list(groups.items())
+
+
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product in the group ring."""
+    """Convolution product in the group ring.  For each coefficient value cu
+    of a and cv of b, a Counter counts the table entries row[j] over the rows
+    of the first and the columns of the second, and adds cu*cv times each
+    count; a basis element x_J or x~_J is a single group."""
     if a.family != b.family:
         raise FamilyMismatchError("family mismatch")
     data = _data(a.family)
     table = data.mult
-    index_of = data.index_of
-    right = [(index_of[v.values], cv) for v, cv in b.coeffs]
-    acc = {}
-    get = acc.get
-    for u, cu in a.coeffs:
-        row = table[index_of[u.values]]
-        for j, cv in right:
-            k = row[j]
-            acc[k] = get(k, 0) + cu * cv
+    lefts = _groups(data, a)
+    acc = [0] * len(table)
+    for cv, js in _groups(data, b):
+        # A slice keeps a lone column a tuple; itemgetter(j) returns a scalar.
+        pick = itemgetter(*js) if len(js) > 1 else itemgetter(slice(js[0], js[0] + 1))
+        for cu, rows in lefts:
+            c = cu * cv
+            counts = Counter(itertools.chain.from_iterable(
+                map(pick, map(table.__getitem__, rows))))
+            for k, m in counts.items():
+                acc[k] += c * m
     return data.element(acc)
 
 
@@ -170,47 +202,65 @@ def _as_index_set(index) -> FrozenSet[int]:
     return frozenset(index)
 
 
-def _check_index(kind: str, J: FrozenSet[int], family: Family) -> None:
-    finite = frozenset(family.finite_indices())
-    affine = frozenset(family.affine_indices())
-    if kind in ("x", "y"):
-        if not J <= finite:
-            raise ValidationError(
-                f"{kind}-index {sorted(J)} must lie inside the finite range "
-                f"{sorted(finite)}"
-            )
-    elif kind in ("xt", "yt"):
-        if not J or not J <= affine:
-            raise ValidationError(
-                f"{kind}-index must be a nonempty subset of {sorted(affine)}"
-            )
-        if kind == "yt" and J == affine:
-            raise ValidationError(
-                "no element has every affine descent; this class sum is empty"
-            )
-    else:
+def _universe(kind: str, family: Family) -> range:
+    """The simple indices a basis index set of the kind draws from."""
+    return family.finite_indices() if kind in ("x", "y") else family.affine_indices()
+
+
+def _check_indices(kind: str, sets, family: Family) -> None:
+    """Every index set must be legal for the basis kind."""
+    if kind not in ("x", "y", "xt", "yt"):
         raise ValidationError(f"unknown basis kind {kind!r}")
+    legal = frozenset(_universe(kind, family))
+    for J in sets:
+        if kind in ("x", "y") and not J <= legal:
+            raise ValidationError(f"{kind}-index {sorted(J)} must lie inside "
+                                  f"the finite range {sorted(legal)}")
+        if kind in ("xt", "yt") and not (J and J <= legal):
+            raise ValidationError(
+                f"{kind}-index must be a nonempty subset of {sorted(legal)}")
+        if kind == "yt" and J == legal:
+            raise ValidationError(
+                "no element has every affine descent; this class sum is empty")
+
+
+def _subset_transform(f: list, sign: int) -> list:
+    """In place over bit masks: f[I] becomes the sum of sign**|J - I| * f[J]
+    over the masks J containing I.  Sign 1 sums over supersets (zeta); sign
+    -1 inverts that sum (Moebius).  m * 2**(m - 1) steps for m bits."""
+    bit = 1
+    while bit < len(f):
+        for mask in range(len(f)):
+            if not mask & bit:
+                f[mask] += sign * f[mask | bit]
+        bit <<= 1
+    return f
 
 
 def _class_sum(kind: str, terms, family: Family) -> GroupRingElement:
     """The sum of c * basis_element(kind, J) over the checked pairs (J, c):
-    a descent class gets the sum of the c whose J contains (x) or equals (y) it."""
+    a descent class gets the sum of the c whose J contains (x) or equals (y)
+    it, and that value goes on every index of the class."""
     data = _data(family)
-    sets = data.descents if kind in ("x", "y") else data.affine_descents
-    exact = kind in ("y", "yt")
-    class_value = {}
-    coeffs = {}
-    for i, D in enumerate(sets):
-        if D not in class_value:
-            class_value[D] = sum(c for J, c in terms if (D == J if exact else D <= J))
-        coeffs[i] = class_value[D]
+    masks = data.masks[kind]
+    values = [0] * (1 << len(_universe(kind, family)))
+    for J, c in terms:
+        values[masks[J]] += c
+    if kind in ("x", "xt"):
+        _subset_transform(values, 1)
+    coeffs = [0] * len(data.elements)
+    for D, members in data.classes[kind].items():
+        v = values[masks[D]]
+        if v:
+            for i in members:
+                coeffs[i] = v
     return data.element(coeffs)
 
 
 def basis_element(kind: str, index, family: Family) -> GroupRingElement:
     """x_J, y_J, x~_J (kind 'xt') or y~_J (kind 'yt')."""
     J = _as_index_set(index)
-    _check_index(kind, J, family)
+    _check_indices(kind, [J], family)
     return _class_sum(kind, [(J, 1)], family)
 
 
@@ -218,46 +268,41 @@ def express_in_basis(a: GroupRingElement, kind: str):
     """Expand in the x (kind 'x') or x~ (kind 'xt') basis.
 
     Succeeds iff the element is constant on (affine) descent classes;
-    otherwise raises NotInSpanError with a witness pair of group elements.
+    otherwise raises NotInSpanError with a witness pair of group elements:
+    the first one of its class, and the first element in group order whose
+    coefficient differs from its class's first.
     Returns a mapping frozenset -> nonzero integer coefficient.
     """
     if kind not in ("x", "xt"):
         raise ValidationError("expansions are over kind 'x' or 'xt'")
     family = a.family
     data = _data(family)
-    sets = data.descents if kind == "x" else data.affine_descents
+    masks = data.masks[kind]
     coeffs = [0] * len(data.elements)
     for w, c in a.coeffs:
         coeffs[data.index_of[w.values]] = c
-    class_value: Dict[FrozenSet[int], int] = {}
-    class_rep: Dict[FrozenSet[int], WeylElement] = {}
-    for w, D, v in zip(data.elements, sets, coeffs):
-        if D in class_value:
-            if class_value[D] != v:
-                raise NotInSpanError(
-                    f"not constant on the descent class {sorted(D)}",
-                    witness=(class_rep[D], w),
-                )
-        else:
-            class_value[D] = v
-            class_rep[D] = w
-    universe = family.finite_indices() if kind == "x" else family.affine_indices()
-    expansion = {}
+    values = [0] * (1 << len(_universe(kind, family)))
+    broken = []
+    for D, members in data.classes[kind].items():
+        v = values[masks[D]] = coeffs[members[0]]
+        if list(map(coeffs.__getitem__, members)).count(v) != len(members):
+            broken.append((next(i for i in members if coeffs[i] != v), members[0], D))
+    if broken:
+        first, rep, D = min(broken)
+        raise NotInSpanError(
+            f"not constant on the descent class {sorted(D)}",
+            witness=(data.elements[rep], data.elements[first]),
+        )
     # Moebius inversion over the classes above I; x~ over the empty set is
-    # the empty sum.
-    for I in _subsets(universe, nonempty=kind == "xt"):
-        e = sum((-1) ** (len(J) - len(I)) * v
-                for J, v in class_value.items() if I <= J)
-        if e:
-            expansion[I] = e
-    return expansion
+    # the empty sum, so masks has no entry for it.
+    _subset_transform(values, -1)
+    return {I: values[mask] for I, mask in masks.items() if values[mask]}
 
 
 def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement:
     """The sum of c * basis_element(kind, I, family) over the items (I, c)."""
     terms = [(_as_index_set(I), c) for I, c in expansion.items()]
-    for J, _ in terms:
-        _check_index(kind, J, family)
+    _check_indices(kind, (J for J, _ in terms), family)
     return _class_sum(kind, terms, family)
 
 
@@ -428,12 +473,12 @@ def _products(kind: str, family: Family):
     """Yield (I, J, x_I * b_J) over every finite I and every legal J, where
     b_J is x_J (kind 'x') or x~_J (kind 'xt')."""
     _data(family)  # checks the group against the budget before the walk
-    rights = list(_subsets(family.finite_indices() if kind == "x"
-                           else family.affine_indices(), nonempty=kind == "xt"))
+    rights = [(J, basis_element(kind, J, family))
+              for J in _subsets(_universe(kind, family), nonempty=kind == "xt")]
     for I in _subsets(family.finite_indices()):
         xI = basis_element("x", I, family)
-        for J in rights:
-            yield I, J, multiply(xI, basis_element(kind, J, family))
+        for J, bJ in rights:
+            yield I, J, multiply(xI, bJ)
 
 
 def solomon_table(family: Family) -> dict:
@@ -482,14 +527,8 @@ def module_table(family: Family) -> dict:
 
 
 def _report(suite, family, checks, failures):
-    return {
-        "suite": suite,
-        "family": family.tag,
-        "rank": family.rank,
-        "checks": checks,
-        "failures": failures,
-        "pass": not failures,
-    }
+    return {"suite": suite, "family": family.tag, "rank": family.rank,
+            "checks": checks, "failures": failures, "pass": not failures}
 
 
 def _verify_products(suite: str, kind: str, family: Family, seed=0):
@@ -634,31 +673,24 @@ def _verify_counts(family: Family, seed=0):
     checks += 1
     if len(maximal) != order:
         failures.append({"check": "maximal torus faces", "got": len(maximal)})
-    for J in _subsets(finite):
-        checks += 1
-        images = [coxfaces.w_of_face(F) for F in orbit(sigma, J)]
-        target = {w for w, D in zip(data.elements, data.descents) if D <= J}
-        if len(images) != len(set(images)) or set(images) != target:
-            failures.append({"check": "finite descent bijection", "J": sorted(J)})
-    for J in _subsets(family.affine_indices(), nonempty=True):
-        checks += 1
-        images = [torusfaces.w_of_torus_face(N) for N in orbit(sigmat, J)]
-        target = {
-            w for w, D in zip(data.elements, data.affine_descents) if D <= J
-        }
-        if len(images) != len(set(images)) or set(images) != target:
-            failures.append({"check": "affine descent bijection", "J": sorted(J)})
+    # The faces of colour J map one to one onto the elements with (affine)
+    # descent set inside J.
+    for kind, sums, w_of, side in (("x", sigma, coxfaces.w_of_face, "finite"),
+                                   ("xt", sigmat, torusfaces.w_of_torus_face, "affine")):
+        for J in data.masks[kind]:
+            checks += 1
+            images = [w_of(F) for F in orbit(sums, J)]
+            target = {data.elements[i] for D, members in data.classes[kind].items()
+                      if D <= J for i in members}
+            if len(images) != len(set(images)) or set(images) != target:
+                failures.append({"check": f"{side} descent bijection", "J": sorted(J)})
     if family.tag == "A":
-        import math
-
         n = family.rank
         for J in _subsets(finite):
             checks += 1
-            cuts = [0] + sorted(J) + [n]
-            sizes = [b - a for a, b in zip(cuts, cuts[1:])]
-            multinomial = math.factorial(n)
-            for s in sizes:
-                multinomial //= math.factorial(s)
+            cuts = [0, *sorted(J), n]
+            multinomial = math.factorial(n) // math.prod(
+                math.factorial(b - a) for a, b in zip(cuts, cuts[1:]))
             if len(orbit(sigma, J)) != multinomial:
                 failures.append({"check": "orbit size", "J": sorted(J)})
     return _report("counts", family, checks, failures)
@@ -743,13 +775,8 @@ def verify(suite: str, family: Family, seed: int = 0) -> dict:
             if f"the {name} suite" in _FACE_PRODUCTS:
                 _check_face_products(f"the {name} suite", family)
         reports = [_SUITES[name](family, seed) for name in names]
-        return {
-            "suite": "all",
-            "family": family.tag,
-            "rank": family.rank,
-            "reports": reports,
-            "pass": all(r["pass"] for r in reports),
-        }
+        return {"suite": "all", "family": family.tag, "rank": family.rank,
+                "reports": reports, "pass": all(r["pass"] for r in reports)}
     if suite not in _SUITES:
         raise ValidationError(f"unknown suite {suite!r}")
     return _SUITES[suite](family, seed)

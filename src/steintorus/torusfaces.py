@@ -218,16 +218,18 @@ def module_action(N, G: Composition):
 
 
 def w_of_torus_face(N) -> WeylElement:
+    """A spin necklace reads its clasp after the first n - incoming
+    elements, the other blocks, then the clasp's first n - incoming; a
+    symmetric necklace reads the positive part of its zero block, its
+    clockwise blocks, then the negative part of its antipodal block."""
     if isinstance(N, SpinNecklace):
-        s = split(N)
-        parts = s.blocks + ((s.tail,) if s.tail else ())
-        return WeylElement(N.family, tuple(x for b in parts for x in b))
-    values = [x for x in N.zero_block if x > 0]
-    for b in N.clockwise:
-        values.extend(b)
-    if N.antipodal is not None:
-        values.extend(x for x in N.antipodal if x < 0)
-    return WeylElement(N.family, tuple(values))
+        c, cut = N.blocks[0], N.family.rank - N.labels[-1]
+        parts = (c[cut:], *N.blocks[1:], c[:cut])
+    else:
+        antipodal = N.antipodal or ()
+        parts = ([x for x in N.zero_block if x > 0], *N.clockwise,
+                 [x for x in antipodal if x < 0])
+    return _trusted(WeylElement, N.family, tuple(itertools.chain.from_iterable(parts)))
 
 
 def color_set(N) -> ColorSet:
@@ -266,12 +268,6 @@ def is_maximal(N) -> bool:
         and N.antipodal is None
         and len(N.clockwise) == N.family.rank
     )
-
-
-def perm_from_maximal(N) -> WeylElement:
-    if not is_maximal(N):
-        raise ValidationError("necklace is not a maximal face")
-    return w_of_torus_face(N)
 
 
 def count_torus_faces(family: Family) -> int:

@@ -27,7 +27,7 @@ from math import factorial
 from typing import Iterator, Tuple
 
 from .budget import check_count
-from .errors import FamilyMismatchError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True, order=True)
@@ -139,17 +139,6 @@ class ColorSet:
 
 def identity(family: Family) -> WeylElement:
     return WeylElement(family, tuple(range(1, family.rank + 1)))
-
-
-def _check_same(u: WeylElement, v: WeylElement) -> None:
-    if u.family != v.family:
-        raise FamilyMismatchError(f"family mismatch: {u.family} vs {v.family}")
-
-
-def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
-    """Compose: (uv)(i) = u(v(i))."""
-    _check_same(u, v)
-    return WeylElement(u.family, tuple(u(v(i)) for i in range(1, u.family.rank + 1)))
 
 
 def inverse(u: WeylElement) -> WeylElement:

@@ -229,6 +229,42 @@ def test_is_invariant_fails_without_one_face(family):
 
 
 # ---------------------------------------------------------------------------
+# canonical group elements, read straight off the blocks
+
+
+def naive_w_of_face(F):
+    values = tuple(x for block in F.full_blocks() for x in block)
+    return WeylElement(F.family, values[-F.family.rank :])
+
+
+def naive_w_of_torus_face(N):
+    if isinstance(N, tf.SpinNecklace):
+        s = tf.split(N)
+        parts = s.blocks + ((s.tail,) if s.tail else ())
+        return WeylElement(N.family, tuple(x for b in parts for x in b))
+    values = [x for x in N.zero_block if x > 0]
+    for b in N.clockwise:
+        values.extend(b)
+    if N.antipodal is not None:
+        values.extend(x for x in N.antipodal if x < 0)
+    return WeylElement(N.family, tuple(values))
+
+
+PSI_FAMILIES = ([Family("A", n) for n in range(3, 8)]
+                + [Family("C", n) for n in range(2, 6)])
+
+
+@given(hst.sampled_from(PSI_FAMILIES).flatmap(
+    lambda family: hst.tuples(objects(family, False), objects(family, True))))
+def test_group_elements_of_faces_match_split_route(pair):
+    F, N = pair
+    for got, expected in ((cf.w_of_face(F), naive_w_of_face(F)),
+                          (tf.w_of_torus_face(N), naive_w_of_torus_face(N))):
+        assert type(got) is WeylElement and type(got.values) is tuple
+        assert got == expected and hash(got) == hash(expected)
+
+
+# ---------------------------------------------------------------------------
 # the wire boundary
 
 WIRE_FAMILIES = ([Family("A", n) for n in range(2, 9)]

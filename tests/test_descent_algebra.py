@@ -3,13 +3,19 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from steintorus.errors import NotInSpanError, ValidationError
-from steintorus.weyl import Family, WeylElement, enumerate_group, identity
+from steintorus.errors import FamilyMismatchError, NotInSpanError, ValidationError
+from steintorus.weyl import (
+    Family,
+    WeylElement,
+    affine_descent_set,
+    descent_set,
+    enumerate_group,
+    identity,
+)
 from steintorus import affine_oracle as ao
 from steintorus import coxfaces as cf
 from steintorus import descent_algebra as da
 from steintorus import torusfaces as tf
-from steintorus import weyl
 
 A3 = Family("A", 3)
 C2 = Family("C", 2)
@@ -87,8 +93,6 @@ def test_express_in_basis_witness():
     with pytest.raises(NotInSpanError) as exc:
         da.express_in_basis(lone, "x")
     u, v = exc.value.witness
-    from steintorus.weyl import descent_set
-
     assert descent_set(u).indices == descent_set(v).indices
 
 
@@ -185,8 +189,6 @@ def test_descent_table_rank_three():
         (3, 1, 2): [1],
         (3, 2, 1): [1, 2],
     }
-    from steintorus.weyl import affine_descent_set
-
     got = {
         w.values: affine_descent_set(w).sorted() for w in enumerate_group(A3)
     }
@@ -233,11 +235,22 @@ def test_verify_all():
 KERNEL_FAMILIES = [Family("A", 3), Family("A", 4), Family("C", 2), Family("C", 3)]
 
 
+def _check_same(u, v):
+    if u.family != v.family:
+        raise FamilyMismatchError(f"family mismatch: {u.family} vs {v.family}")
+
+
+def _compose(u, v):
+    """(uv)(i) = u(v(i)), built through the validating constructor."""
+    _check_same(u, v)
+    return WeylElement(u.family, tuple(u(v(i)) for i in range(1, u.family.rank + 1)))
+
+
 def _naive_multiply(a, b):
     acc = {}
     for u, cu in a.coeffs:
         for v, cv in b.coeffs:
-            w = weyl.multiply(u, v)
+            w = _compose(u, v)
             acc[w] = acc.get(w, 0) + cu * cv
     return da.GroupRingElement.from_dict(a.family, acc)
 
@@ -296,3 +309,127 @@ def test_evaluate_expansion_rejects_illegal_index_sets():
     for fam in KERNEL_FAMILIES:
         with pytest.raises(ValidationError):
             da.evaluate_expansion({frozenset(): 1}, "xt", fam)
+
+
+# ---------------------------------------------------------------------------
+# the counted convolution against the pairwise route
+
+A4 = Family("A", 4)
+C3 = Family("C", 3)
+BIG = 10**30
+
+
+@st.composite
+def _wide_factors(draw):
+    """Two factors over A4 or C3 with coefficients near +-10^30, of mixed
+    signs and many distinct values."""
+    fam = draw(st.sampled_from([A4, C3]))
+    elements = list(enumerate_group(fam))
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6),
+                      st.integers(BIG - 5, BIG + 5), st.integers(-BIG - 5, -BIG + 5))
+
+    def factor():
+        mapping = draw(st.dictionaries(st.sampled_from(elements), coeff,
+                                       max_size=len(elements)))
+        return da.GroupRingElement.from_dict(fam, mapping)
+
+    return factor(), factor()
+
+
+@given(_wide_factors())
+def test_counted_convolution_is_exact(pair):
+    a, b = pair
+    product = da.multiply(a, b)
+    assert product == _naive_multiply(a, b)
+    assert _ordered(product) and all(type(c) is int for _, c in product.coeffs)
+
+
+@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
+def test_counted_convolution_edge_cases(fam):
+    elements = list(enumerate_group(fam))
+    zero = da.GroupRingElement.from_dict(fam, {})
+    lone = da.GroupRingElement.from_dict(fam, {elements[5]: -BIG})
+    pair = da.GroupRingElement.from_dict(fam, {elements[0]: 1, elements[5]: -1})
+    x = da.basis_element("x", [2], fam)
+    cases = [zero, lone, pair, x]
+    for a in cases:
+        for b in cases:
+            assert da.multiply(a, b) == _naive_multiply(a, b)
+    assert da.multiply(zero, x).is_zero() and da.multiply(x, zero).is_zero()
+    # (e_0 - e_5) * (e_0 + e_5) cancels to e_0^2 - e_5^2 exactly.
+    plus = da.GroupRingElement.from_dict(fam, {elements[0]: 1, elements[5]: 1})
+    assert da.multiply(pair, plus) == _naive_multiply(pair, plus)
+
+
+@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
+def test_every_module_product_matches_naive_route(fam):
+    for I in _legal_sets("x", fam):
+        xI = da.basis_element("x", I, fam)
+        for J in _legal_sets("xt", fam):
+            xtJ = da.basis_element("xt", J, fam)
+            assert da.multiply(xI, xtJ) == _naive_multiply(xI, xtJ)
+
+
+# ---------------------------------------------------------------------------
+# the subset transform against the per-subset Moebius sum
+
+
+def _naive_express(a, kind):
+    """Walk the group in order, class by descent set, then invert by one
+    signed sum over the classes above each index set."""
+    family = a.family
+    descents = descent_set if kind == "x" else affine_descent_set
+    coeffs = a.as_dict()
+    class_value, class_rep = {}, {}
+    for w in enumerate_group(family):
+        D = frozenset(descents(w).indices)
+        v = coeffs.get(w, 0)
+        if D not in class_value:
+            class_value[D], class_rep[D] = v, w
+        elif class_value[D] != v:
+            raise NotInSpanError(f"not constant on the descent class {sorted(D)}",
+                                 witness=(class_rep[D], w))
+    expansion = {}
+    for I in _legal_sets(kind, family):
+        e = sum((-1) ** (len(J) - len(I)) * v
+                for J, v in class_value.items() if I <= J)
+        if e:
+            expansion[I] = e
+    return expansion
+
+
+def _outcome(express, a, kind):
+    try:
+        return express(a, kind)
+    except NotInSpanError as exc:
+        return str(exc), exc.witness
+
+
+@st.composite
+def _class_constant_case(draw):
+    """A class-constant element from a random expansion, and one or two
+    coefficient changes."""
+    fam = draw(st.sampled_from(KERNEL_FAMILIES))
+    kind = draw(st.sampled_from(["x", "xt"]))
+    expansion = draw(st.dictionaries(st.sampled_from(_legal_sets(kind, fam)),
+                                     st.integers(-5, 5), max_size=8))
+    a = da.evaluate_expansion(expansion, kind, fam)
+    changes = draw(st.lists(st.tuples(st.sampled_from(list(enumerate_group(fam))),
+                                      st.integers(-3, 3).filter(bool)),
+                            min_size=1, max_size=2))
+    return kind, a, changes
+
+
+@given(_class_constant_case())
+def test_subset_transform_matches_naive_inversion(case):
+    kind, a, changes = case
+    got = da.express_in_basis(a, kind)
+    expected = _naive_express(a, kind)
+    assert got == expected and list(got) == list(expected)
+    assert da.evaluate_expansion(got, kind, a.family) == a
+    coeffs = a.as_dict()
+    for w, delta in changes:
+        coeffs[w] = coeffs.get(w, 0) + delta
+    perturbed = da.GroupRingElement.from_dict(a.family, coeffs)
+    assert (_outcome(da.express_in_basis, perturbed, kind)
+            == _outcome(_naive_express, perturbed, kind))

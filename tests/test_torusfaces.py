@@ -166,9 +166,10 @@ def test_maximal_faces_are_the_group():
             N for N in tf.enumerate_torus_faces(fam) if tf.is_maximal(N)
         ]
         assert len(maximal) == len(elements)
-        assert {tf.perm_from_maximal(N) for N in maximal} == elements
+        assert {tf.w_of_torus_face(N) for N in maximal} == elements
         for w in elements:
-            assert tf.perm_from_maximal(tf.maximal_from_perm(w)) == w
+            assert tf.is_maximal(tf.maximal_from_perm(w))
+            assert tf.w_of_torus_face(tf.maximal_from_perm(w)) == w
 
 
 def test_group_action_keeps_structure():
