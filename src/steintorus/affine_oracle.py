@@ -27,11 +27,10 @@ from fractions import Fraction
 from typing import Tuple
 
 from .errors import FamilyMismatchError, NotRealizableError, ValidationError
-from .weyl import Family, WeylElement
+from .weyl import Family
 from .coxfaces import SetComposition, sign_vector
 from .torusfaces import (
     SpinNecklace,
-    SplitNecklace,
     make_spin,
     split,
     w_of_torus_face,

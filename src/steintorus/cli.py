@@ -165,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--family", required=True, choices=("A", "C"))
         p.add_argument("--rank", required=True, type=int)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled property checks")
 
     p = sub.add_parser("enumerate", help="list faces, torus faces or group elements")
     common(p)
@@ -200,6 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for sampled property checks")
     p.add_argument(
         "--suite",
         required=True,

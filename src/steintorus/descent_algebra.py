@@ -89,10 +89,10 @@ class _GroupData:
 
     @property
     def mult(self):
-        """mult[i][j] is the index of elements[i] * elements[j]."""
+        """mult[i][j] is the index of elements[i] * elements[j]; the table's
+        size is checked against the budget on every access, built or not."""
+        check_budget(len(self.elements) ** 2, f"multiplication table of {self.family}")
         if self._mult is None:
-            check_budget(len(self.elements) ** 2,
-                         f"multiplication table of {self.family}")
             words = [w.values for w in self.elements]
             # itemgetter(0, *v) reads u(0) = 0 followed by u(v_1), ..., u(v_n)
             # off the image list of u, and always returns a tuple.
@@ -115,8 +115,11 @@ _group_cache: Dict[Family, _GroupData] = {}
 
 
 def _data(family: Family) -> _GroupData:
+    """The family's group data, cached; the budget may have changed since it
+    was built, so a cached group is checked against it again."""
     if family not in _group_cache:
         _group_cache[family] = _GroupData(family)
+    check_budget(len(_group_cache[family].elements), f"group of {family}")
     return _group_cache[family]
 
 
@@ -588,60 +591,60 @@ def _verify_psi(family: Family, seed=0):
 
 
 def _verify_lrb(family: Family, seed=0):
+    """The left regular band laws of the Tits product, on position codes:
+    each face is encoded once and every product goes through the kernel
+    ``coxfaces._refine``.  The sign law takes the factors' signs from
+    ``coxfaces.sign_vector`` and reads the product's off its code, whose
+    values rise with the block."""
     _check_face_products("the lrb suite", family)
-    checks, failures = 0, []
+    refine = coxfaces._refine
     faces = list(coxfaces.enumerate_faces(family))
-    unit = coxfaces.unit_face(family)
-    chambers = [
-        F for F in faces
-        if frozenset(coxfaces.color_set(F).indices)
-        == frozenset(family.finite_indices())
-    ]
-    for F in faces:
-        checks += 1
-        if coxfaces.tits_product(F, F) != F:
-            failures.append({"law": "idempotent", "face": str(F)})
-    for F in faces:
-        for G in faces:
-            checks += 1
-            FG = coxfaces.tits_product(F, G)
-            if coxfaces.tits_product(FG, F) != FG:
-                failures.append({"law": "xyx=xy", "F": str(F), "G": str(G)})
-    for C in chambers:
-        for F in faces:
-            checks += 1
-            if coxfaces.tits_product(C, F) != C:
-                failures.append({"law": "chamber absorption", "C": str(C)})
-    for F in faces:
-        checks += 1
-        if coxfaces.tits_product(unit, F) != F or coxfaces.tits_product(F, unit) != F:
-            failures.append({"law": "unit", "face": str(F)})
+    codes = [coxfaces._face_code(F) for F in faces]
+    signs = [coxfaces.sign_vector(F).signs for F in faces]
+    unit = coxfaces._face_code(coxfaces.unit_face(family))
+    shift = len(unit) - family.rank - 1  # code index of element x is x + shift
+    roots = [(a + shift, b + shift) for a, b in coxfaces.positive_root_order(family)]
+    failed = {law: [] for law in ("idempotent", "xyx=xy", "chamber absorption",
+                                  "unit", "associativity", "sign composition")}
+
+    def fail(law, **witness):
+        failed[law].append({"law": law, **{k: str(faces[i]) for k, i in witness.items()}})
+
+    chambers = 0
+    for i, f in enumerate(codes):
+        if refine(f, f) != f:
+            fail("idempotent", face=i)
+        if refine(unit, f) != f or refine(f, unit) != f:
+            fail("unit", face=i)
+        if len(set(f)) == len(f):  # a chamber: every block is one element
+            chambers += 1
+            for g in codes:
+                if refine(f, g) != f:
+                    fail("chamber absorption", C=i)
+        for j, g in enumerate(codes):
+            fg = refine(f, g)
+            if refine(fg, f) != fg:
+                fail("xyx=xy", F=i, G=j)
+            composed = tuple(a if a != "0" else b for a, b in zip(signs[i], signs[j]))
+            if composed != tuple("0" if fg[a] == fg[b] else "+" if fg[a] < fg[b] else "-"
+                                 for a, b in roots):
+                fail("sign composition", F=i, G=j)
     # Associativity: exhaustive when tiny, seeded sample otherwise.
-    if len(faces) <= 20:
-        triples = itertools.product(faces, repeat=3)
+    indices = range(len(codes))
+    if len(codes) <= 20:
+        triples = list(itertools.product(indices, repeat=3))
     else:
         rng = random.Random(seed)
-        triples = (
-            (rng.choice(faces), rng.choice(faces), rng.choice(faces))
-            for _ in range(2000)
-        )
-    for F, G, H in triples:
-        checks += 1
-        left = coxfaces.tits_product(coxfaces.tits_product(F, G), H)
-        right = coxfaces.tits_product(F, coxfaces.tits_product(G, H))
-        if left != right:
-            failures.append({"law": "associativity", "F": str(F), "G": str(G),
-                             "H": str(H)})
-    # Sign-vector compatibility of the product.
-    for F in faces:
-        sF = coxfaces.sign_vector(F)
-        for G in faces:
-            checks += 1
-            combined = coxfaces.compose_signs(sF, coxfaces.sign_vector(G))
-            if coxfaces.sign_vector(coxfaces.tits_product(F, G)) != combined:
-                failures.append({"law": "sign composition", "F": str(F),
-                                 "G": str(G)})
-    return _report("lrb", family, checks, failures)
+        triples = [(rng.choice(indices), rng.choice(indices), rng.choice(indices))
+                   for _ in range(2000)]
+    for i, j, k in triples:
+        f, g, h = codes[i], codes[j], codes[k]
+        if refine(refine(f, g), h) != refine(f, refine(g, h)):
+            fail("associativity", F=i, G=j, H=k)
+    # Per face: idempotent, unit and, for a chamber, absorption of every
+    # face; per pair: xyx=xy and sign composition; per triple: associativity.
+    checks = len(codes) * (2 + 2 * len(codes) + chambers) + len(triples)
+    return _report("lrb", family, checks, [f for fs in failed.values() for f in fs])
 
 
 def _verify_euler(family: Family, seed=0):

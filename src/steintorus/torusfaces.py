@@ -162,14 +162,6 @@ def split(N: SpinNecklace) -> SplitNecklace:
     )
 
 
-def from_split(S: SplitNecklace) -> SpinNecklace:
-    tail = S.tail or ()
-    clasp_block = tuple(sorted(tail + S.blocks[0]))
-    blocks = (clasp_block,) + S.blocks[1:]
-    labels = tuple(itertools.accumulate(len(b) for b in S.blocks))
-    return SpinNecklace(S.family, blocks, labels)
-
-
 def contract_edge(N: SpinNecklace, p: int) -> SpinNecklace:
     """Merge the two blocks joined by edge p (labels[p]); drop its label."""
     k = len(N.blocks)
@@ -250,16 +242,6 @@ def act(w: WeylElement, N):
     return _from_code(N.family, _moved(_necklace_code(N), w))
 
 
-def maximal_from_perm(w: WeylElement):
-    """The maximal torus face corresponding to a group element."""
-    n = w.family.rank
-    if w.family.tag == "A":
-        blocks = tuple((v,) for v in w.values)
-        labels = tuple(range(1, n + 1))
-        return SpinNecklace(w.family, blocks, labels)
-    return SymNecklace(w.family, (0,), tuple((v,) for v in w.values), None)
-
-
 def is_maximal(N) -> bool:
     if isinstance(N, SpinNecklace):
         return len(N.blocks) == N.family.rank
@@ -298,10 +280,12 @@ def enumerate_torus_faces(
     n = family.rank
     universe = tuple(range(1, n + 1))
     if family.tag == "A":
-        # The clasp splits into the tail C1 and the first block C2 of a
-        # composition; tail elements must precede C2 inside the clasp.
+        # The clasp is a tail followed by the first block of a composition
+        # of the rest, all of whose elements follow the tail; the labels are
+        # the running sizes of the composition's blocks.
         faces = (
-            from_split(SplitNecklace(family, comp, tail if tail else None))
+            SpinNecklace(family, (tail + comp[0],) + comp[1:],
+                         tuple(itertools.accumulate(map(len, comp))))
             for ts in range(n)  # the tail never exhausts [n]
             for tail in itertools.combinations(universe, ts)
             for comp in _ordered_partitions(tuple(x for x in universe if x not in tail))

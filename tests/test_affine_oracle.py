@@ -27,7 +27,7 @@ def test_coroot_vector_sums_to_zero():
 
 def test_lift_of_chamber():
     # the alcove of 0 < x1 < x2 < x3 < 1 has every entry (0, '+')
-    N = tf.maximal_from_perm(ao.WeylElement(A3, (1, 2, 3)))
+    N = tf.make_spin(A3, [(1,), (2,), (3,)], [1, 2, 3])
     V = ao.lift(N)
     assert all(e == (0, "+") for e in V.entries)
 

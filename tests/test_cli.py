@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as hst
 
 from steintorus import descent_algebra
 from steintorus.cli import main
+from steintorus.weyl import Family
 
 UNIT_A3 = '{"blocks":[[1,2,3]]}'
 UNIT_C2 = '{"blocks":[[-2,-1,0,1,2]]}'
@@ -257,6 +258,30 @@ def test_budget_counts_the_multiplication_table(capsys, monkeypatch):
     assert "multiplication table" in err and err.count("\n") == 1
 
 
+def test_budget_counts_a_cached_multiplication_table(capsys, monkeypatch):
+    # The A4 table is built under the default budget; at a budget of 100 its
+    # 576 entries are refused as a fresh build would be.
+    monkeypatch.setattr(descent_algebra, "_group_cache", {})
+    descent_algebra._data(Family("A", 4)).mult
+    monkeypatch.setenv("STEINTORUS_BUDGET", "100")
+    for argv in (("mult-table", "--kind", "solomon"), ("verify", "--suite", "solomon")):
+        code, out, err = run(capsys, *argv, "--family", "A", "--rank", "4")
+        assert code == 3
+        assert out == ""
+        assert "multiplication table" in err and err.count("\n") == 1
+
+
+def test_seed_is_a_verify_flag(capsys):
+    code, out, err = run(capsys, "enumerate", "--family", "A", "--rank", "3",
+                         "--object", "faces", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error") and err.count("\n") == 1
+    code, _, _ = run(capsys, "verify", "--family", "A", "--rank", "3",
+                     "--suite", "lrb", "--seed", "1")
+    assert code == 0
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
 def test_bad_budget_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("STEINTORUS_BUDGET", value)
@@ -387,8 +412,6 @@ def _argv(draw):
     rank = draw(hst.integers(-1, 5) | hst.integers(6, 10**8))
     flags = [("--family", draw(hst.sampled_from("AC"))), ("--rank", str(rank))]
     switches = []
-    if draw(hst.booleans()):
-        flags.append(("--seed", str(draw(hst.integers(-10, 10)))))
     if sub == "enumerate":
         flags.append(("--object", draw(hst.sampled_from(["faces", "torus", "group"]))))
         if draw(hst.booleans()):
@@ -407,6 +430,8 @@ def _argv(draw):
     else:
         flags.append(("--suite", draw(hst.sampled_from(
             ["all", "solomon", "module", "psi", "oracle", "lrb", "euler", "counts"]))))
+        if draw(hst.booleans()):
+            flags.append(("--seed", str(draw(hst.integers(-10, 10)))))
     argv = [sub] + switches
     for flag, value in flags:
         argv += [flag + "=" + value] if draw(hst.booleans()) else [flag, value]

@@ -204,6 +204,19 @@ def test_suites_pass(suite, fam):
     assert report["checks"] > 0
 
 
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+def test_lrb_catches_a_broken_kernel(monkeypatch, fam):
+    # A kernel that returns its right factor keeps idempotence and
+    # associativity, and breaks every other law.
+    passing = da.verify("lrb", fam)
+    monkeypatch.setattr(cf, "_refine", lambda p, q, anchor=None: q)
+    report = da.verify("lrb", fam)
+    assert not report["pass"]
+    assert {f["law"] for f in report["failures"]} == {
+        "xyx=xy", "chamber absorption", "unit", "sign composition"}
+    assert report["checks"] == passing["checks"]
+
+
 def test_oracle_suite_type_a_only():
     assert da.verify("oracle", A3)["pass"]
     with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, strategies as hst
@@ -45,9 +46,34 @@ def test_split_and_w():
     assert tf.w_of_torus_face(spin_b()).values == (2, 4, 6, 1, 3, 5)
 
 
+def from_split(S):
+    """The spin necklace of a split necklace: the inverse of tf.split."""
+    tail = S.tail or ()
+    clasp_block = tuple(sorted(tail + S.blocks[0]))
+    blocks = (clasp_block,) + S.blocks[1:]
+    labels = tuple(itertools.accumulate(len(b) for b in S.blocks))
+    return tf.SpinNecklace(S.family, blocks, labels)
+
+
 def test_split_roundtrip():
     for N in tf.enumerate_torus_faces(Family("A", 4)):
-        assert tf.from_split(tf.split(N)) == N
+        assert from_split(tf.split(N)) == N
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_type_a_enumeration_matches_split_route(n):
+    # The reference route: a tail and a composition of the rest whose first
+    # block follows the tail, as a validated split necklace.
+    family = Family("A", n)
+    universe = tuple(range(1, n + 1))
+    reference = [
+        from_split(tf.SplitNecklace(family, comp, tail if tail else None))
+        for ts in range(n)
+        for tail in itertools.combinations(universe, ts)
+        for comp in cf._ordered_partitions(tuple(x for x in universe if x not in tail))
+        if min(comp[0]) > (max(tail) if tail else 0)
+    ]
+    assert list(tf.enumerate_torus_faces(family)) == reference
 
 
 def test_label_wrap_validation():
@@ -159,6 +185,14 @@ def test_census_c2():
     assert by_dim == {1: 4, 2: 12, 3: 8}
 
 
+def maximal_from_perm(w):
+    """The maximal torus face corresponding to a group element."""
+    if w.family.tag == "A":
+        blocks = tuple((v,) for v in w.values)
+        return tf.SpinNecklace(w.family, blocks, tuple(range(1, w.family.rank + 1)))
+    return tf.SymNecklace(w.family, (0,), tuple((v,) for v in w.values), None)
+
+
 def test_maximal_faces_are_the_group():
     for fam in (Family("A", 3), Family("C", 2)):
         elements = set(enumerate_group(fam))
@@ -168,8 +202,8 @@ def test_maximal_faces_are_the_group():
         assert len(maximal) == len(elements)
         assert {tf.w_of_torus_face(N) for N in maximal} == elements
         for w in elements:
-            assert tf.is_maximal(tf.maximal_from_perm(w))
-            assert tf.w_of_torus_face(tf.maximal_from_perm(w)) == w
+            assert tf.is_maximal(maximal_from_perm(w))
+            assert tf.w_of_torus_face(maximal_from_perm(w)) == w
 
 
 def test_group_action_keeps_structure():
