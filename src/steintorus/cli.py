@@ -2,14 +2,18 @@
 
 Subcommands: enumerate, product, act, descent-table, mult-table, verify.
 All output is deterministic JSON on stdout.  Exit codes: 0 success,
-1 verification/validation failure, 2 usage or parse error (including a
-malformed STEINTORUS_BUDGET), 3 enumeration budget exceeded.
+1 verification/validation failure or stdout closed early, 2 usage or parse
+error (including a malformed STEINTORUS_BUDGET), 3 enumeration budget
+exceeded.  `main` builds the parser once per process and reuses it, so a
+caller must not mutate what `build_parser()` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from . import coxfaces, descent_algebra, torusfaces, weyl
@@ -54,6 +58,7 @@ def _color(args, family):
 def _emit(payload):
     json.dump(payload, sys.stdout, indent=2, sort_keys=False)
     sys.stdout.write("\n")
+    sys.stdout.flush()  # a closed pipe shows here, inside main
 
 
 def _cmd_enumerate(args):
@@ -62,28 +67,27 @@ def _cmd_enumerate(args):
     if args.object == "group":
         if color is not None:
             raise ValidationError("--color applies to faces and torus objects")
-        items = [list(w.values) for w in weyl.enumerate_group(family)]
+        objects = (w.values for w in weyl.enumerate_group(family))
+        wire = list
     elif args.object == "faces":
-        items = [
-            coxfaces.to_wire(F) for F in coxfaces.enumerate_faces(family, color)
-        ]
+        objects = coxfaces.enumerate_faces(family, color)
+        wire = coxfaces.to_wire
     else:  # "torus"; argparse restricts the choices
-        items = [
-            torusfaces.to_wire(N)
-            for N in torusfaces.enumerate_torus_faces(family, color)
-        ]
+        objects = torusfaces.enumerate_torus_faces(family, color)
+        wire = torusfaces.to_wire
     if args.count:
-        print(len(items))
-    else:
-        _emit(
-            {
-                "family": family.tag,
-                "rank": family.rank,
-                "object": args.object,
-                "count": len(items),
-                "items": items,
-            }
-        )
+        _emit(sum(1 for _ in objects))
+        return 0
+    items = [wire(x) for x in objects]
+    _emit(
+        {
+            "family": family.tag,
+            "rank": family.rank,
+            "object": args.object,
+            "count": len(items),
+            "items": items,
+        }
+    )
     return 0
 
 
@@ -145,6 +149,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="steintorus",
@@ -221,6 +226,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
+    except BrokenPipeError as exc:
+        # The reader closed stdout; devnull takes the interpreter's last flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("output error", exc, 1)
     except UsageError as exc:
         return _fail("parse error", exc, 2)
     except BudgetExceededError as exc:

@@ -235,15 +235,6 @@ def sign_vector(F: Composition) -> FiniteSignVector:
     return FiniteSignVector(F.family, tuple(signs))
 
 
-def compose_signs(f: FiniteSignVector, g: FiniteSignVector) -> FiniteSignVector:
-    """Componentwise sign composition: take f's entry unless it is zero."""
-    if f.family != g.family:
-        raise FamilyMismatchError("sign vectors from different families")
-    return FiniteSignVector(
-        f.family, tuple(a if a != "0" else b for a, b in zip(f.signs, g.signs))
-    )
-
-
 def tits_product(F: Composition, G: Composition) -> Composition:
     if F.family != G.family:
         raise FamilyMismatchError(f"family mismatch: {F.family} vs {G.family}")

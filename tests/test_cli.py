@@ -2,12 +2,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from steintorus import descent_algebra
+import steintorus
+from steintorus import cli, descent_algebra
 from steintorus.cli import main
 from steintorus.weyl import Family
 
@@ -50,6 +53,85 @@ def test_enumerate_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("C", 3)])
+@pytest.mark.parametrize("obj", ["faces", "torus", "group"])
+def test_enumerate_count_matches_full_output(capsys, family, rank, obj):
+    args = ("enumerate", "--family", family, "--rank", str(rank), "--object", obj)
+    _, full, _ = run(capsys, *args)
+    code, count, _ = run(capsys, *args, "--count")
+    assert code == 0
+    assert count == f"{json.loads(full)['count']}\n"
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_leaks_nothing(capsys):
+    """In one process, every call prints what it printed the first time it
+    ran, whichever calls ran in between."""
+    fam = ("--family", "C", "--rank", "2")
+    table = ("descent-table", *fam)
+    faces = ("enumerate", *fam, "--object", "faces")
+    counts = ("verify", *fam, "--suite", "counts")
+    bad = ("descent-table", "--family", "Z", "--rank", "2")
+    sequence = [
+        (*table, "--affine"), table,
+        (*faces, "--color", "[1]", "--count"), (*faces, "--count"),
+        (*counts, "--seed", "5"), counts,
+        table, bad, (*table, "--affine"),
+        ("verify", "--help"), table,
+    ]
+    first = {}
+    # The second pass runs each call after the one that followed it before.
+    for argv in sequence + sequence:
+        if argv[-1] == "--help":
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            result = (exc.value.code, *capsys.readouterr())
+        else:
+            result = run(capsys, *argv)
+        assert first.setdefault(argv, result) == result
+    code, out, err = first[table]
+    payload = json.loads(out)
+    assert code == 0 and payload["affine"] is False
+    assert not any("affine_descents" in row for row in payload["rows"])
+    assert first[(*faces, "--color", "[1]", "--count")][1] == "4\n"
+    assert first[(*faces, "--count")][1] == "17\n"
+    code, out, err = first[bad]
+    assert code == 2 and out == "" and err.count("\n") == 1
+    code, out, err = first[("verify", "--help")]
+    assert code == 0 and out.startswith("usage: steintorus verify")
+    # The subparsers' defaults are the ones they were built with.
+    parse = cli.build_parser().parse_args
+    assert parse(list(table)).affine is False
+    assert parse(list(faces)).color is None and parse(list(faces)).count is False
+    assert parse(list(counts)).seed == 0
+
+
+# The table (about 160 kB) outgrows the pipe buffer; the count still sits in
+# stdout's buffer when the read end closes, so only the flush meets the pipe.
+@pytest.mark.parametrize("argv,read", [
+    (["descent-table", "--family", "A", "--rank", "6", "--affine"], 1),
+    (["enumerate", "--family", "A", "--rank", "3", "--object", "faces", "--count"], 0),
+], ids=["table", "count"])
+def test_closed_stdout_pipe_exits_one_without_traceback(argv, read):
+    src = os.path.dirname(os.path.dirname(steintorus.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steintorus.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.count("\n") == 1
 
 
 def test_product(capsys):
