@@ -240,22 +240,3 @@ def w_of_affine_face(V: CompactSignVector):
         raise NotRealizableError("vector is not a lattice translate of a face")
     return mu, w
 
-
-def to_wire(V: CompactSignVector) -> dict:
-    return {
-        "n": V.n,
-        "entries": [
-            {"i": i, "j": j, "k": k, "s": s}
-            for (i, j), (k, s) in zip(_pairs(V.n), V.entries)
-        ],
-    }
-
-
-def from_wire(data: dict) -> CompactSignVector:
-    n = data["n"]
-    by_pair = {(e["i"], e["j"]): (e["k"], e["s"]) for e in data["entries"]}
-    try:
-        entries = tuple(by_pair[p] for p in _pairs(n))
-    except KeyError as missing:
-        raise ValidationError(f"missing entry for pair {missing}") from None
-    return CompactSignVector(n, entries)

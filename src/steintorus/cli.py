@@ -226,6 +226,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
+    except SystemExit as exc:  # raised only by --help, after the help
+        return exc.code
     except BrokenPipeError as exc:
         # The reader closed stdout; devnull takes the interpreter's last flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

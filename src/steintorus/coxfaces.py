@@ -14,7 +14,11 @@ Products are computed on position codes.  A face's code gives each element
 of [1, n] (type A) or [-n, n] (type C), in order, the end of its block in
 the concatenated full blocks: its block position, relabelled monotonically.
 The one kernel ``_refine`` serves the Tits product and the torus module
-action.  Validation stays at the boundary (the public constructors,
+action.  Its result reads q only on the elements sharing their block of p
+(the trace of q on p): an element alone in its block sorts by its p value
+alone, and so does the anchor when alone.  So ``_refine_all``, one left code
+against many right codes, calls the one kernel once per distinct trace.
+Validation stays at the boundary (the public constructors,
 ``SymComposition.from_full``, ``from_wire`` and the enumerators); kernel
 output is trusted and built by ``_trusted`` without ``__post_init__``.
 """
@@ -25,6 +29,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .budget import check_count
@@ -162,6 +167,16 @@ def _refine(p, q, anchor: Optional[int] = None):
     return tuple(map(ring.__getitem__, counts))
 
 
+def _refine_all(p, qs, anchor: Optional[int] = None):
+    """[_refine(p, q, anchor) for q in qs], with one kernel call per distinct
+    trace of q on p's blocks of two or more elements, on the last q of that
+    trace (any q of a trace gives its result); qs is read twice."""
+    shared = [i for i, value in enumerate(p) if p.count(value) > 1]
+    traces = list(map(itemgetter(*shared) if shared else (lambda q: ()), qs))
+    results = {t: _refine(p, q, anchor) for t, q in dict(zip(traces, qs)).items()}
+    return list(map(results.__getitem__, traces))
+
+
 def _face_code(F: Composition) -> Tuple[int, ...]:
     blocks = F.full_blocks()
     return _encode(blocks, itertools.accumulate(map(len, blocks)), F.family.rank)
@@ -221,13 +236,8 @@ def positive_root_order(family: Family):
     return order
 
 
-def _positions(F: Composition) -> dict:
-    """Map each (extended) element to the index of its block."""
-    return {x: idx for idx, block in enumerate(F.full_blocks()) for x in block}
-
-
 def sign_vector(F: Composition) -> FiniteSignVector:
-    pos = _positions(F)
+    pos = {x: idx for idx, block in enumerate(F.full_blocks()) for x in block}
     signs = []
     for a, b in positive_root_order(F.family):
         pa, pb = pos[a], pos[b]
@@ -253,9 +263,12 @@ def unit_face(family: Family) -> Composition:
 
 
 def w_of_face(F: Composition) -> WeylElement:
+    return _trusted(WeylElement, F.family, _w_values(F))
+
+
+def _w_values(F: Composition) -> Tuple[int, ...]:
     """The last n entries, in order."""
-    values = tuple(itertools.chain.from_iterable(F.full_blocks()))
-    return _trusted(WeylElement, F.family, values[-F.family.rank :])
+    return tuple(itertools.chain.from_iterable(F.full_blocks()))[-F.family.rank :]
 
 
 def color_set(F: Composition) -> ColorSet:

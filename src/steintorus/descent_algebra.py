@@ -27,10 +27,13 @@ test it by ``express_in_basis`` checking every member of every class.  Class
 sums give each class one value and fill its list; their zeta sum over index
 sets and the Moebius inversion are one subset transform on bit masks.
 
-Face sums likewise multiply on position codes (see ``coxfaces``):
-``face_sum_product`` keys its coefficients by the result's code and builds
-each distinct result face once, unchecked, and ``is_invariant`` permutes
-codes.  ``psi`` reads each face's group element straight off its blocks.
+Face sums likewise multiply on position codes (see ``coxfaces``) and keep
+their codes once computed.  ``face_sum_product`` refines each left code
+against the whole right factor in one call of ``coxfaces._refine_all``,
+which runs the one kernel once per distinct trace of a right code on the
+left code's blocks of two or more elements.  Each distinct result face is
+built once, unchecked; ``is_invariant`` permutes codes; ``psi`` sums over
+one-line values read off the blocks and builds each group element once.
 """
 
 from __future__ import annotations
@@ -327,6 +330,15 @@ class FaceSum:
                              key=itemgetter(0)))
         return FaceSum(family, torus, items)
 
+    @functools.cached_property
+    def _codes(self):
+        """{position code: coefficient}, repeats summed; not in == or hash."""
+        code = torusfaces._necklace_code if self.torus else coxfaces._face_code
+        codes = {}
+        for F, c in self.coeffs:
+            codes[r] = codes.get(r := code(F), 0) + c
+        return codes
+
     def as_dict(self):
         return dict(self.coeffs)
 
@@ -349,32 +361,24 @@ def orbit_sum(kind: str, index, family: Family) -> FaceSum:
     return FaceSum.from_dict(family, torus, dict.fromkeys(walk(family, color), 1))
 
 
-def _codes(s: FaceSum):
-    """The (position code, coefficient) pairs of a face sum."""
-    code = torusfaces._necklace_code if s.torus else coxfaces._face_code
-    return [(code(F), c) for F, c in s.coeffs]
-
-
 def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
-    """Bilinear extension of the Tits product / module action, computed on
-    codes; each distinct result face is built once."""
+    """Bilinear extension of the Tits product / module action, on codes."""
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
     if s.family != t.family:
         raise FamilyMismatchError("family mismatch")
-    family = s.family
-    anchor = torusfaces._anchor(family) if s.torus else None
-    refine = coxfaces._refine
-    right = _codes(t)
+    anchor = torusfaces._anchor(s.family) if s.torus else None
+    right = t._codes
     acc = {}
-    get = acc.get
-    for p, cp in _codes(s):
-        for q, cq in right:
-            r = refine(p, q, anchor)
-            acc[r] = get(r, 0) + cp * cq
+    for p, cp in s._codes.items():
+        for r, cq in zip(coxfaces._refine_all(p, right, anchor), right.values()):
+            acc[r] = acc.get(r, 0) + cp * cq
     build = torusfaces._from_code if s.torus else coxfaces._from_code
-    return FaceSum.from_dict(family, s.torus,
-                             {build(family, r): c for r, c in acc.items()})
+    terms = sorted(((build(s.family, r), r, c) for r, c in acc.items() if c),
+                   key=itemgetter(0))
+    out = FaceSum(s.family, s.torus, tuple((F, c) for F, _, c in terms))
+    out.__dict__["_codes"] = {r: c for _, r, c in terms}
+    return out
 
 
 def _generators(family: Family):
@@ -393,24 +397,24 @@ def is_invariant(s: FaceSum) -> bool:
     """True iff every simple generator maps s to itself.  A group element
     acts on codes by permuting their entries: entry i of the image reads
     entry moves[i], where moves is its image of the code 0, 1, 2, ..."""
-    pairs = _codes(s)
-    coeffs = dict(pairs)
-    size = len(pairs[0][0]) if pairs else 0
+    codes = s._codes
+    if not codes:
+        return True
+    size = len(next(iter(codes)))
     for g in _generators(s.family):
-        moves = coxfaces._moved(range(size), g)
-        for p, c in pairs:
-            if coeffs.get(tuple(map(p.__getitem__, moves)), 0) != c:
-                return False
+        moves = itemgetter(*coxfaces._moved(range(size), g))
+        if dict(zip(map(moves, codes), codes.values())) != codes:
+            return False
     return True
 
 
 def _psi_unchecked(s: FaceSum) -> GroupRingElement:
-    w_of = torusfaces.w_of_torus_face if s.torus else coxfaces.w_of_face
+    w_of = torusfaces._w_values if s.torus else coxfaces._w_values
     acc = {}
     for F, c in s.coeffs:
-        w = w_of(F)
-        acc[w] = acc.get(w, 0) + c
-    return GroupRingElement.from_dict(s.family, acc)
+        acc[w] = acc.get(w := w_of(F), 0) + c
+    return GroupRingElement(s.family, tuple((coxfaces._trusted(WeylElement, s.family, w), c)
+                                            for w, c in sorted(acc.items()) if c))
 
 
 def psi(s: FaceSum) -> GroupRingElement:
@@ -507,10 +511,10 @@ def module_table(family: Family) -> dict:
     entries = []
     for I in _subsets(family.finite_indices()):
         for J in _subsets(family.affine_indices(), nonempty=True):
-            counts = face_sum_product(sigmat[J], sigma[I]).as_dict()
+            counts = face_sum_product(sigmat[J], sigma[I])._codes
             expansion = {}
             for K, orbit in sigmat.items():
-                values = {counts.get(N, 0) for N, _ in orbit.coeffs}
+                values = {counts.get(r, 0) for r in orbit._codes}
                 if len(values) != 1:
                     raise ValidationError(
                         f"orbit {sorted(K)} hit non-uniformly in entry "
@@ -561,9 +565,10 @@ def _verify_psi(family: Family, seed=0):
     def fail(tag, I, J):
         failures.append({"identity": tag, "I": sorted(I), "J": sorted(J)})
 
+    x = {J: basis_element("x", J, family) for J in sigma}
     for J, s in sigma.items():
         checks += 1
-        if psi(s) != basis_element("x", J, family):
+        if psi(s) != x[J]:
             fail("psi(sigma_J) = x_J", J, J)
     for J, s in sigmat.items():
         checks += 1
@@ -572,20 +577,15 @@ def _verify_psi(family: Family, seed=0):
     # For the product identities the invariance of the left side is implied
     # by the equality with the right side, so skip the per-sum check.
     for J, sJ in sigma.items():
-        xJ = basis_element("x", J, family)
         for K, sK in sigma.items():
             checks += 1
-            lhs = _psi_unchecked(face_sum_product(sJ, sK))
-            rhs = multiply(basis_element("x", K, family), xJ)
-            if lhs != rhs:
+            if _psi_unchecked(face_sum_product(sJ, sK)) != multiply(x[K], x[J]):
                 fail("psi(sigma_J sigma_K) = x_K x_J", J, K)
     for K, sK in sigmat.items():
         xtK = basis_element("xt", K, family)
         for J, sJ in sigma.items():
             checks += 1
-            lhs = _psi_unchecked(face_sum_product(sK, sJ))
-            rhs = multiply(basis_element("x", J, family), xtK)
-            if lhs != rhs:
+            if _psi_unchecked(face_sum_product(sK, sJ)) != multiply(x[J], xtK):
                 fail("psi(sigma~_K sigma_J) = x_J x~_K", J, K)
     return _report("psi", family, checks, failures)
 

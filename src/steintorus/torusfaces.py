@@ -210,6 +210,10 @@ def module_action(N, G: Composition):
 
 
 def w_of_torus_face(N) -> WeylElement:
+    return _trusted(WeylElement, N.family, _w_values(N))
+
+
+def _w_values(N) -> Tuple[int, ...]:
     """A spin necklace reads its clasp after the first n - incoming
     elements, the other blocks, then the clasp's first n - incoming; a
     symmetric necklace reads the positive part of its zero block, its
@@ -221,7 +225,7 @@ def w_of_torus_face(N) -> WeylElement:
         antipodal = N.antipodal or ()
         parts = ([x for x in N.zero_block if x > 0], *N.clockwise,
                  [x for x in antipodal if x < 0])
-    return _trusted(WeylElement, N.family, tuple(itertools.chain.from_iterable(parts)))
+    return tuple(itertools.chain.from_iterable(parts))
 
 
 def color_set(N) -> ColorSet:

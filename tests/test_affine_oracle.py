@@ -98,14 +98,6 @@ def test_unrealizable_vectors_rejected():
         ao.project(W)
 
 
-def test_wire_roundtrip():
-    N = tf.make_spin(A3, [(1, 3), (2,)], [2, 3])
-    V = ao.lift(N)
-    assert ao.from_wire(ao.to_wire(V)) == V
-    with pytest.raises(ValidationError):
-        ao.from_wire({"n": 3, "entries": []})
-
-
 @hst.composite
 def lifted(draw, n=4):
     fam = Family("A", n)

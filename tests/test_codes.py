@@ -214,6 +214,96 @@ def test_face_sum_product_matches_double_loop(pair):
         assert_same(H, revalidated(H))
 
 
+def fresh_codes(s):
+    code = tf._necklace_code if s.torus else cf._face_code
+    return {code(X): c for X, c in s.coeffs}
+
+
+@given(sum_pair())
+def test_face_sum_product_keeps_fresh_codes(pair):
+    """The product carries its codes in the order of its coeffs; equality and
+    hashing read the faces and coefficients only."""
+    s, t = pair
+    got = da.face_sum_product(s, t)
+    expected = da.FaceSum.from_dict(s.family, s.torus, got.as_dict())
+    assert "_codes" in vars(got) and "_codes" not in vars(expected)
+    assert got.coeffs == expected.coeffs and hash(got) == hash(expected)
+    assert list(got._codes.items()) == list(fresh_codes(got).items())
+    assert got._codes == expected._codes
+    assert got == expected and hash(got) == hash(expected)
+
+
+def left_objects(family, torus):
+    walk = tf.enumerate_torus_faces if torus else cf.enumerate_faces
+    return list(walk(family))
+
+
+def assert_batch_matches(p, qs, anchor):
+    assert cf._refine_all(p, qs, anchor) == [cf._refine(p, q, anchor) for q in qs]
+
+
+@pytest.mark.parametrize("family", [Family("A", n) for n in (2, 3, 4)]
+                         + [Family("C", n) for n in (1, 2, 3)],
+                         ids=lambda f: f"{f.tag}{f.rank}")
+@pytest.mark.parametrize("torus", [False, True], ids=["face", "necklace"])
+def test_batch_refinement_matches_one_pair_at_a_time(family, torus):
+    """Every left code against all face codes, and against none; chamber
+    and one-block left codes are among them."""
+    code = tf._necklace_code if torus else cf._face_code
+    anchor = tf._anchor(family) if torus else None
+    qs = [cf._face_code(G) for G in cf.enumerate_faces(family)]
+    ps = [code(X) for X in left_objects(family, torus)]
+    assert any(len(set(p)) == len(p) for p in ps)
+    assert any(len(set(p)) == 1 for p in ps)
+    for p in ps:
+        assert_batch_matches(p, qs, anchor)
+        assert cf._refine_all(p, [], anchor) == []
+
+
+@given(hst.sampled_from([Family("A", 5), Family("C", 4)]).flatmap(
+    lambda family: hst.tuples(hst.booleans().flatmap(lambda torus: objects(family, torus)),
+                              hst.lists(objects(family, False), max_size=12))))
+def test_batch_refinement_matches_at_a5_and_c4(case):
+    X, faces = case
+    torus = not isinstance(X, (cf.SetComposition, cf.SymComposition))
+    p = (tf._necklace_code if torus else cf._face_code)(X)
+    anchor = tf._anchor(X.family) if torus else None
+    assert_batch_matches(p, [cf._face_code(G) for G in faces], anchor)
+
+
+@pytest.mark.parametrize("family", [Family("A", 3), Family("C", 2)], ids=["A3", "C2"])
+@pytest.mark.parametrize("torus", [False, True], ids=["face", "necklace"])
+def test_psi_rejects_non_invariant_products_and_sums(family, torus):
+    """One face times an orbit sum is not invariant; nor is an orbit sum
+    built by hand without one face, whose codes are computed on first use."""
+    X = left_objects(family, torus)[1]
+    one = da.FaceSum.from_dict(family, torus, {X: 1})
+    product = da.face_sum_product(one, da.orbit_sum("sigma", [1], family))
+    with pytest.raises(ValidationError):
+        da.psi(product)
+    orbit = max(da._orbit_sums(family)[torus].values(), key=lambda s: len(s.coeffs))
+    partial = da.FaceSum(family, torus, orbit.coeffs[1:])
+    with pytest.raises(ValidationError):
+        da.psi(partial)
+    assert list(partial._codes.items()) == list(fresh_codes(partial).items())
+    assert da.psi(da.FaceSum(family, torus, ())).is_zero()
+
+
+@pytest.mark.parametrize("family", [Family("A", 3), Family("C", 2)], ids=["A3", "C2"])
+@pytest.mark.parametrize("torus", [False, True], ids=["face", "necklace"])
+def test_repeated_faces_add_up(family, torus):
+    """A sum built with every face of an orbit twice, coefficients 1 and 2,
+    multiplies and maps under psi like the orbit sum times 3."""
+    orbit = max(da._orbit_sums(family)[torus].values(), key=lambda s: len(s.coeffs))
+    repeated = da.FaceSum(family, torus, orbit.coeffs + tuple((X, 2) for X, _ in orbit.coeffs))
+    tripled = da.FaceSum.from_dict(family, torus, {X: 3 for X, _ in orbit.coeffs})
+    right = da.orbit_sum("sigma", [max(family.finite_indices())], family)
+    assert da.face_sum_product(repeated, right) == da.face_sum_product(tripled, right)
+    assert da.psi(repeated) == da.psi(tripled)
+    if not torus:
+        assert da.face_sum_product(right, repeated) == da.face_sum_product(right, tripled)
+
+
 @pytest.mark.parametrize("family", [Family("A", 3), Family("A", 4), Family("C", 2),
                                     Family("C", 3)], ids=lambda f: f"{f.tag}{f.rank}")
 def test_is_invariant_fails_without_one_face(family):
