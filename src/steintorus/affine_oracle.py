@@ -5,42 +5,41 @@ i < j (positive root e_j - e_i) an integer level k with
 k <= x_j - x_i < k + 1 on the face, together with a sign telling whether
 equality holds ('0') or not ('+').
 
-``lift`` computes the vector of a canonical representative of a torus face
-(split-necklace coordinates 0, 1/m, ..., (m-1)/m, tail at 1, exact
-rationals).  ``project`` inverts it up to coroot translation, so that
+Points are integer coordinates over one common denominator, the scale:
+x_i = X_i / scale, so the entry of the pair (i, j) is the quotient of
+divmod(X_j - X_i, scale), signed '0' when the remainder is 0.  ``lift``
+computes the vector of a canonical representative of a torus face: block p
+of the split necklace at p and the tail at m, over the scale m of its m
+blocks.  ``project`` inverts it up to coroot translation, so that
 
     project(oracle_act(lift(N), G)) == module_action(N, G)
 
 can be checked exhaustively; this is the cross-validation the module
-exists for.  The necklace reconstructed by ``project`` reads its blocks
-from the exact (sign '0') relations, its cyclic order from fractional
-positions, and its edge labels from the translation-invariant count
+exists for.  ``project`` rebuilds one point from the vector and accepts the
+vector exactly when the rebuilt point has it.  The necklace's blocks are
+the elements with equal fractional parts, in their order, and the label of
+the edge after block p of c is the translation-invariant count
 
-    label(cut c) == -sum_i floor(x_i - c)   (mod n).
+    label == -sum_i floor(x_i - (2p + 1) / 2c)   (mod n).
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from .errors import FamilyMismatchError, NotRealizableError, ValidationError
 from .weyl import Family
 from .coxfaces import SetComposition, sign_vector
-from .torusfaces import (
-    SpinNecklace,
-    make_spin,
-    split,
-    w_of_torus_face,
-)
+from .torusfaces import SpinNecklace, make_spin, split, w_of_torus_face
 
 Entry = Tuple[int, str]
 
 
+@functools.lru_cache(maxsize=None)
 def _pairs(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -69,26 +68,21 @@ class CorootVector:
             raise ValidationError("coroot vectors have coordinate sum zero")
 
 
-def _vector_from_coords(n, coords) -> CompactSignVector:
-    entries = []
-    for i, j in _pairs(n):
-        d = coords[j] - coords[i]
-        k = math.floor(d)
-        entries.append((int(d), "0") if d == k else (k, "+"))
-    return CompactSignVector(n, tuple(entries))
+def _vector_from_coords(n, coords, scale) -> CompactSignVector:
+    """The vector of the point x_i = coords[i] / scale, i in 1..n."""
+    levels = (divmod(coords[j] - coords[i], scale) for i, j in _pairs(n))
+    return CompactSignVector(n, tuple((k, "+" if r else "0") for k, r in levels))
 
 
 def lift(N: SpinNecklace) -> CompactSignVector:
     n = N.family.rank
     s = split(N)
     m = len(s.blocks)
-    coords = {}
+    coords = [m] * (n + 1)  # the tail, and the unused index 0, at m
     for p, block in enumerate(s.blocks):
         for x in block:
-            coords[x] = Fraction(p, m)
-    for x in s.tail or ():
-        coords[x] = Fraction(1)
-    return _vector_from_coords(n, coords)
+            coords[x] = p
+    return _vector_from_coords(n, coords, m)
 
 
 def translate(V: CompactSignVector, mu: CorootVector) -> CompactSignVector:
@@ -115,110 +109,46 @@ def oracle_act(V: CompactSignVector, G: SetComposition) -> CompactSignVector:
     return CompactSignVector(V.n, tuple(out))
 
 
-class _OffsetUnionFind:
-    """Union-find tracking x_child = x_root + offset for exact relations."""
-
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-        self.offset = {i: 0 for i in items}
-
-    def find(self, i):
-        if self.parent[i] == i:
-            return i, 0
-        root, off = self.find(self.parent[i])
-        self.parent[i] = root
-        self.offset[i] += off
-        return root, self.offset[i]
-
-    def union(self, i, j, delta):
-        """Impose x_j = x_i + delta; returns False on contradiction."""
-        ri, oi = self.find(i)
-        rj, oj = self.find(j)
-        if ri == rj:
-            return oj == oi + delta
-        self.parent[rj] = ri
-        self.offset[rj] = oi + delta - oj
-        return True
-
-
 def _reconstruct_coords(V: CompactSignVector):
-    """One exact coordinate assignment consistent with V (up to global shift)."""
+    """(coords, c): a point coords[i] / c, i in 1..n, whose vector is V.
+
+    Each element hangs off the least element it shares a '0' entry with,
+    at that entry's level.  The others, the roots, are one per block: root
+    b sits at its level L[b] to element 1 plus a fractional part q / c, for
+    c roots, where q counts the roots a whose level to b is L[b] - L[a],
+    that is, those with a smaller fractional part.  Comparing the point's
+    vector with V is the one realizability check."""
     n = V.n
-    uf = _OffsetUnionFind(range(1, n + 1))
-    for (i, j), (k, s) in zip(_pairs(n), V.entries):
-        if s == "0" and not uf.union(i, j, k):
-            raise NotRealizableError("contradictory exact relations")
-    bounds = {}  # (root_a, root_b) -> integer L with x_rb - x_ra in (L, L+1)
-    for (i, j), (k, s) in zip(_pairs(n), V.entries):
-        if s != "+":
+    entry = dict(zip(_pairs(n), V.entries))
+    parent = {}
+    for (i, j), (k, s) in entry.items():  # the least i comes first
+        if s == "0":
+            parent.setdefault(j, (i, k))
+    roots = [b for b in range(1, n + 1) if b not in parent]
+    c = len(roots)
+    L = {b: entry[1, b][0] if b > 1 else 0 for b in roots}
+    coords = [0] * (n + 1)
+    for b in range(1, n + 1):
+        if b in parent:
+            a, k = parent[b]
+            coords[b] = coords[a] + k * c
             continue
-        ri, oi = uf.find(i)
-        rj, oj = uf.find(j)
-        if ri == rj:
-            raise NotRealizableError("strict entry inside an exact class")
-        L = k + oi - oj
-        for key, val in (((ri, rj), L), ((rj, ri), -L - 1)):
-            if bounds.setdefault(key, val) != val:
-                raise NotRealizableError("inconsistent strict bounds")
-    roots = sorted({uf.find(i)[0] for i in range(1, n + 1)})
-    anchor = roots[0]
-    # Fractional positions: root b sits at integer part bounds[(anchor, b)]
-    # plus a fraction; pairwise bounds decide the fraction order.
-    others = [r for r in roots if r != anchor]
-    for r in others:
-        if (anchor, r) not in bounds:
-            raise NotRealizableError("missing cross-class constraint")
-
-    def frac_before(a, b):
-        """True if a's fractional position is strictly below b's."""
-        la = bounds[(anchor, a)] if a != anchor else 0
-        lb = bounds[(anchor, b)] if b != anchor else 0
-        lab = bounds.get((a, b))
-        if lab == lb - la:
-            return True
-        if lab == lb - la - 1:
-            return False
-        raise NotRealizableError("incoherent fractional order")
-
-    ordered = [anchor]
-    for r in others:  # insertion sort via the strict comparison
-        lo = 1  # the anchor has fraction 0, strictly smallest
-        while lo < len(ordered) and frac_before(ordered[lo], r):
-            lo += 1
-        ordered.insert(lo, r)
-    c = len(ordered)
-    frac = {r: Fraction(q, c) for q, r in enumerate(ordered)}
-    coords = {}
-    for i in range(1, n + 1):
-        r, off = uf.find(i)
-        base = bounds[(anchor, r)] if r != anchor else 0
-        coords[i] = base + frac[r] + off
-    # Full verification against every entry; anything left over is a
-    # genuinely unrealizable vector.
-    if _vector_from_coords(n, coords).entries != V.entries:
+        q = sum((entry[a, b][0] if a < b else -entry[b, a][0] - 1) == L[b] - L[a]
+                for a in roots if a != b)
+        coords[b] = L[b] * c + q
+    if _vector_from_coords(n, coords, c).entries != V.entries:
         raise NotRealizableError("no point configuration matches the vector")
-    blocks_in_order = []
-    for r in ordered:
-        blocks_in_order.append(
-            tuple(sorted(i for i in range(1, n + 1) if uf.find(i)[0] == r))
-        )
-    return coords, blocks_in_order, frac, ordered
+    return coords, c
 
 
 def project(V: CompactSignVector) -> SpinNecklace:
     n = V.n
-    coords, blocks, frac, ordered = _reconstruct_coords(V)
-
-    def label_at(cut: Fraction) -> int:
-        return (-sum(math.floor(coords[i] - cut) for i in range(1, n + 1))) % n or n
-
-    labels = []
-    for p in range(len(ordered)):
-        here = frac[ordered[p]]
-        there = (
-            frac[ordered[p + 1]] if p + 1 < len(ordered) else frac[ordered[0]] + 1
-        )
-        labels.append(label_at((here + there) / 2))
+    coords, c = _reconstruct_coords(V)
+    blocks = [[] for _ in range(c)]
+    for i in range(1, n + 1):
+        blocks[coords[i] % c].append(i)
+    labels = [-sum((2 * x - 2 * p - 1) // (2 * c) for x in coords[1:])
+              for p in range(c)]
     return make_spin(Family("A", n), blocks, labels)
 
 
@@ -239,4 +169,3 @@ def w_of_affine_face(V: CompactSignVector):
     if translate(base, mu) != V:
         raise NotRealizableError("vector is not a lattice translate of a face")
     return mu, w
-

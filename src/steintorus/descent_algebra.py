@@ -32,8 +32,10 @@ their codes once computed.  ``face_sum_product`` refines each left code
 against the whole right factor in one call of ``coxfaces._refine_all``,
 which runs the one kernel once per distinct trace of a right code on the
 left code's blocks of two or more elements.  Each distinct result face is
-built once, unchecked; ``is_invariant`` permutes codes; ``psi`` sums over
-one-line values read off the blocks and builds each group element once.
+built once, unchecked, and ``module_table`` builds none; ``is_invariant``
+permutes codes; ``psi`` sums over one-line values read off the blocks and
+builds each group element once.  The public constructors of sums check
+their keys and make them canonical; internal results skip that check.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class _GroupData:
 
     def element(self, coeffs) -> "GroupRingElement":
         """The ring element with coefficient coeffs[i] on elements[i]."""
-        return GroupRingElement(self.family, tuple(
+        return coxfaces._trusted(GroupRingElement, self.family, tuple(
             zip(itertools.compress(self.elements, coeffs), filter(None, coeffs))))
 
 
@@ -132,19 +134,24 @@ def _data(family: Family) -> _GroupData:
 
 @dataclass(frozen=True)
 class GroupRingElement:
+    """Checked and canonical: every key is an element of the family, and
+    repeated keys are summed, zeros dropped and the keys sorted."""
+
     family: Family
     coeffs: Tuple[Tuple[WeylElement, int], ...]
 
+    def __post_init__(self):
+        acc = {}
+        for w, c in self.coeffs:
+            if not isinstance(w, WeylElement) or w.family != self.family:
+                raise FamilyMismatchError(f"{w} is not an element of {self.family}")
+            acc[w] = acc.get(w, 0) + c
+        object.__setattr__(self, "coeffs", tuple(sorted(
+            ((w, c) for w, c in acc.items() if c), key=lambda wc: wc[0].values)))
+
     @staticmethod
     def from_dict(family: Family, mapping) -> "GroupRingElement":
-        items = tuple(
-            sorted(((w, c) for w, c in mapping.items() if c != 0),
-                   key=lambda wc: wc[0].values)
-        )
-        for w, _ in items:
-            if w.family != family:
-                raise FamilyMismatchError("coefficient key from the wrong group")
-        return GroupRingElement(family, items)
+        return GroupRingElement(family, tuple(mapping.items()))
 
     def as_dict(self):
         return dict(self.coeffs)
@@ -152,15 +159,11 @@ class GroupRingElement:
     def __add__(self, other):
         if self.family != other.family:
             raise FamilyMismatchError("family mismatch")
-        out = self.as_dict()
-        for w, c in other.coeffs:
-            out[w] = out.get(w, 0) + c
-        return GroupRingElement.from_dict(self.family, out)
+        return GroupRingElement(self.family, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
-        return self + GroupRingElement.from_dict(
-            other.family, {w: -c for w, c in other.coeffs}
-        )
+        return self + GroupRingElement(other.family,
+                                       tuple((w, -c) for w, c in other.coeffs))
 
     def is_zero(self):
         return not self.coeffs
@@ -318,26 +321,35 @@ def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement
 
 @dataclass(frozen=True)
 class FaceSum:
-    """A finitely supported integer combination of faces (finite or torus)."""
+    """A finitely supported integer combination of faces (finite or torus),
+    checked and canonical like ``GroupRingElement``: every key is a face
+    (necklace if torus) of the family."""
 
     family: Family
     torus: bool
     coeffs: Tuple[Tuple[object, int], ...]
 
+    def __post_init__(self):
+        kinds = ((torusfaces.SpinNecklace, torusfaces.SymNecklace) if self.torus
+                 else (coxfaces.SetComposition, coxfaces.SymComposition))
+        acc = {}
+        for F, c in self.coeffs:
+            if not isinstance(F, kinds) or F.family != self.family:
+                raise FamilyMismatchError(f"{F} is not a {'necklace' if self.torus else 'face'}"
+                                          f" of {self.family}")
+            acc[F] = acc.get(F, 0) + c
+        object.__setattr__(self, "coeffs", tuple(sorted(
+            ((F, c) for F, c in acc.items() if c), key=itemgetter(0))))
+
     @staticmethod
     def from_dict(family: Family, torus: bool, mapping) -> "FaceSum":
-        items = tuple(sorted(((f, c) for f, c in mapping.items() if c != 0),
-                             key=itemgetter(0)))
-        return FaceSum(family, torus, items)
+        return FaceSum(family, torus, tuple(mapping.items()))
 
     @functools.cached_property
     def _codes(self):
-        """{position code: coefficient}, repeats summed; not in == or hash."""
+        """{position code: coefficient}; not in == or hash."""
         code = torusfaces._necklace_code if self.torus else coxfaces._face_code
-        codes = {}
-        for F, c in self.coeffs:
-            codes[r] = codes.get(r := code(F), 0) + c
-        return codes
+        return {code(F): c for F, c in self.coeffs}
 
     def as_dict(self):
         return dict(self.coeffs)
@@ -345,10 +357,7 @@ class FaceSum:
     def __add__(self, other):
         if (self.family, self.torus) != (other.family, other.torus):
             raise FamilyMismatchError("incompatible face sums")
-        out = self.as_dict()
-        for f, c in other.coeffs:
-            out[f] = out.get(f, 0) + c
-        return FaceSum.from_dict(self.family, self.torus, out)
+        return FaceSum(self.family, self.torus, self.coeffs + other.coeffs)
 
 
 def orbit_sum(kind: str, index, family: Family) -> FaceSum:
@@ -361,8 +370,8 @@ def orbit_sum(kind: str, index, family: Family) -> FaceSum:
     return FaceSum.from_dict(family, torus, dict.fromkeys(walk(family, color), 1))
 
 
-def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
-    """Bilinear extension of the Tits product / module action, on codes."""
+def _product_codes(s: FaceSum, t: FaceSum) -> dict:
+    """{position code: coefficient} of s * t, zero coefficients included."""
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
     if s.family != t.family:
@@ -373,10 +382,15 @@ def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     for p, cp in s._codes.items():
         for r, cq in zip(coxfaces._refine_all(p, right, anchor), right.values()):
             acc[r] = acc.get(r, 0) + cp * cq
+    return acc
+
+
+def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
+    """Bilinear extension of the Tits product / module action, on codes."""
     build = torusfaces._from_code if s.torus else coxfaces._from_code
-    terms = sorted(((build(s.family, r), r, c) for r, c in acc.items() if c),
-                   key=itemgetter(0))
-    out = FaceSum(s.family, s.torus, tuple((F, c) for F, _, c in terms))
+    terms = sorted(((build(s.family, r), r, c)
+                    for r, c in _product_codes(s, t).items() if c), key=itemgetter(0))
+    out = coxfaces._trusted(FaceSum, s.family, s.torus, tuple((F, c) for F, _, c in terms))
     out.__dict__["_codes"] = {r: c for _, r, c in terms}
     return out
 
@@ -413,8 +427,8 @@ def _psi_unchecked(s: FaceSum) -> GroupRingElement:
     acc = {}
     for F, c in s.coeffs:
         acc[w] = acc.get(w := w_of(F), 0) + c
-    return GroupRingElement(s.family, tuple((coxfaces._trusted(WeylElement, s.family, w), c)
-                                            for w, c in sorted(acc.items()) if c))
+    return coxfaces._trusted(GroupRingElement, s.family, tuple(
+        (coxfaces._trusted(WeylElement, s.family, w), c) for w, c in sorted(acc.items()) if c))
 
 
 def psi(s: FaceSum) -> GroupRingElement:
@@ -511,7 +525,7 @@ def module_table(family: Family) -> dict:
     entries = []
     for I in _subsets(family.finite_indices()):
         for J in _subsets(family.affine_indices(), nonempty=True):
-            counts = face_sum_product(sigmat[J], sigma[I])._codes
+            counts = _product_codes(sigmat[J], sigma[I])
             expansion = {}
             for K, orbit in sigmat.items():
                 values = {counts.get(r, 0) for r in orbit._codes}

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -96,6 +97,54 @@ def test_unrealizable_vectors_rejected():
     W = ao.CompactSignVector(3, ((0, "+"), (2, "+"), (0, "+")))
     with pytest.raises(NotRealizableError):
         ao.project(W)
+
+
+def realizable(n):
+    """{entries: N} over the coroot translates of every lift(N) whose levels
+    all lie in -2..2.  A lift's levels lie in -1..1, so such a translate
+    moves no coordinate by more than 2."""
+    mus = [ao.CorootVector(mu) for mu in itertools.product(range(-2, 3), repeat=n)
+           if sum(mu) == 0]
+    found = {}
+    for N in tf.enumerate_torus_faces(Family("A", n)):
+        V = ao.lift(N)
+        for mu in mus:
+            entries = ao.translate(V, mu).entries
+            if all(-2 <= k <= 2 for k, _ in entries):
+                assert found.setdefault(entries, N) == N
+    return found
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_project_rejects_exactly_the_unrealizable_vectors(n):
+    """Every vector with levels in -2..2, or at n=4 a seeded sample of 2,000:
+    project returns N on a coroot translate of lift(N) and raises
+    NotRealizableError on anything else.  Half the sample is uniform, half
+    is a translate with one entry redrawn, so near misses are tried too."""
+    found = realizable(n)
+    cells = [(k, s) for k in range(-2, 3) for s in "0+"]
+    size = n * (n - 1) // 2
+    if n <= 3:
+        vectors = list(itertools.product(cells, repeat=size))
+    else:
+        rng = random.Random(4)
+        pool = sorted(found)
+        vectors = []
+        for _ in range(1000):
+            vectors.append(tuple(rng.choice(cells) for _ in range(size)))
+            near = list(rng.choice(pool))
+            near[rng.randrange(size)] = rng.choice(cells)
+            vectors.append(tuple(near))
+    hits = 0
+    for entries in vectors:
+        V = ao.CompactSignVector(n, entries)
+        if entries in found:
+            hits += 1
+            assert ao.project(V) == found[entries]
+        else:
+            with pytest.raises(NotRealizableError):
+                ao.project(V)
+    assert hits > 0
 
 
 @hst.composite

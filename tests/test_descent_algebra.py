@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -446,3 +447,77 @@ def test_subset_transform_matches_naive_inversion(case):
     perturbed = da.GroupRingElement.from_dict(a.family, coeffs)
     assert (_outcome(da.express_in_basis, perturbed, kind)
             == _outcome(_naive_express, perturbed, kind))
+
+
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=lambda f: f"{f.tag}{f.rank}")
+def test_module_table_matches_the_ring(fam):
+    """Each entry's coefficients, evaluated over x~, give x_I * x~_J."""
+    for e in da.module_table(fam)["entries"]:
+        expansion = {frozenset(json.loads(K)): c for K, c in e["coeffs"].items()}
+        product = da.multiply(da.basis_element("x", e["I"], fam),
+                              da.basis_element("xt", e["J"], fam))
+        assert da.evaluate_expansion(expansion, "xt", fam) == product, (e["I"], e["J"])
+
+
+# ---------------------------------------------------------------------------
+# sums are checked and canonical from their public constructors
+
+
+def test_repeated_keys_are_read_one_way():
+    """A repeated key adds up: as_dict, +, multiply and psi all read 3."""
+    e = identity(A3)
+    g = da.GroupRingElement(A3, ((e, 1), (e, 2)))
+    assert g.as_dict() == {e: 3}
+    assert (g + da.GroupRingElement(A3, ())).as_dict() == {e: 3}
+    assert da.multiply(g, da.GroupRingElement.from_dict(A3, {e: 1})).as_dict() == {e: 3}
+    U = cf.unit_face(A3)
+    s = da.FaceSum(A3, False, ((U, 1), (U, 2)))
+    assert s.as_dict() == {U: 3}
+    assert (s + da.FaceSum(A3, False, ())).as_dict() == {U: 3}
+    assert da.psi(s).as_dict() == {e: 3}
+
+
+def test_sums_are_canonical():
+    """Zeros drop out and keys sort, whatever order they come in."""
+    elements = list(enumerate_group(A3))
+    g = da.GroupRingElement(A3, ((elements[5], 2), (elements[1], 0), (elements[0], -1)))
+    assert g.coeffs == ((elements[0], -1), (elements[5], 2))
+    assert g == da.GroupRingElement.from_dict(A3, {elements[5]: 2, elements[0]: -1})
+    assert g - g == da.GroupRingElement(A3, ())
+    faces = list(cf.enumerate_faces(A3))
+    s = da.FaceSum(A3, False, ((faces[3], 1), (faces[0], 4), (faces[2], 0)))
+    assert s.coeffs == tuple(sorted(((faces[3], 1), (faces[0], 4))))
+
+
+def test_ring_element_rejects_an_element_of_another_family():
+    """A signed C3 element once reached multiply and express_in_basis as a
+    KeyError, and the C3 identity was read as the A3 identity."""
+    C3 = Family("C", 3)
+    for w in (WeylElement(C3, (-1, 2, 3)), identity(C3)):
+        with pytest.raises(FamilyMismatchError):
+            da.GroupRingElement(A3, ((w, 1),))
+    with pytest.raises(FamilyMismatchError):
+        da.GroupRingElement.from_dict(A3, {identity(Family("A", 4)): 1})
+
+
+def test_face_sum_rejects_a_face_of_another_type():
+    """Once reached face_sum_product as an IndexError."""
+    with pytest.raises(FamilyMismatchError):
+        da.FaceSum(A3, False, ((cf.unit_face(Family("C", 3)), 1),))
+
+
+def test_face_sum_rejects_a_key_of_the_wrong_kind():
+    """A necklace in a finite sum once raised AttributeError."""
+    N = next(tf.enumerate_torus_faces(A3))
+    with pytest.raises(FamilyMismatchError):
+        da.FaceSum(A3, False, ((N, 1),))
+    with pytest.raises(FamilyMismatchError):
+        da.FaceSum.from_dict(A3, True, {cf.unit_face(A3): 1})
+
+
+def test_face_sum_rejects_a_face_of_another_rank():
+    """psi once returned a 4-letter element for an A4 face in an A3 sum."""
+    with pytest.raises(FamilyMismatchError):
+        da.FaceSum(A3, False, ((cf.unit_face(Family("A", 4)), 1),))
+    with pytest.raises(FamilyMismatchError):
+        da.FaceSum(A3, True, ((next(tf.enumerate_torus_faces(Family("A", 4))), 1),))
