@@ -18,7 +18,7 @@ Internally a group element is its index in the lexicographic enumeration
 of the group by one-line values, so the convolution, the basis sums and the
 |W|^2 multiplication table work on plain integers; because that order is the
 order of ``GroupRingElement.coeffs``, a dense coefficient list read in index
-order gives the ``coeffs`` tuple of ``GroupRingElement.from_dict``.  Every
+order gives the canonical ``coeffs`` tuple, built without the check.  Every
 (affine) descent class is kept as its list of element indices.  ``multiply``
 counts, with a ``Counter``, the table entries over the rows and columns of
 each pair of coefficient groups: x_I * x_J is one exact count over all
