@@ -4,11 +4,11 @@ Exhaustive enumerations (group elements, faces, torus faces), the |W|^2
 group multiplication table and the face-product loops (the module table and
 the psi, oracle and lrb suites) refuse to start if the number of objects,
 entries or products they would produce exceeds a configurable budget.  The
-default is one million; it can be overridden programmatically or through
-the ``STEINTORUS_BUDGET`` environment variable, whose value must be a
-positive integer.  Counts of at least n! (group elements, faces, torus
-faces and their products at rank n) are refused as soon as n!, built one
-factor at a time, passes the budget; only then are they computed.
+default is one million; it can be overridden through the
+``STEINTORUS_BUDGET`` environment variable, whose value must be a positive
+integer.  Counts of at least n! (group elements, faces, torus faces and
+their products at rank n) are refused as soon as n!, built one factor at a
+time, passes the budget; only then are they computed.
 """
 
 import os

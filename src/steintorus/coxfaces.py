@@ -25,6 +25,7 @@ output is trusted and built by ``_trusted`` without ``__post_init__``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
@@ -218,8 +219,10 @@ class FiniteSignVector:
             raise ValidationError("wrong number of sign entries")
 
 
-def positive_root_order(family: Family):
-    """The canonical ordering of positive roots, as comparison instructions.
+@functools.cache
+def positive_root_order(family: Family) -> Tuple[Tuple[int, int], ...]:
+    """The canonical ordering of positive roots, as comparison instructions,
+    built once per family.
 
     Each entry is a pair (a, b) of extended indices in [-n, n]; the sign of
     the root functional on a face is the relative position of the blocks of
@@ -229,11 +232,11 @@ def positive_root_order(family: Family):
     """
     n = family.rank
     if family.tag == "A":
-        return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
     order = [(0, i) for i in range(1, n + 1)]
     order += [(j, i) for i in range(2, n + 1) for j in range(1, i)]
     order += [(-j, i) for i in range(2, n + 1) for j in range(1, i)]
-    return order
+    return tuple(order)
 
 
 def sign_vector(F: Composition) -> FiniteSignVector:

@@ -32,10 +32,11 @@ their codes once computed.  ``face_sum_product`` refines each left code
 against the whole right factor in one call of ``coxfaces._refine_all``,
 which runs the one kernel once per distinct trace of a right code on the
 left code's blocks of two or more elements.  Each distinct result face is
-built once, unchecked, and ``module_table`` builds none; ``is_invariant``
-permutes codes; ``psi`` sums over one-line values read off the blocks and
-builds each group element once.  The public constructors of sums check
-their keys and make them canonical; internal results skip that check.
+built once, unchecked; ``module_table`` builds none and refines one torus
+face per colour; ``is_invariant`` permutes codes; ``psi`` sums over
+one-line values read off the blocks and builds each group element once.
+The public constructors of sums check their keys and make them canonical;
+internal results skip that check.
 """
 
 from __future__ import annotations
@@ -370,8 +371,8 @@ def orbit_sum(kind: str, index, family: Family) -> FaceSum:
     return FaceSum.from_dict(family, torus, dict.fromkeys(walk(family, color), 1))
 
 
-def _product_codes(s: FaceSum, t: FaceSum) -> dict:
-    """{position code: coefficient} of s * t, zero coefficients included."""
+def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
+    """Bilinear extension of the Tits product / module action, on codes."""
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
     if s.family != t.family:
@@ -382,14 +383,9 @@ def _product_codes(s: FaceSum, t: FaceSum) -> dict:
     for p, cp in s._codes.items():
         for r, cq in zip(coxfaces._refine_all(p, right, anchor), right.values()):
             acc[r] = acc.get(r, 0) + cp * cq
-    return acc
-
-
-def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
-    """Bilinear extension of the Tits product / module action, on codes."""
     build = torusfaces._from_code if s.torus else coxfaces._from_code
     terms = sorted(((build(s.family, r), r, c)
-                    for r, c in _product_codes(s, t).items() if c), key=itemgetter(0))
+                    for r, c in acc.items() if c), key=itemgetter(0))
     out = coxfaces._trusted(FaceSum, s.family, s.torus, tuple((F, c) for F, _, c in terms))
     out.__dict__["_codes"] = {r: c for _, r, c in terms}
     return out
@@ -450,22 +446,23 @@ def _subsets(indices, nonempty=False):
             for c in itertools.combinations(indices, r))
 
 
-# The face products a table or suite makes, as weights (finite, torus) of
-# |faces|^2 and |faces|*|torus faces|.
-_FACE_PRODUCTS = {"the module table": (0, 1), "the psi suite": (1, 1),
-                  "the oracle suite": (0, 1), "the lrb suite": (2, 0)}
+# The face products a table or suite makes, from its family and the numbers
+# f of faces and t of torus faces.  The module table refines one torus face
+# per affine colour against every face.
+_FACE_PRODUCTS = {
+    "the module table": lambda family, f, t: f * (2 ** len(family.affine_indices()) - 1),
+    "the psi suite": lambda family, f, t: f * (f + t),
+    "the oracle suite": lambda family, f, t: f * t,
+    "the lrb suite": lambda family, f, t: 2 * f * f,
+}
 
 
 def _check_face_products(what: str, family: Family):
     """Refuse to start the face products of `what`."""
-    finite, torus = _FACE_PRODUCTS[what]
-
-    def products(family):
-        f = coxfaces.count_faces(family)
-        t = torusfaces.count_torus_faces(family) if torus else 0
-        return f * (finite * f + torus * t)
-
-    check_count(family, products, f"face products of {what} for {family}")
+    work = _FACE_PRODUCTS[what]
+    check_count(family, lambda family: work(family, coxfaces.count_faces(family),
+                                            torusfaces.count_torus_faces(family)),
+                f"face products of {what} for {family}")
 
 
 def _orbit_sums(family: Family):
@@ -516,27 +513,34 @@ def solomon_table(family: Family) -> dict:
 def module_table(family: Family) -> dict:
     """The face-side structure table of the affine descent module.
 
-    Entry (I, J) expands sigma~_J * sigma_I over the torus orbit sums; by the
-    intertwining property the same coefficients expand x_I * x~_J over the
-    x~ spanning set (including the full affine index set).
+    Entry (I, J) expands sigma~_J * sigma_I = sum of c_K * sigma~_K over the
+    torus orbit sums; by the intertwining property the same coefficients
+    expand x_I * x~_J over the x~ spanning set (including the full affine
+    index set).  The product is W-equivariant and W permutes the torus faces
+    of one colour transitively, so one torus face N of colour J gives every
+    coefficient: c_K = |sigma~_J| * h_K / |sigma~_K|, where h_K counts the
+    faces of colour K in N * sigma_I.  The invariance of sigma~_J * sigma_I
+    this assumes is checked by the psi suite.
     """
     _check_face_products("the module table", family)
     sigma, sigmat = _orbit_sums(family)
+    color_of = {r: K for K, orbit in sigmat.items() for r in orbit._codes}
+    anchor = torusfaces._anchor(family)
     entries = []
     for I in _subsets(family.finite_indices()):
+        right = sigma[I]._codes
         for J in _subsets(family.affine_indices(), nonempty=True):
-            counts = _product_codes(sigmat[J], sigma[I])
+            orbit = sigmat[J]._codes
+            hits = Counter(map(color_of.__getitem__,
+                               coxfaces._refine_all(next(iter(orbit)), right, anchor)))
             expansion = {}
-            for K, orbit in sigmat.items():
-                values = {counts.get(r, 0) for r in orbit._codes}
-                if len(values) != 1:
+            for K, h in hits.items():
+                expansion[K], rest = divmod(len(orbit) * h, len(sigmat[K]._codes))
+                if rest:
                     raise ValidationError(
-                        f"orbit {sorted(K)} hit non-uniformly in entry "
-                        f"({sorted(I)}, {sorted(J)})"
+                        f"orbit {sorted(K)} is not hit a whole number of times "
+                        f"in entry ({sorted(I)}, {sorted(J)})"
                     )
-                (v,) = values
-                if v:
-                    expansion[K] = v
             entries.append({"I": sorted(I), "J": sorted(J),
                             "coeffs": _keyed(expansion)})
     return {"kind": "module", "family": family.tag, "rank": family.rank,
@@ -588,18 +592,21 @@ def _verify_psi(family: Family, seed=0):
         checks += 1
         if psi(s) != basis_element("xt", J, family):
             fail("psi(sigma~_J) = x~_J", J, J)
-    # For the product identities the invariance of the left side is implied
-    # by the equality with the right side, so skip the per-sum check.
+    # Each product must be W-invariant, which the module table assumes, and
+    # map to the ring-side product.
+    def holds(product, expected):
+        return is_invariant(product) and _psi_unchecked(product) == expected
+
     for J, sJ in sigma.items():
         for K, sK in sigma.items():
             checks += 1
-            if _psi_unchecked(face_sum_product(sJ, sK)) != multiply(x[K], x[J]):
+            if not holds(face_sum_product(sJ, sK), multiply(x[K], x[J])):
                 fail("psi(sigma_J sigma_K) = x_K x_J", J, K)
     for K, sK in sigmat.items():
         xtK = basis_element("xt", K, family)
         for J, sJ in sigma.items():
             checks += 1
-            if _psi_unchecked(face_sum_product(sK, sJ)) != multiply(x[J], xtK):
+            if not holds(face_sum_product(sK, sJ), multiply(x[J], xtK)):
                 fail("psi(sigma~_K sigma_J) = x_J x~_K", J, K)
     return _report("psi", family, checks, failures)
 

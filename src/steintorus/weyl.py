@@ -153,30 +153,17 @@ def inverse(u: WeylElement) -> WeylElement:
     return WeylElement(u.family, tuple(out))
 
 
-def _one_line_with_boundary(w: WeylElement) -> Tuple[Tuple[int, ...], range]:
-    """Return the padded one-line word and the index range of affine descents.
-
-    The padded word is indexed so that word[i] = w_i for i in the returned
-    range plus one more entry on the right; descents are read off as
-    word[i] > word[i+1].
-    """
-    n = w.family.rank
-    if w.family.tag == "A":
-        # w_{n+1} = w_1; affine indices run 1..n.
-        word = (0,) + w.values + (w.values[0],)
-        return word, range(1, n + 1)
-    # w_0 = 0 = w_{n+1}; affine indices run 0..n.
-    word = (0,) + w.values + (0,)
-    return word, range(0, n + 1)
+def _descents(w: WeylElement, indices: range) -> ColorSet:
+    """The indices i in the range with w_i > w_{i+1}, read off the word
+    w_0 w_1 ... w_n w_{n+1} under the boundary conventions above."""
+    values = w.values
+    word = (0,) + values + ((values[0],) if w.family.tag == "A" else (0,))
+    return ColorSet(w.family, frozenset(i for i in indices if word[i] > word[i + 1]))
 
 
 def descent_set(w: WeylElement) -> ColorSet:
     """Finite descent set: indices i with w_i > w_{i+1} (finite range only)."""
-    word, _ = _one_line_with_boundary(w)
-    finite = w.family.finite_indices()
-    return ColorSet(
-        w.family, frozenset(i for i in finite if word[i] > word[i + 1])
-    )
+    return _descents(w, w.family.finite_indices())
 
 
 def affine_descent_set(w: WeylElement) -> ColorSet:
@@ -186,10 +173,7 @@ def affine_descent_set(w: WeylElement) -> ColorSet:
     type A (rank >= 2) and the word 0 w_1 ... w_n 0 of type C both rise
     and fall.
     """
-    word, affine = _one_line_with_boundary(w)
-    return ColorSet(
-        w.family, frozenset(i for i in affine if word[i] > word[i + 1])
-    )
+    return _descents(w, w.family.affine_indices())
 
 
 def enumerate_group(family: Family) -> Iterator[WeylElement]:

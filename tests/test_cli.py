@@ -405,8 +405,8 @@ def test_budget_counts_the_face_products(capsys, argv):
 
 @pytest.mark.parametrize("rank, expected", [(5, 3), (4, 0)])
 def test_module_table_budget_edge(capsys, monkeypatch, rank, expected):
-    # |faces| * |torus faces| is 541 * 750 at A5 and 75 * 104 at A4.
-    monkeypatch.setenv("STEINTORUS_BUDGET", str(10**5))
+    # |faces| * (2^|affine indices| - 1) is 541 * 31 at A5 and 75 * 15 at A4.
+    monkeypatch.setenv("STEINTORUS_BUDGET", str(10**4))
     code, _, _ = run(
         capsys, "mult-table", "--family", "A", "--rank", str(rank),
         "--kind", "module",

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -215,6 +216,30 @@ def test_lrb_catches_a_broken_kernel(monkeypatch, fam):
     assert not report["pass"]
     assert {f["law"] for f in report["failures"]} == {
         "xyx=xy", "chamber absorption", "unit", "sign composition"}
+    assert report["checks"] == passing["checks"]
+
+
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+def test_psi_suite_checks_every_product_is_invariant(monkeypatch, fam):
+    # An invariance test that accepts single-colour sums alone passes the
+    # orbit sums and rejects exactly the products of more than one colour.
+    def one_colour(s):
+        color = tf.color_set if s.torus else cf.color_set
+        return len({color(F).indices for F, _ in s.coeffs}) <= 1
+
+    sigma, sigmat = da._orbit_sums(fam)
+    expected = sorted(
+        [("psi(sigma_J sigma_K) = x_K x_J", sorted(J), sorted(K))
+         for J, sJ in sigma.items() for K, sK in sigma.items()
+         if not one_colour(da.face_sum_product(sJ, sK))]
+        + [("psi(sigma~_K sigma_J) = x_J x~_K", sorted(J), sorted(K))
+           for K, sK in sigmat.items() for J, sJ in sigma.items()
+           if not one_colour(da.face_sum_product(sK, sJ))])
+    assert expected
+    passing = da.verify("psi", fam)
+    monkeypatch.setattr(da, "is_invariant", one_colour)
+    report = da.verify("psi", fam)
+    assert sorted((f["identity"], f["I"], f["J"]) for f in report["failures"]) == expected
     assert report["checks"] == passing["checks"]
 
 
@@ -457,6 +482,36 @@ def test_module_table_matches_the_ring(fam):
         product = da.multiply(da.basis_element("x", e["I"], fam),
                               da.basis_element("xt", e["J"], fam))
         assert da.evaluate_expansion(expansion, "xt", fam) == product, (e["I"], e["J"])
+
+
+def _all_pairs_module_entries(fam):
+    """The module table's entries from every product of a face of sigma~_J
+    with a face of sigma_I, each torus orbit checked to be hit uniformly."""
+    sigma, sigmat = da._orbit_sums(fam)
+    anchor = tf._anchor(fam)
+    entries = []
+    for I in da._subsets(fam.finite_indices()):
+        right = sigma[I]._codes
+        for J in da._subsets(fam.affine_indices(), nonempty=True):
+            counts = Counter(r for p in sigmat[J]._codes
+                             for r in cf._refine_all(p, right, anchor))
+            expansion = {}
+            for K, orbit in sigmat.items():
+                values = {counts[r] for r in orbit._codes}
+                assert len(values) == 1, (sorted(I), sorted(J), sorted(K))
+                if values != {0}:
+                    expansion[K] = values.pop()
+            entries.append({"I": sorted(I), "J": sorted(J), "coeffs": da._keyed(expansion)})
+    return entries
+
+
+@pytest.mark.parametrize("fam", [Family("A", r) for r in (2, 3, 4, 5)]
+                         + [Family("C", r) for r in (1, 2, 3)],
+                         ids=lambda f: f"{f.tag}{f.rank}")
+def test_module_table_matches_all_pairs(fam):
+    """One torus face per colour, scaled by the orbit sizes, gives the
+    coefficients of the product over every pair of faces."""
+    assert da.module_table(fam)["entries"] == _all_pairs_module_entries(fam)
 
 
 # ---------------------------------------------------------------------------
