@@ -260,23 +260,33 @@ def unit_face(family: Family) -> Composition:
     return _from_full(family, (tuple(range(1 if family.tag == "A" else -n, n + 1)),))
 
 
-# w_of_face and color_set read the last n entries of the concatenated full
-# blocks: all of a type A face; the positive part of the zero block and then
-# the right half of a type C face.
-
-
 def w_of_face(F: Composition) -> WeylElement:
-    return _trusted(WeylElement, F.family, _w_values(F))
+    return _trusted(WeylElement, F.family, _w_of_code(F.family, _face_code(F)))
 
 
-def _w_values(F: Composition) -> Tuple[int, ...]:
-    """The last n entries, in order."""
-    return tuple(itertools.chain.from_iterable(F.full_blocks()))[-F.family.rank :]
+def _w_of_code(family: Family, code) -> Tuple[int, ...]:
+    """The one-line values of the canonical group element of a face or
+    necklace, read off its code.  The elements sorted by code value are the
+    blocks in order, each ascending, read from the clasp or zero block of a
+    necklace.  Type C takes the n entries after 0; type A rotates by
+    n - max(code): by 0 for a face, and for a spin necklace by n - incoming,
+    moving the clasp's first n - incoming elements to the end."""
+    n = family.rank
+    # Each key sequence holds element x's value at index x; a negative x
+    # counts from the end.
+    if family.tag == "C":
+        order = sorted(range(-n, n + 1), key=(code[n:] + code[:n]).__getitem__)
+        start = order.index(0) + 1
+        return tuple(order[start : start + n])
+    order = sorted(range(1, n + 1), key=((0,) + code).__getitem__)
+    cut = n - max(code)
+    return tuple(order[cut:] + order[:cut])
 
 
 def color_set(F: Composition) -> ColorSet:
-    """The block ends inside the last n entries, counted from their start and
-    without the final end; a type C zero block {0} ends at 0."""
+    """The block ends inside the last n entries of the concatenated full
+    blocks, counted from their start and without the final end; a type C
+    zero block {0} ends at 0."""
     n = F.family.rank
     # The end of a block with t entries after it is index n - t.
     after = itertools.accumulate(map(len, reversed(F.full_blocks()[1:])))

@@ -20,23 +20,24 @@ of the group by one-line values, so the convolution, the basis sums and the
 order of ``GroupRingElement.coeffs``, a dense coefficient list read in index
 order gives the canonical ``coeffs`` tuple, built without the check.  Every
 (affine) descent class is kept as its list of element indices.  ``multiply``
-counts, with a ``Counter``, the table entries over the rows and columns of
-each pair of coefficient groups: x_I * x_J is one exact count over all
-|x_I| * |x_J| pairs, which assumes nothing of Solomon's theorem; the suites
-test it by ``express_in_basis`` checking every member of every class.  Class
-sums give each class one value and fill its list; their zeta sum over index
-sets and the Moebius inversion are one subset transform on bit masks.
+adds, for each coefficient group of the right factor, every left row's
+table entries over the group's columns: x_I * x_J is one exact count over
+all |x_I| * |x_J| pairs, which assumes nothing of Solomon's theorem; the
+suites test it by ``express_in_basis`` checking every member of every class.
+Class sums give each class one value and fill its list; their zeta sum over
+index sets and the Moebius inversion are one subset transform on bit masks.
 
-Face sums likewise multiply on position codes (see ``coxfaces``) and keep
-their codes once computed.  ``face_sum_product`` refines each left code
-against the whole right factor in one call of ``coxfaces._refine_all``,
-which runs the one kernel once per distinct trace of a right code on the
-left code's blocks of two or more elements.  Each distinct result face is
-built once, unchecked; ``module_table`` builds none and refines one torus
-face per colour; ``is_invariant`` permutes codes; ``psi`` sums over
-one-line values read off the blocks and builds each group element once.
-The public constructors of sums check their keys and make them canonical;
-internal results skip that check.
+A face sum's state is its {position code: coefficient} dict (see
+``coxfaces``); its faces are decoded from the codes only when ``coeffs`` is
+first read.  ``face_sum_product`` refines each left code against the whole
+right factor in one call of ``coxfaces._refine_all``, which runs the one
+kernel once per distinct trace of a right code on the left code's blocks of
+two or more elements, and returns the codes it accumulates.
+``module_table`` refines one torus face per colour; ``is_invariant``
+permutes codes; ``psi`` reads each group element off a code and builds each
+element of its result once.  So none of them builds a face.  The public
+constructors of sums check their keys and make them canonical; internal
+results skip that check.
 """
 
 from __future__ import annotations
@@ -180,25 +181,24 @@ def _groups(data: _GroupData, g: GroupRingElement):
 
 
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product in the group ring.  For each coefficient value cu
-    of a and cv of b, a Counter counts the table entries row[j] over the rows
-    of the first and the columns of the second, and adds cu*cv times each
-    count; a basis element x_J or x~_J is a single group."""
+    """Convolution product in the group ring.  For each coefficient value cv
+    of b, one pass over the elements u of a adds cu*cv at the table entries
+    of u's row in the columns of b's elements with that value, cu being u's
+    coefficient; a basis element x_J or x~_J is a single group."""
     if a.family != b.family:
         raise FamilyMismatchError("family mismatch")
     data = _data(a.family)
     table = data.mult
-    lefts = _groups(data, a)
+    index_of = data.index_of
+    lefts = [(table[index_of[u.values]], cu) for u, cu in a.coeffs]
     acc = [0] * len(table)
     for cv, js in _groups(data, b):
         # A slice keeps a lone column a tuple; itemgetter(j) returns a scalar.
         pick = itemgetter(*js) if len(js) > 1 else itemgetter(slice(js[0], js[0] + 1))
-        for cu, rows in lefts:
+        for row, cu in lefts:
             c = cu * cv
-            counts = Counter(itertools.chain.from_iterable(
-                map(pick, map(table.__getitem__, rows))))
-            for k, m in counts.items():
-                acc[k] += c * m
+            for k in pick(row):
+                acc[k] += c
     return data.element(acc)
 
 
@@ -320,37 +320,44 @@ def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement
 # formal face sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FaceSum:
     """A finitely supported integer combination of faces (finite or torus),
     checked and canonical like ``GroupRingElement``: every key is a face
-    (necklace if torus) of the family."""
+    (necklace if torus) of the family.  Its state is {position code:
+    coefficient}; a code encodes its face one to one, so == and hash read
+    the codes, and ``coeffs`` decodes them, sorted by face, on first read."""
 
     family: Family
     torus: bool
-    coeffs: Tuple[Tuple[object, int], ...]
+    _codes: dict
 
-    def __post_init__(self):
-        kinds = ((torusfaces.SpinNecklace, torusfaces.SymNecklace) if self.torus
+    def __init__(self, family: Family, torus: bool, coeffs):
+        kinds = ((torusfaces.SpinNecklace, torusfaces.SymNecklace) if torus
                  else (coxfaces.SetComposition, coxfaces.SymComposition))
         acc = {}
-        for F, c in self.coeffs:
-            if not isinstance(F, kinds) or F.family != self.family:
-                raise FamilyMismatchError(f"{F} is not a {'necklace' if self.torus else 'face'}"
-                                          f" of {self.family}")
+        for F, c in coeffs:
+            if not isinstance(F, kinds) or F.family != family:
+                raise FamilyMismatchError(f"{F} is not a {'necklace' if torus else 'face'}"
+                                          f" of {family}")
             acc[F] = acc.get(F, 0) + c
-        object.__setattr__(self, "coeffs", tuple(sorted(
-            ((F, c) for F, c in acc.items() if c), key=itemgetter(0))))
+        terms = tuple(sorted(((F, c) for F, c in acc.items() if c), key=itemgetter(0)))
+        code = torusfaces._necklace_code if torus else coxfaces._face_code
+        self.__dict__.update(family=family, torus=torus, coeffs=terms,
+                             _codes={code(F): c for F, c in terms})
 
     @staticmethod
     def from_dict(family: Family, torus: bool, mapping) -> "FaceSum":
         return FaceSum(family, torus, tuple(mapping.items()))
 
     @functools.cached_property
-    def _codes(self):
-        """{position code: coefficient}; not in == or hash."""
-        code = torusfaces._necklace_code if self.torus else coxfaces._face_code
-        return {code(F): c for F, c in self.coeffs}
+    def coeffs(self) -> Tuple[Tuple[object, int], ...]:
+        build = torusfaces._from_code if self.torus else coxfaces._from_code
+        return tuple(sorted(((build(self.family, r), c) for r, c in self._codes.items()),
+                            key=itemgetter(0)))
+
+    def __hash__(self):
+        return hash((self.family, self.torus, frozenset(self._codes.items())))
 
     def as_dict(self):
         return dict(self.coeffs)
@@ -383,12 +390,7 @@ def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     for p, cp in s._codes.items():
         for r, cq in zip(coxfaces._refine_all(p, right, anchor), right.values()):
             acc[r] = acc.get(r, 0) + cp * cq
-    build = torusfaces._from_code if s.torus else coxfaces._from_code
-    terms = sorted(((build(s.family, r), r, c)
-                    for r, c in acc.items() if c), key=itemgetter(0))
-    out = coxfaces._trusted(FaceSum, s.family, s.torus, tuple((F, c) for F, _, c in terms))
-    out.__dict__["_codes"] = {r: c for _, r, c in terms}
-    return out
+    return coxfaces._trusted(FaceSum, s.family, s.torus, {r: c for r, c in acc.items() if c})
 
 
 def _generators(family: Family):
@@ -419,10 +421,9 @@ def is_invariant(s: FaceSum) -> bool:
 
 
 def _psi_unchecked(s: FaceSum) -> GroupRingElement:
-    w_of = torusfaces._w_values if s.torus else coxfaces._w_values
     acc = {}
-    for F, c in s.coeffs:
-        acc[w] = acc.get(w := w_of(F), 0) + c
+    for r, c in s._codes.items():
+        acc[w] = acc.get(w := coxfaces._w_of_code(s.family, r), 0) + c
     return coxfaces._trusted(GroupRingElement, s.family, tuple(
         (coxfaces._trusted(WeylElement, s.family, w), c) for w, c in sorted(acc.items()) if c))
 

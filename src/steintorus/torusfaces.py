@@ -57,6 +57,7 @@ from .coxfaces import (
     _self_negating,
     _signed_partitions,
     _trusted,
+    _w_of_code,
     _wire_blocks,
     _wire_ints,
 )
@@ -210,22 +211,7 @@ def module_action(N, G: Composition):
 
 
 def w_of_torus_face(N) -> WeylElement:
-    return _trusted(WeylElement, N.family, _w_values(N))
-
-
-def _w_values(N) -> Tuple[int, ...]:
-    """A spin necklace reads its clasp after the first n - incoming
-    elements, the other blocks, then the clasp's first n - incoming; a
-    symmetric necklace reads the positive part of its zero block, its
-    clockwise blocks, then the negative part of its antipodal block."""
-    if isinstance(N, SpinNecklace):
-        c, cut = N.blocks[0], N.family.rank - N.labels[-1]
-        parts = (c[cut:], *N.blocks[1:], c[:cut])
-    else:
-        antipodal = N.antipodal or ()
-        parts = ([x for x in N.zero_block if x > 0], *N.clockwise,
-                 [x for x in antipodal if x < 0])
-    return tuple(itertools.chain.from_iterable(parts))
+    return _trusted(WeylElement, N.family, _w_of_code(N.family, _necklace_code(N)))
 
 
 def color_set(N) -> ColorSet:

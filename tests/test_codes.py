@@ -221,16 +221,26 @@ def fresh_codes(s):
 
 @given(sum_pair())
 def test_face_sum_product_keeps_fresh_codes(pair):
-    """The product carries its codes in the order of its coeffs; equality and
-    hashing read the faces and coefficients only."""
+    """The product's codes encode its faces; it equals, and hashes like, the
+    sum built from its faces; its coeffs come out sorted by face."""
     s, t = pair
     got = da.face_sum_product(s, t)
     expected = da.FaceSum.from_dict(s.family, s.torus, got.as_dict())
-    assert "_codes" in vars(got) and "_codes" not in vars(expected)
-    assert got.coeffs == expected.coeffs and hash(got) == hash(expected)
-    assert list(got._codes.items()) == list(fresh_codes(got).items())
-    assert got._codes == expected._codes
+    assert got._codes == fresh_codes(got) == expected._codes
     assert got == expected and hash(got) == hash(expected)
+    assert got.coeffs == expected.coeffs == tuple(sorted(got.coeffs, key=lambda fc: fc[0]))
+
+
+@pytest.mark.parametrize("family", [Family("A", 3), Family("C", 2)], ids=["A3", "C2"])
+def test_psi_path_builds_no_face(family, monkeypatch):
+    """The psi suite, psi of face-sum products on both sides, decodes no
+    code into a face or necklace."""
+    def refuse(family, code):
+        raise AssertionError(f"decoded the code {code}")
+
+    monkeypatch.setattr(cf, "_from_code", refuse)
+    monkeypatch.setattr(tf, "_from_code", refuse)
+    assert da.verify("psi", family)["pass"]
 
 
 def left_objects(family, torus):
