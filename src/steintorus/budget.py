@@ -1,14 +1,10 @@
 """Enumeration budget.
 
-Exhaustive enumerations (group elements, faces, torus faces), the |W|^2
-group multiplication table and the face-product loops (the module table and
-the psi, oracle and lrb suites) refuse to start if the number of objects,
-entries or products they would produce exceeds a configurable budget.  The
-default is one million; it can be overridden through the
-``STEINTORUS_BUDGET`` environment variable, whose value must be a positive
-integer.  Counts of at least n! (group elements, faces, torus faces and
-their products at rank n) are refused as soon as n!, built one factor at a
-time, passes the budget; only then are they computed.
+Every command checks its work against a configurable budget before it
+starts: the enumerators of group elements, faces and torus faces count their
+objects, and ``descent_algebra`` holds the work of each suite and table.
+The default is one million, overridden by the ``STEINTORUS_BUDGET``
+environment variable, which must hold a positive integer.
 """
 
 import os
@@ -32,25 +28,19 @@ def current_budget() -> int:
     return value
 
 
-def check_budget(count: int, what: str) -> None:
-    budget = current_budget()
-    if count > budget:
-        raise BudgetExceededError(
-            f"{what}: {count} exceeds the enumeration budget of {budget} "
-            f"(override with {_ENV_VAR})"
-        )
-
-
 def check_count(family, count, what: str) -> None:
-    """check_budget(count(family), what) for a count of at least n!, where n
-    is the family's rank."""
+    """Refuse count(family), a count of at least n! where n is the family's
+    rank, if it passes the budget: n! is built one factor at a time, and
+    count(family) is computed only if n! fits."""
     budget = current_budget()
     bound = 1
     for k in range(2, family.rank + 1):
         bound *= k
         if bound > budget:
-            raise BudgetExceededError(
-                f"{what}: at least {family.rank}! exceeds the enumeration "
-                f"budget of {budget} (override with {_ENV_VAR})"
-            )
-    check_budget(count(family), what)
+            shown = f"at least {family.rank}!"
+            break
+    else:
+        bound = shown = count(family)
+    if bound > budget:
+        raise BudgetExceededError(f"{what}: {shown} exceeds the enumeration budget "
+                                  f"of {budget} (override with {_ENV_VAR})")

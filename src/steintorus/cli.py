@@ -127,11 +127,8 @@ def _cmd_descent_table(args):
 
 
 def _cmd_mult_table(args):
-    family = _family(args)
-    if args.kind == "solomon":
-        _emit(descent_algebra.solomon_table(family))
-    else:
-        _emit(descent_algebra.module_table(family))
+    tables = {"solomon": descent_algebra.solomon_table, "module": descent_algebra.module_table}
+    _emit(tables[args.kind](_family(args)))
     return 0
 
 

@@ -36,8 +36,10 @@ two or more elements, and returns the codes it accumulates.
 ``module_table`` refines one torus face per colour; ``is_invariant``
 permutes codes; ``psi`` reads each group element off a code and builds each
 element of its result once.  So none of them builds a face.  The public
-constructors of sums check their keys and make them canonical; internal
-results skip that check.
+constructors of sums check their keys and int coefficients and make them
+canonical; internal results skip that check.  ``_WORK`` holds each suite's
+and table's work, a unit and a count; ``verify`` and the tables check it
+against the budget before any work, so no suite holds budget code.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, FrozenSet, Tuple
 
-from .budget import check_budget, check_count
+from .budget import check_count
 from .errors import (
     FamilyMismatchError,
     NotInSpanError,
@@ -96,10 +98,10 @@ class _GroupData:
 
     @property
     def mult(self):
-        """mult[i][j] is the index of elements[i] * elements[j]; the table's
-        size is checked against the budget on every access, built or not."""
-        check_budget(len(self.elements) ** 2, f"multiplication table of {self.family}")
+        """mult[i][j] is the index of elements[i] * elements[j], built once."""
         if self._mult is None:
+            check_count(self.family, lambda family: family.group_order() ** 2,
+                        f"multiplication table of {self.family}")
             words = [w.values for w in self.elements]
             # itemgetter(0, *v) reads u(0) = 0 followed by u(v_1), ..., u(v_n)
             # off the image list of u, and always returns a tuple.
@@ -122,11 +124,9 @@ _group_cache: Dict[Family, _GroupData] = {}
 
 
 def _data(family: Family) -> _GroupData:
-    """The family's group data, cached; the budget may have changed since it
-    was built, so a cached group is checked against it again."""
+    """The family's group data, built once."""
     if family not in _group_cache:
         _group_cache[family] = _GroupData(family)
-    check_budget(len(_group_cache[family].elements), f"group of {family}")
     return _group_cache[family]
 
 
@@ -134,10 +134,17 @@ def _data(family: Family) -> _GroupData:
 # group ring
 
 
+def _integer(c) -> int:
+    """c, if it is an int; bools and floats are refused, as on the wire."""
+    if type(c) is not int:
+        raise ValidationError(f"coefficient {c!r} is not an integer")
+    return c
+
+
 @dataclass(frozen=True)
 class GroupRingElement:
-    """Checked and canonical: every key is an element of the family, and
-    repeated keys are summed, zeros dropped and the keys sorted."""
+    """Checked and canonical: every key is an element of the family and every
+    coefficient an int; repeated keys are summed, zeros dropped, keys sorted."""
 
     family: Family
     coeffs: Tuple[Tuple[WeylElement, int], ...]
@@ -147,7 +154,7 @@ class GroupRingElement:
         for w, c in self.coeffs:
             if not isinstance(w, WeylElement) or w.family != self.family:
                 raise FamilyMismatchError(f"{w} is not an element of {self.family}")
-            acc[w] = acc.get(w, 0) + c
+            acc[w] = acc.get(w, 0) + _integer(c)
         object.__setattr__(self, "coeffs", tuple(sorted(
             ((w, c) for w, c in acc.items() if c), key=lambda wc: wc[0].values)))
 
@@ -311,7 +318,7 @@ def express_in_basis(a: GroupRingElement, kind: str):
 
 def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement:
     """The sum of c * basis_element(kind, I, family) over the items (I, c)."""
-    terms = [(_as_index_set(I), c) for I, c in expansion.items()]
+    terms = [(_as_index_set(I), _integer(c)) for I, c in expansion.items()]
     _check_indices(kind, (J for J, _ in terms), family)
     return _class_sum(kind, terms, family)
 
@@ -340,7 +347,7 @@ class FaceSum:
             if not isinstance(F, kinds) or F.family != family:
                 raise FamilyMismatchError(f"{F} is not a {'necklace' if torus else 'face'}"
                                           f" of {family}")
-            acc[F] = acc.get(F, 0) + c
+            acc[F] = acc.get(F, 0) + _integer(c)
         terms = tuple(sorted(((F, c) for F, c in acc.items() if c), key=itemgetter(0)))
         code = torusfaces._necklace_code if torus else coxfaces._face_code
         self.__dict__.update(family=family, torus=torus, coeffs=terms,
@@ -365,7 +372,10 @@ class FaceSum:
     def __add__(self, other):
         if (self.family, self.torus) != (other.family, other.torus):
             raise FamilyMismatchError("incompatible face sums")
-        return FaceSum(self.family, self.torus, self.coeffs + other.coeffs)
+        acc = Counter(self._codes)
+        acc.update(other._codes)  # Counter.update adds; dict.update would replace
+        return coxfaces._trusted(FaceSum, self.family, self.torus,
+                                 {r: c for r, c in acc.items() if c})
 
 
 def orbit_sum(kind: str, index, family: Family) -> FaceSum:
@@ -447,23 +457,30 @@ def _subsets(indices, nonempty=False):
             for c in itertools.combinations(indices, r))
 
 
-# The face products a table or suite makes, from its family and the numbers
-# f of faces and t of torus faces.  The module table refines one torus face
-# per affine colour against every face.
-_FACE_PRODUCTS = {
-    "the module table": lambda family, f, t: f * (2 ** len(family.affine_indices()) - 1),
-    "the psi suite": lambda family, f, t: f * (f + t),
-    "the oracle suite": lambda family, f, t: f * t,
-    "the lrb suite": lambda family, f, t: 2 * f * f,
+# The work of each suite of _SUITES and of the two tables: its unit, and its
+# count from the group order g, the numbers f of faces and t of torus faces,
+# and the number c of nonempty affine colour sets.  The module table refines
+# one torus face per colour against every face.
+_WORK = {
+    "solomon": ("multiplication table", lambda g, f, t, c: g * g),
+    "module": ("multiplication table", lambda g, f, t, c: g * g),
+    "psi": ("face products", lambda g, f, t, c: f * (f + t)),
+    "oracle": ("face products", lambda g, f, t, c: f * t),
+    "lrb": ("face products", lambda g, f, t, c: 2 * f * f),
+    "euler": ("torus faces", lambda g, f, t, c: t),
+    "counts": ("faces and torus faces", lambda g, f, t, c: max(f, t)),
+    "solomon table": ("multiplication table", lambda g, f, t, c: g * g),
+    "module table": ("face products", lambda g, f, t, c: f * c),
 }
 
 
-def _check_face_products(what: str, family: Family):
-    """Refuse to start the face products of `what`."""
-    work = _FACE_PRODUCTS[what]
-    check_count(family, lambda family: work(family, coxfaces.count_faces(family),
-                                            torusfaces.count_torus_faces(family)),
-                f"face products of {what} for {family}")
+def _check_work(name: str, family: Family) -> None:
+    """Refuse to start the suite or table `name` if its work passes the budget."""
+    unit, work = _WORK[name]
+    check_count(family, lambda family: work(
+        family.group_order(), coxfaces.count_faces(family),
+        torusfaces.count_torus_faces(family), 2 ** len(family.affine_indices()) - 1),
+        f"{unit} of the {name}{'' if name.endswith('table') else ' suite'} for {family}")
 
 
 def _orbit_sums(family: Family):
@@ -491,7 +508,6 @@ def _keyed(expansion) -> dict:
 def _products(kind: str, family: Family):
     """Yield (I, J, x_I * b_J) over every finite I and every legal J, where
     b_J is x_J (kind 'x') or x~_J (kind 'xt')."""
-    _data(family)  # checks the group against the budget before the walk
     rights = [(J, basis_element(kind, J, family))
               for J in _subsets(_universe(kind, family), nonempty=kind == "xt")]
     for I in _subsets(family.finite_indices()):
@@ -502,6 +518,7 @@ def _products(kind: str, family: Family):
 
 def solomon_table(family: Family) -> dict:
     """All x_I * x_J expanded back in the x basis."""
+    _check_work("solomon table", family)
     entries = [
         {"I": sorted(I), "J": sorted(J),
          "coeffs": _keyed(express_in_basis(product, "x"))}
@@ -523,7 +540,7 @@ def module_table(family: Family) -> dict:
     faces of colour K in N * sigma_I.  The invariance of sigma~_J * sigma_I
     this assumes is checked by the psi suite.
     """
-    _check_face_products("the module table", family)
+    _check_work("module table", family)
     sigma, sigmat = _orbit_sums(family)
     color_of = {r: K for K, orbit in sigmat.items() for r in orbit._codes}
     anchor = torusfaces._anchor(family)
@@ -577,7 +594,6 @@ def _verify_products(suite: str, kind: str, family: Family, seed=0):
 
 
 def _verify_psi(family: Family, seed=0):
-    _check_face_products("the psi suite", family)
     checks, failures = 0, []
     sigma, sigmat = _orbit_sums(family)
 
@@ -618,7 +634,6 @@ def _verify_lrb(family: Family, seed=0):
     ``coxfaces._refine``.  The sign law takes the factors' signs from
     ``coxfaces.sign_vector`` and reads the product's off its code, whose
     values rise with the block."""
-    _check_face_products("the lrb suite", family)
     refine = coxfaces._refine
     faces = list(coxfaces.enumerate_faces(family))
     codes = [coxfaces._face_code(F) for F in faces]
@@ -670,13 +685,10 @@ def _verify_lrb(family: Family, seed=0):
 
 
 def _verify_euler(family: Family, seed=0):
-    total = 0
-    count = 0
-    for N in torusfaces.enumerate_torus_faces(family):
-        total += (-1) ** (len(torusfaces.color_set(N)) - 1)
-        count += 1
-    failures = [] if total == 0 else [{"euler_sum": total}]
-    return _report("euler", family, count, failures)
+    signs = [(-1) ** (len(torusfaces.color_set(N)) - 1)
+             for N in torusfaces.enumerate_torus_faces(family)]
+    failures = [{"euler_sum": sum(signs)}] if sum(signs) else []
+    return _report("euler", family, len(signs), failures)
 
 
 def _verify_counts(family: Family, seed=0):
@@ -686,26 +698,25 @@ def _verify_counts(family: Family, seed=0):
     sigma, sigmat = _orbit_sums(family)
 
     def orbit(sums, J):
-        return [F for F, _ in sums[J].coeffs] if J in sums else []
+        return sums[J]._codes if J in sums else {}
 
     finite = frozenset(family.finite_indices())
     chambers = orbit(sigma, finite)
     checks += 1
     if len(chambers) != order:
         failures.append({"check": "chamber count", "got": len(chambers)})
-    maximal = [N for N in orbit(sigmat, frozenset(family.affine_indices()))
-               if torusfaces.is_maximal(N)]
+    maximal = [r for r in orbit(sigmat, frozenset(family.affine_indices()))
+               if torusfaces.is_maximal(torusfaces._from_code(family, r))]
     checks += 1
     if len(maximal) != order:
         failures.append({"check": "maximal torus faces", "got": len(maximal)})
     # The faces of colour J map one to one onto the elements with (affine)
-    # descent set inside J.
-    for kind, sums, w_of, side in (("x", sigma, coxfaces.w_of_face, "finite"),
-                                   ("xt", sigmat, torusfaces.w_of_torus_face, "affine")):
+    # descent set inside J; codes give one-line values without a face.
+    for kind, sums, side in (("x", sigma, "finite"), ("xt", sigmat, "affine")):
         for J in data.masks[kind]:
             checks += 1
-            images = [w_of(F) for F in orbit(sums, J)]
-            target = {data.elements[i] for D, members in data.classes[kind].items()
+            images = [coxfaces._w_of_code(family, r) for r in orbit(sums, J)]
+            target = {data.elements[i].values for D, members in data.classes[kind].items()
                       if D <= J for i in members}
             if len(images) != len(set(images)) or set(images) != target:
                 failures.append({"check": f"{side} descent bijection", "J": sorted(J)})
@@ -722,10 +733,8 @@ def _verify_counts(family: Family, seed=0):
 
 
 def _verify_oracle(family: Family, seed=0):
-    """Cross-check the necklace action against the affine sign-vector model."""
-    if family.tag != "A":
-        raise ValidationError("the affine sign-vector oracle covers type A only")
-    _check_face_products("the oracle suite", family)
+    """Cross-check the necklace action against the affine sign-vector model
+    (type A; ``verify`` refuses type C)."""
     from . import affine_oracle as oracle
 
     checks, failures = 0, []
@@ -792,16 +801,18 @@ _SUITES = {
 
 
 def verify(suite: str, family: Family, seed: int = 0) -> dict:
-    if suite == "all":
-        names = [name for name in _SUITES
-                 if not (name == "oracle" and family.tag != "A")]
-        # Every budget is checked before the first suite runs.
-        for name in names:
-            if f"the {name} suite" in _FACE_PRODUCTS:
-                _check_face_products(f"the {name} suite", family)
-        reports = [_SUITES[name](family, seed) for name in names]
-        return {"suite": "all", "family": family.tag, "rank": family.rank,
-                "reports": reports, "pass": all(r["pass"] for r in reports)}
-    if suite not in _SUITES:
+    """Run one suite, or with 'all' every suite that covers the family; the
+    work of each suite it runs is checked before the first one starts."""
+    if suite != "all" and suite not in _SUITES:
         raise ValidationError(f"unknown suite {suite!r}")
-    return _SUITES[suite](family, seed)
+    if suite == "oracle" and family.tag != "A":
+        raise ValidationError("the affine sign-vector oracle covers type A only")
+    names = [suite] if suite != "all" else [
+        name for name in _SUITES if not (name == "oracle" and family.tag != "A")]
+    for name in names:
+        _check_work(name, family)
+    reports = [_SUITES[name](family, seed) for name in names]
+    if suite != "all":
+        return reports[0]
+    return {"suite": "all", "family": family.tag, "rank": family.rank,
+            "reports": reports, "pass": all(r["pass"] for r in reports)}

@@ -442,6 +442,14 @@ HUGE = "100000000"
       "--left", '{"blocks":[[1]]}', "--right", '{"blocks":[[1]]}'), 1),
     # Every suite's budget is checked before the first suite runs.
     (("verify", "--family", "A", "--rank", "6", "--suite", "all"), 3),
+    # The work is checked before the group is built: each group fits the
+    # budget, its |W|^2 table or its faces do not.
+    (("verify", "--family", "A", "--rank", "9", "--suite", "solomon"), 3),
+    (("verify", "--family", "C", "--rank", "7", "--suite", "module"), 3),
+    (("mult-table", "--family", "A", "--rank", "9", "--kind", "solomon"), 3),
+    (("verify", "--family", "A", "--rank", "9", "--suite", "counts"), 3),
+    # The oracle's type rule comes before the budget.
+    (("verify", "--family", "C", "--rank", "7", "--suite", "oracle"), 1),
 ])
 def test_huge_ranks_stop_at_once(capsys, argv, expected):
     start = time.perf_counter()

@@ -5,7 +5,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from steintorus.errors import FamilyMismatchError, NotInSpanError, ValidationError
+from steintorus.errors import (
+    BudgetExceededError,
+    FamilyMismatchError,
+    NotInSpanError,
+    ValidationError,
+)
 from steintorus.weyl import (
     Family,
     WeylElement,
@@ -576,3 +581,62 @@ def test_face_sum_rejects_a_face_of_another_rank():
         da.FaceSum(A3, False, ((cf.unit_face(Family("A", 4)), 1),))
     with pytest.raises(FamilyMismatchError):
         da.FaceSum(A3, True, ((next(tf.enumerate_torus_faces(Family("A", 4))), 1),))
+
+
+@pytest.mark.parametrize("c", [1.5, True, "1", None], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda c: da.GroupRingElement(A3, ((identity(A3), c),)),
+    lambda c: da.FaceSum(A3, False, ((cf.unit_face(A3), c),)),
+    lambda c: da.FaceSum.from_dict(A3, True, {next(tf.enumerate_torus_faces(A3)): c}),
+    lambda c: da.evaluate_expansion({frozenset(): c}, "x", A3),
+], ids=["GroupRingElement", "FaceSum", "torus FaceSum", "evaluate_expansion"])
+def test_coefficients_must_be_integers(build, c):
+    """1.5 and True were once kept as coefficients, and "1" and None raised
+    a bare TypeError; like a wire field, a coefficient must be an int."""
+    with pytest.raises(ValidationError):
+        build(c)
+
+
+@pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
+def test_face_sums_add_on_codes(monkeypatch, torus):
+    """+ adds the code dicts: no face is decoded, and opposite terms cancel."""
+    s = da.face_sum_product(da.orbit_sum("sigmat" if torus else "sigma", [1], A3),
+                            da.orbit_sum("sigma", [2], A3))
+    double = da.FaceSum.from_dict(A3, torus, {F: 2 * c for F, c in s.coeffs})
+    negated = da.FaceSum.from_dict(A3, torus, {F: -c for F, c in s.coeffs})
+    zero = da.FaceSum(A3, torus, ())
+
+    def refuse(family, code):
+        raise AssertionError("a face was decoded")
+
+    monkeypatch.setattr(cf, "_from_code", refuse)
+    monkeypatch.setattr(tf, "_from_code", refuse)
+    assert s + s == double and hash(s + s) == hash(double)
+    assert s + negated == zero and hash(s + negated) == hash(zero)
+    assert s + zero == s
+
+
+def test_every_suite_and_table_has_its_work():
+    assert set(da._WORK) == set(da._SUITES) | {"solomon table", "module table"}
+
+
+@pytest.mark.parametrize("name", sorted(da._WORK))
+def test_work_is_checked_before_any_work(monkeypatch, name):
+    """With the budget one below its work, a suite or table stops before it
+    enumerates anything, and a cached group does not let it through."""
+    da._data(A4).mult  # cached under the default budget
+    unit, work = da._WORK[name]
+    sizes = (A4.group_order(), cf.count_faces(A4), tf.count_torus_faces(A4),
+             2 ** len(A4.affine_indices()) - 1)
+    monkeypatch.setenv("STEINTORUS_BUDGET", str(work(*sizes) - 1))
+
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    for module, walk in ((da, "enumerate_group"), (cf, "enumerate_faces"),
+                         (tf, "enumerate_torus_faces")):
+        monkeypatch.setattr(module, walk, refuse)
+    run = {"solomon table": da.solomon_table, "module table": da.module_table}.get(
+        name, lambda family: da.verify(name, family))
+    with pytest.raises(BudgetExceededError, match=unit):
+        run(A4)
