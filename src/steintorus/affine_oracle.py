@@ -21,6 +21,9 @@ the elements with equal fractional parts, in their order, and the label of
 the edge after block p of c is the translation-invariant count
 
     label == -sum_i floor(x_i - (2p + 1) / 2c)   (mod n).
+
+``oracle_act`` applies G's signs through ``_act``.  The vectors this module
+builds skip the check of the public ``CompactSignVector`` constructor.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Tuple
 
 from .errors import FamilyMismatchError, NotRealizableError, ValidationError
 from .weyl import Family
-from .coxfaces import SetComposition, sign_vector
+from .coxfaces import SetComposition, _trusted, positive_root_order, sign_vector
 from .torusfaces import SpinNecklace, make_spin, split, w_of_torus_face
 
 Entry = Tuple[int, str]
@@ -39,7 +42,8 @@ Entry = Tuple[int, str]
 
 @functools.lru_cache(maxsize=None)
 def _pairs(n):
-    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    """The pairs i < j in the root order that ``_act`` reads signs in."""
+    return positive_root_order(Family("A", n))
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,7 @@ class CorootVector:
 def _vector_from_coords(n, coords, scale) -> CompactSignVector:
     """The vector of the point x_i = coords[i] / scale, i in 1..n."""
     levels = (divmod(coords[j] - coords[i], scale) for i, j in _pairs(n))
-    return CompactSignVector(n, tuple((k, "+" if r else "0") for k, r in levels))
+    return _trusted(CompactSignVector, n, tuple((k, "+" if r else "0") for k, r in levels))
 
 
 def lift(N: SpinNecklace) -> CompactSignVector:
@@ -88,25 +92,23 @@ def lift(N: SpinNecklace) -> CompactSignVector:
 def translate(V: CompactSignVector, mu: CorootVector) -> CompactSignVector:
     if len(mu.coords) != V.n:
         raise ValidationError("rank mismatch")
-    shifted = []
-    for (i, j), (k, s) in zip(_pairs(V.n), V.entries):
-        shifted.append((k + mu.coords[j - 1] - mu.coords[i - 1], s))
-    return CompactSignVector(V.n, tuple(shifted))
+    return _trusted(CompactSignVector, V.n, tuple(
+        (k + mu.coords[j - 1] - mu.coords[i - 1], s)
+        for (i, j), (k, s) in zip(_pairs(V.n), V.entries)))
 
 
 def oracle_act(V: CompactSignVector, G: SetComposition) -> CompactSignVector:
     if G.family != Family("A", V.n):
         raise FamilyMismatchError("rank/family mismatch")
-    gsigns = sign_vector(G).signs
-    out = []
-    for (k, s), g in zip(V.entries, gsigns):
-        if s == "0" and g == "+":
-            out.append((k, "+"))
-        elif s == "0" and g == "-":
-            out.append((k - 1, "+"))
-        else:
-            out.append((k, s))
-    return CompactSignVector(V.n, tuple(out))
+    return _act(V, sign_vector(G).signs)
+
+
+def _act(V: CompactSignVector, gsigns) -> CompactSignVector:
+    """``oracle_act`` by the face with the signs gsigns: a nonzero sign moves
+    an entry (k, '0') off its wall, to (k, '+') for '+' and (k - 1, '+') for '-'."""
+    return _trusted(CompactSignVector, V.n, tuple(
+        (k - (g == "-"), "+") if s == "0" and g != "0" else (k, s)
+        for (k, s), g in zip(V.entries, gsigns)))
 
 
 def _reconstruct_coords(V: CompactSignVector):

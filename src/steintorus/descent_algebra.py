@@ -35,7 +35,8 @@ kernel once per distinct trace of a right code on the left code's blocks of
 two or more elements, and returns the codes it accumulates.
 ``module_table`` refines one torus face per colour; ``is_invariant``
 permutes codes; ``psi`` reads each group element off a code and builds each
-element of its result once.  So none of them builds a face.  The public
+element of its result once; the ``lrb`` and ``oracle`` suites index their
+products by ``_table``.  So none of them builds a face.  The public
 constructors of sums check their keys and int coefficients and make them
 canonical; internal results skip that check.  ``_WORK`` holds each suite's
 and table's work, a unit and a count; ``verify`` and the tables check it
@@ -628,19 +629,24 @@ def _verify_psi(family: Family, seed=0):
     return _report("psi", family, checks, failures)
 
 
+def _table(lefts, rights, anchor=None):
+    """Per left code, the indices in lefts of its products with every right
+    code; a product outside lefts, which only a kernel defect makes, is None."""
+    index_of = {p: i for i, p in enumerate(lefts)}
+    for p in lefts:
+        yield list(map(index_of.get, coxfaces._refine_all(p, rights, anchor)))
+
+
 def _verify_lrb(family: Family, seed=0):
-    """The left regular band laws of the Tits product, on position codes:
-    each face is encoded once and every product goes through the kernel
-    ``coxfaces._refine``.  The sign law takes the factors' signs from
-    ``coxfaces.sign_vector`` and reads the product's off its code, whose
-    values rise with the block."""
-    refine = coxfaces._refine
+    """The left regular band laws of the Tits product, as lookups in the
+    f x f table T[i][j] of the index of face i times face j (3 MB at A5,
+    175 MB at A6); a product that is no face fails each law that reads it.
+    The sign law takes each face's signs once, from ``coxfaces.sign_vector``."""
     faces = list(coxfaces.enumerate_faces(family))
     codes = [coxfaces._face_code(F) for F in faces]
     signs = [coxfaces.sign_vector(F).signs for F in faces]
-    unit = coxfaces._face_code(coxfaces.unit_face(family))
-    shift = len(unit) - family.rank - 1  # code index of element x is x + shift
-    roots = [(a + shift, b + shift) for a, b in coxfaces.positive_root_order(family)]
+    T = list(_table(codes, codes))
+    u = codes.index(coxfaces._face_code(coxfaces.unit_face(family)))
     failed = {law: [] for law in ("idempotent", "xyx=xy", "chamber absorption",
                                   "unit", "associativity", "sign composition")}
 
@@ -648,23 +654,21 @@ def _verify_lrb(family: Family, seed=0):
         failed[law].append({"law": law, **{k: str(faces[i]) for k, i in witness.items()}})
 
     chambers = 0
-    for i, f in enumerate(codes):
-        if refine(f, f) != f:
+    for i, (f, row) in enumerate(zip(codes, T)):
+        if row[i] != i:
             fail("idempotent", face=i)
-        if refine(unit, f) != f or refine(f, unit) != f:
+        if T[u][i] != i or row[u] != i:
             fail("unit", face=i)
         if len(set(f)) == len(f):  # a chamber: every block is one element
             chambers += 1
-            for g in codes:
-                if refine(f, g) != f:
+            for k in row:
+                if k != i:
                     fail("chamber absorption", C=i)
-        for j, g in enumerate(codes):
-            fg = refine(f, g)
-            if refine(fg, f) != fg:
+        for j, k in enumerate(row):
+            if k is None or T[k][i] != k:
                 fail("xyx=xy", F=i, G=j)
             composed = tuple(a if a != "0" else b for a, b in zip(signs[i], signs[j]))
-            if composed != tuple("0" if fg[a] == fg[b] else "+" if fg[a] < fg[b] else "-"
-                                 for a, b in roots):
+            if k is None or composed != signs[k]:
                 fail("sign composition", F=i, G=j)
     # Associativity: exhaustive when tiny, seeded sample otherwise.
     indices = range(len(codes))
@@ -675,8 +679,8 @@ def _verify_lrb(family: Family, seed=0):
         triples = [(rng.choice(indices), rng.choice(indices), rng.choice(indices))
                    for _ in range(2000)]
     for i, j, k in triples:
-        f, g, h = codes[i], codes[j], codes[k]
-        if refine(refine(f, g), h) != refine(f, refine(g, h)):
+        left, right = T[i][j], T[j][k]
+        if None in (left, right) or T[left][k] != T[i][right]:
             fail("associativity", F=i, G=j, H=k)
     # Per face: idempotent, unit and, for a chamber, absorption of every
     # face; per pair: xyx=xy and sign composition; per triple: associativity.
@@ -733,17 +737,17 @@ def _verify_counts(family: Family, seed=0):
 
 
 def _verify_oracle(family: Family, seed=0):
-    """Cross-check the necklace action against the affine sign-vector model
-    (type A; ``verify`` refuses type C)."""
+    """Cross-check the necklace action, read off the product table a row at
+    a time, against the affine sign-vector model, which reads no code and
+    takes each face's signs once (type A; ``verify`` refuses type C)."""
     from . import affine_oracle as oracle
 
     checks, failures = 0, []
     necklaces = list(torusfaces.enumerate_torus_faces(family))
     faces = list(coxfaces.enumerate_faces(family))
-    lifts = {}
-    for N in necklaces:
-        V = oracle.lift(N)
-        lifts[N] = V
+    signs = [coxfaces.sign_vector(G).signs for G in faces]
+    lifted = [(N, oracle.lift(N)) for N in necklaces]
+    for N, V in lifted:
         checks += 1
         if oracle.project(V) != N:
             failures.append({"check": "project(lift(N)) = N", "N": str(N)})
@@ -751,13 +755,12 @@ def _verify_oracle(family: Family, seed=0):
         checks += 1
         if any(mu.coords) or w != torusfaces.w_of_torus_face(N):
             failures.append({"check": "locate canonical lift", "N": str(N)})
-    for N in necklaces:
-        V = lifts[N]
-        for G in faces:
+    rows = _table([torusfaces._necklace_code(N) for N in necklaces],
+                  [coxfaces._face_code(G) for G in faces], torusfaces._anchor(family))
+    for (N, V), row in zip(lifted, rows):
+        for G, g, k in zip(faces, signs, row):
             checks += 1
-            direct = torusfaces.module_action(N, G)
-            via_oracle = oracle.project(oracle.oracle_act(V, G))
-            if direct != via_oracle:
+            if k is None or necklaces[k] != oracle.project(oracle._act(V, g)):
                 failures.append(
                     {"check": "action equivalence", "N": str(N), "G": str(G)}
                 )
@@ -769,21 +772,20 @@ def _verify_oracle(family: Family, seed=0):
         if sum(coords) == 0
     ]
     rng = random.Random(seed)
-    pairs = [(rng.choice(necklaces), rng.choice(faces)) for _ in range(40)]
+    pairs = [(rng.choice(lifted), rng.choice(signs)) for _ in range(40)]
     for mu in mus:
-        for N, G in pairs:
-            V = lifts[N]
+        for (N, V), g in pairs:
             checks += 1
-            lhs = oracle.oracle_act(oracle.translate(V, mu), G)
-            rhs = oracle.translate(oracle.oracle_act(V, G), mu)
+            lhs = oracle._act(oracle.translate(V, mu), g)
+            rhs = oracle.translate(oracle._act(V, g), mu)
             if lhs != rhs:
                 failures.append(
                     {"check": "translation equivariance", "mu": list(mu.coords)}
                 )
         # The located translation part must follow the shift as well.
-        N, G = pairs[0]
+        (N, V), _ = pairs[0]
         checks += 1
-        got_mu, got_w = oracle.w_of_affine_face(oracle.translate(lifts[N], mu))
+        got_mu, got_w = oracle.w_of_affine_face(oracle.translate(V, mu))
         if got_mu != mu or got_w != torusfaces.w_of_torus_face(N):
             failures.append({"check": "locate translate", "mu": list(mu.coords)})
     return _report("oracle", family, checks, failures)

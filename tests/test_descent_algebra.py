@@ -213,10 +213,10 @@ def test_suites_pass(suite, fam):
 
 @pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
 def test_lrb_catches_a_broken_kernel(monkeypatch, fam):
-    # A kernel that returns its right factor keeps idempotence and
+    # A product that returns its right factor keeps idempotence and
     # associativity, and breaks every other law.
     passing = da.verify("lrb", fam)
-    monkeypatch.setattr(cf, "_refine", lambda p, q, anchor=None: q)
+    monkeypatch.setattr(cf, "_refine_all", lambda p, qs, anchor=None: list(qs))
     report = da.verify("lrb", fam)
     assert not report["pass"]
     assert {f["law"] for f in report["failures"]} == {
@@ -263,11 +263,60 @@ def test_oracle_reports_every_failure(monkeypatch):
         for G in cf.enumerate_faces(A3)
     )
     assert expected > 6
-    monkeypatch.setattr(tf, "module_action", lambda N, G: N)
+    monkeypatch.setattr(cf, "_refine_all", lambda p, qs, anchor=None: [p] * len(qs))
     report = da.verify("oracle", A3)
     failures = [f for f in report["failures"] if f["check"] == "action equivalence"]
     assert len(failures) == expected
     assert not report["pass"]
+
+
+def test_a_product_that_is_no_face_fails_the_laws_that_read_it(monkeypatch):
+    """A product code outside the enumeration, which only a kernel defect
+    makes, is reported as failures with witnesses, not raised."""
+    faces, necklaces = list(cf.enumerate_faces(A3)), list(tf.enumerate_torus_faces(A3))
+    passing = [da.verify(suite, A3)["checks"] for suite in ("lrb", "oracle")]
+    monkeypatch.setattr(cf, "_refine_all", lambda p, qs, anchor=None: [p + (0,)] * len(qs))
+    lrb, oracle = da.verify("lrb", A3), da.verify("oracle", A3)
+    laws = Counter(f["law"] for f in lrb["failures"])
+    assert set(laws) == {"idempotent", "unit", "chamber absorption", "xyx=xy",
+                         "associativity", "sign composition"}
+    assert laws["sign composition"] == len(faces) ** 2
+    assert [f["check"] for f in oracle["failures"]] == (
+        ["action equivalence"] * (len(necklaces) * len(faces)))
+    assert [lrb["checks"], oracle["checks"]] == passing
+
+
+@pytest.mark.parametrize("suite, fam", [("lrb", Family("A", 4)), ("lrb", Family("C", 3)),
+                                        ("oracle", Family("A", 4))],
+                         ids=["lrb-A4", "lrb-C3", "oracle-A4"])
+def test_suites_take_each_faces_signs_once(monkeypatch, suite, fam):
+    """The oracle once read a face's signs for every (necklace, face) pair."""
+    calls, sign_vector = Counter(), cf.sign_vector
+
+    def counted(F):
+        calls[F] += 1
+        return sign_vector(F)
+
+    monkeypatch.setattr(cf, "sign_vector", counted)
+    monkeypatch.setattr(ao, "sign_vector", counted)
+    assert da.verify(suite, fam)["pass"]
+    assert calls == Counter(cf.enumerate_faces(fam))
+
+
+def test_oracle_side_drives_the_verdict(monkeypatch):
+    """Signs with + and - swapped break the action equivalence, and only it:
+    the oracle side reads each face through its signs and no code."""
+    passing, sign_vector = da.verify("oracle", A3), cf.sign_vector
+
+    def swapped(F):
+        return cf.FiniteSignVector(F.family, tuple(
+            {"+": "-", "-": "+"}.get(s, s) for s in sign_vector(F).signs))
+
+    monkeypatch.setattr(cf, "sign_vector", swapped)
+    monkeypatch.setattr(ao, "sign_vector", swapped)
+    report = da.verify("oracle", A3)
+    assert {f["check"] for f in report["failures"]} == {"action equivalence"}
+    assert report["checks"] == passing["checks"]
 
 
 def test_verify_all():
