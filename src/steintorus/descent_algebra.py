@@ -23,7 +23,10 @@ order gives the canonical ``coeffs`` tuple, built without the check.  Every
 adds, for each coefficient group of the right factor, every left row's
 table entries over the group's columns: x_I * x_J is one exact count over
 all |x_I| * |x_J| pairs, which assumes nothing of Solomon's theorem; the
-suites test it by ``express_in_basis`` checking every member of every class.
+solomon and module suites test it by ``express_in_basis`` checking every
+member of every class.  The structure tables build no group: they expand
+sigma_J * sigma_I and sigma~_J * sigma_I, which psi maps to x_I * x_J
+(Bidigare's theorem) and x_I * x~_J.
 Class sums give each class one value and fill its list; their zeta sum over
 index sets and the Moebius inversion are one subset transform on bit masks.
 
@@ -33,7 +36,7 @@ first read.  ``face_sum_product`` refines each left code against the whole
 right factor in one call of ``coxfaces._refine_all``, which runs the one
 kernel once per distinct trace of a right code on the left code's blocks of
 two or more elements, and returns the codes it accumulates.
-``module_table`` refines one torus face per colour; ``is_invariant``
+``_face_table`` refines one face per colour; ``is_invariant``
 permutes codes; ``psi`` reads each group element off a code and builds each
 element of its result once; the ``lrb`` and ``oracle`` suites index their
 products by ``_table``.  So none of them builds a face.  The public
@@ -371,7 +374,8 @@ class FaceSum:
         return dict(self.coeffs)
 
     def __add__(self, other):
-        if (self.family, self.torus) != (other.family, other.torus):
+        if not isinstance(other, FaceSum) or (
+                (self.family, self.torus) != (other.family, other.torus)):
             raise FamilyMismatchError("incompatible face sums")
         acc = Counter(self._codes)
         acc.update(other._codes)  # Counter.update adds; dict.update would replace
@@ -460,8 +464,9 @@ def _subsets(indices, nonempty=False):
 
 # The work of each suite of _SUITES and of the two tables: its unit, and its
 # count from the group order g, the numbers f of faces and t of torus faces,
-# and the number c of nonempty affine colour sets.  The module table refines
-# one torus face per colour against every face.
+# and the number c of nonempty affine colour sets.  Each table refines one
+# face per left colour against every face: the module table over the c torus
+# colours, the solomon table over the (c + 1) / 2 finite colours.
 _WORK = {
     "solomon": ("multiplication table", lambda g, f, t, c: g * g),
     "module": ("multiplication table", lambda g, f, t, c: g * g),
@@ -470,7 +475,7 @@ _WORK = {
     "lrb": ("face products", lambda g, f, t, c: 2 * f * f),
     "euler": ("torus faces", lambda g, f, t, c: t),
     "counts": ("faces and torus faces", lambda g, f, t, c: max(f, t)),
-    "solomon table": ("multiplication table", lambda g, f, t, c: g * g),
+    "solomon table": ("face products", lambda g, f, t, c: f * (c + 1) // 2),
     "module table": ("face products", lambda g, f, t, c: f * c),
 }
 
@@ -484,20 +489,17 @@ def _check_work(name: str, family: Family) -> None:
         f"{unit} of the {name}{'' if name.endswith('table') else ' suite'} for {family}")
 
 
-def _orbit_sums(family: Family):
-    """(sigma, sigmat): every sigma_J and every sigma~_J keyed by J, in the
-    order the enumerators first reach each colour, from one walk of each."""
-    sums = []
-    for torus, faces, color_set in (
-        (False, coxfaces.enumerate_faces(family), coxfaces.color_set),
-        (True, torusfaces.enumerate_torus_faces(family), torusfaces.color_set),
-    ):
-        orbits = {}
-        for F in faces:
-            orbits.setdefault(frozenset(color_set(F).indices), {})[F] = 1
-        sums.append({J: FaceSum.from_dict(family, torus, orbit)
-                     for J, orbit in orbits.items()})
-    return sums
+def _orbit_sums(family: Family, torus: bool) -> dict:
+    """Every sigma_J, or every sigma~_J if torus, keyed by J in the order the
+    enumerator first reaches each colour, from one walk of that side only.
+    The enumerator checks its faces, so the sums take its codes unchecked."""
+    walk, color_set, code = (
+        (torusfaces.enumerate_torus_faces, torusfaces.color_set, torusfaces._necklace_code)
+        if torus else (coxfaces.enumerate_faces, coxfaces.color_set, coxfaces._face_code))
+    orbits = {}
+    for F in walk(family):
+        orbits.setdefault(frozenset(color_set(F).indices), {})[code(F)] = 1
+    return {J: coxfaces._trusted(FaceSum, family, torus, orbit) for J, orbit in orbits.items()}
 
 
 def _keyed(expansion) -> dict:
@@ -506,55 +508,31 @@ def _keyed(expansion) -> dict:
             for K, c in sorted(expansion.items(), key=lambda kv: sorted(kv[0]))}
 
 
-def _products(kind: str, family: Family):
-    """Yield (I, J, x_I * b_J) over every finite I and every legal J, where
-    b_J is x_J (kind 'x') or x~_J (kind 'xt')."""
-    rights = [(J, basis_element(kind, J, family))
-              for J in _subsets(_universe(kind, family), nonempty=kind == "xt")]
-    for I in _subsets(family.finite_indices()):
-        xI = basis_element("x", I, family)
-        for J, bJ in rights:
-            yield I, J, multiply(xI, bJ)
-
-
-def solomon_table(family: Family) -> dict:
-    """All x_I * x_J expanded back in the x basis."""
-    _check_work("solomon table", family)
-    entries = [
-        {"I": sorted(I), "J": sorted(J),
-         "coeffs": _keyed(express_in_basis(product, "x"))}
-        for I, J, product in _products("x", family)
-    ]
-    return {"kind": "solomon", "family": family.tag, "rank": family.rank,
-            "entries": entries}
-
-
-def module_table(family: Family) -> dict:
-    """The face-side structure table of the affine descent module.
-
-    Entry (I, J) expands sigma~_J * sigma_I = sum of c_K * sigma~_K over the
-    torus orbit sums; by the intertwining property the same coefficients
-    expand x_I * x~_J over the x~ spanning set (including the full affine
-    index set).  The product is W-equivariant and W permutes the torus faces
-    of one colour transitively, so one torus face N of colour J gives every
-    coefficient: c_K = |sigma~_J| * h_K / |sigma~_K|, where h_K counts the
-    faces of colour K in N * sigma_I.  The invariance of sigma~_J * sigma_I
-    this assumes is checked by the psi suite.
-    """
-    _check_work("module table", family)
-    sigma, sigmat = _orbit_sums(family)
-    color_of = {r: K for K, orbit in sigmat.items() for r in orbit._codes}
-    anchor = torusfaces._anchor(family)
+def _face_table(kind: str, family: Family) -> dict:
+    """Entry (I, J) expands s_J * sigma_I = sum of c_K * s_K, s being sigma
+    (kind 'solomon') or sigma~ (kind 'module'); psi maps it to x_I * x_J in
+    the x basis, or to x_I * x~_J over the x~ spanning set (with the full
+    affine index set).  The product is W-equivariant and W permutes the faces
+    of one colour transitively, so one face F of colour J gives every
+    coefficient: c_K = |s_J| * h_K / |s_K|, where h_K counts the faces of
+    colour K in F * sigma_I.  The psi suite checks the invariance of
+    s_J * sigma_I that this assumes."""
+    _check_work(f"{kind} table", family)
+    torus = kind == "module"
+    sigma = _orbit_sums(family, False)
+    lefts = _orbit_sums(family, True) if torus else sigma
+    color_of = {r: K for K, orbit in lefts.items() for r in orbit._codes}
+    anchor = torusfaces._anchor(family) if torus else None
     entries = []
     for I in _subsets(family.finite_indices()):
         right = sigma[I]._codes
-        for J in _subsets(family.affine_indices(), nonempty=True):
-            orbit = sigmat[J]._codes
+        for J in _subsets(_universe("xt" if torus else "x", family), nonempty=torus):
+            orbit = lefts[J]._codes
             hits = Counter(map(color_of.__getitem__,
                                coxfaces._refine_all(next(iter(orbit)), right, anchor)))
             expansion = {}
             for K, h in hits.items():
-                expansion[K], rest = divmod(len(orbit) * h, len(sigmat[K]._codes))
+                expansion[K], rest = divmod(len(orbit) * h, len(lefts[K]._codes))
                 if rest:
                     raise ValidationError(
                         f"orbit {sorted(K)} is not hit a whole number of times "
@@ -562,8 +540,18 @@ def module_table(family: Family) -> dict:
                     )
             entries.append({"I": sorted(I), "J": sorted(J),
                             "coeffs": _keyed(expansion)})
-    return {"kind": "module", "family": family.tag, "rank": family.rank,
+    return {"kind": kind, "family": family.tag, "rank": family.rank,
             "entries": entries}
+
+
+def solomon_table(family: Family) -> dict:
+    """All x_I * x_J expanded in the x basis, from the face side."""
+    return _face_table("solomon", family)
+
+
+def module_table(family: Family) -> dict:
+    """All x_I * x~_J expanded over the x~ spanning set, from the face side."""
+    return _face_table("module", family)
 
 
 # ---------------------------------------------------------------------------
@@ -576,27 +564,31 @@ def _report(suite, family, checks, failures):
 
 
 def _verify_products(suite: str, kind: str, family: Family, seed=0):
-    """Every x_I * b_J of `_products` expands in the basis of kind and
-    re-evaluates to itself."""
+    """Every x_I * b_J, b_J being x_J (kind 'x') or x~_J (kind 'xt'), expands
+    in the basis of kind and re-evaluates to itself."""
     checks, failures = 0, []
-    for I, J, product in _products(kind, family):
-        checks += 1
-        try:
-            expansion = express_in_basis(product, kind)
-        except NotInSpanError as exc:
-            failures.append(
-                {"I": sorted(I), "J": sorted(J), "witness": str(exc.witness)}
-            )
-            continue
-        if evaluate_expansion(expansion, kind, family) != product:
-            failures.append({"I": sorted(I), "J": sorted(J),
-                             "witness": "expansion does not re-evaluate"})
+    rights = [(J, basis_element(kind, J, family))
+              for J in _subsets(_universe(kind, family), nonempty=kind == "xt")]
+    for I in _subsets(family.finite_indices()):
+        xI = basis_element("x", I, family)
+        for J, bJ in rights:
+            product = multiply(xI, bJ)
+            checks += 1
+            try:
+                expansion = express_in_basis(product, kind)
+            except NotInSpanError as exc:
+                failures.append({"I": sorted(I), "J": sorted(J),
+                                 "witness": str(exc.witness)})
+                continue
+            if evaluate_expansion(expansion, kind, family) != product:
+                failures.append({"I": sorted(I), "J": sorted(J),
+                                 "witness": "expansion does not re-evaluate"})
     return _report(suite, family, checks, failures)
 
 
 def _verify_psi(family: Family, seed=0):
     checks, failures = 0, []
-    sigma, sigmat = _orbit_sums(family)
+    sigma, sigmat = _orbit_sums(family, False), _orbit_sums(family, True)
 
     def fail(tag, I, J):
         failures.append({"identity": tag, "I": sorted(I), "J": sorted(J)})
@@ -699,7 +691,7 @@ def _verify_counts(family: Family, seed=0):
     checks, failures = 0, []
     data = _data(family)
     order = family.group_order()
-    sigma, sigmat = _orbit_sums(family)
+    sigma, sigmat = _orbit_sums(family, False), _orbit_sums(family, True)
 
     def orbit(sums, J):
         return sums[J]._codes if J in sums else {}

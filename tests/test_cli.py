@@ -328,7 +328,7 @@ def test_budget_counts_the_multiplication_table(capsys, monkeypatch):
     monkeypatch.setattr(descent_algebra, "_group_cache", {})
     monkeypatch.setenv("STEINTORUS_BUDGET", "500")
     code, out, err = run(
-        capsys, "mult-table", "--family", "A", "--rank", "4", "--kind", "solomon",
+        capsys, "verify", "--family", "A", "--rank", "4", "--suite", "solomon",
     )
     assert code == 3
     assert out == ""
@@ -341,7 +341,7 @@ def test_budget_counts_a_cached_multiplication_table(capsys, monkeypatch):
     monkeypatch.setattr(descent_algebra, "_group_cache", {})
     descent_algebra._data(Family("A", 4)).mult
     monkeypatch.setenv("STEINTORUS_BUDGET", "100")
-    for argv in (("mult-table", "--kind", "solomon"), ("verify", "--suite", "solomon")):
+    for argv in (("verify", "--suite", "solomon"), ("verify", "--suite", "module")):
         code, out, err = run(capsys, *argv, "--family", "A", "--rank", "4")
         assert code == 3
         assert out == ""
@@ -395,6 +395,7 @@ def test_colour_filter_is_validated(capsys, obj, color, expected):
 @pytest.mark.parametrize("argv", [
     ("mult-table", "--family", "A", "--rank", "7", "--kind", "module"),
     ("verify", "--family", "A", "--rank", "7", "--suite", "psi"),
+    ("mult-table", "--family", "A", "--rank", "7", "--kind", "solomon"),
 ])
 def test_budget_counts_the_face_products(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -403,13 +404,16 @@ def test_budget_counts_the_face_products(capsys, argv):
     assert "face products" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("rank, expected", [(5, 3), (4, 0)])
-def test_module_table_budget_edge(capsys, monkeypatch, rank, expected):
-    # |faces| * (2^|affine indices| - 1) is 541 * 31 at A5 and 75 * 15 at A4.
-    monkeypatch.setenv("STEINTORUS_BUDGET", str(10**4))
+@pytest.mark.parametrize("kind, rank, expected", [
+    ("module", 5, 3), ("module", 4, 0), ("solomon", 5, 3), ("solomon", 4, 0),
+], ids=["5-3", "4-0", "solomon-5-3", "solomon-4-0"])
+def test_module_table_budget_edge(capsys, monkeypatch, kind, rank, expected):
+    # |faces| times the number of left colours: 2^|affine indices| - 1 for
+    # the module, 2^|finite indices| for solomon.  At A5, 541 * 31 = 16,771
+    # and 541 * 16 = 8,656; at A4, 75 * 15 = 1,125 and 75 * 8 = 600.
+    monkeypatch.setenv("STEINTORUS_BUDGET", "5000")
     code, _, _ = run(
-        capsys, "mult-table", "--family", "A", "--rank", str(rank),
-        "--kind", "module",
+        capsys, "mult-table", "--family", "A", "--rank", str(rank), "--kind", kind,
     )
     assert code == expected
 

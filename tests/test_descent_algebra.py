@@ -1,5 +1,6 @@
 import itertools
 import json
+import pathlib
 from collections import Counter
 
 import pytest
@@ -232,7 +233,7 @@ def test_psi_suite_checks_every_product_is_invariant(monkeypatch, fam):
         color = tf.color_set if s.torus else cf.color_set
         return len({color(F).indices for F, _ in s.coeffs}) <= 1
 
-    sigma, sigmat = da._orbit_sums(fam)
+    sigma, sigmat = da._orbit_sums(fam, False), da._orbit_sums(fam, True)
     expected = sorted(
         [("psi(sigma_J sigma_K) = x_K x_J", sorted(J), sorted(K))
          for J, sJ in sigma.items() for K, sK in sigma.items()
@@ -528,29 +529,47 @@ def test_subset_transform_matches_naive_inversion(case):
             == _outcome(_naive_express, perturbed, kind))
 
 
-@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=lambda f: f"{f.tag}{f.rank}")
-def test_module_table_matches_the_ring(fam):
-    """Each entry's coefficients, evaluated over x~, give x_I * x~_J."""
-    for e in da.module_table(fam)["entries"]:
+TABLES = {"module": (da.module_table, "xt"), "solomon": (da.solomon_table, "x")}
+
+
+def _both_tables(families):
+    """Parametrize over (kind, fam) for both tables; a module case is named
+    by its family alone, a solomon case by 'solomon-' and its family."""
+    cases = [(kind, fam) for kind in TABLES for fam in families]
+    return pytest.mark.parametrize("kind, fam", cases, ids=[
+        ("" if kind == "module" else f"{kind}-") + f"{fam.tag}{fam.rank}"
+        for kind, fam in cases])
+
+
+@_both_tables(KERNEL_FAMILIES)
+def test_module_table_matches_the_ring(kind, fam):
+    """Each entry's coefficients, evaluated over x (solomon) or x~ (module),
+    give x_I * x_J or x_I * x~_J."""
+    table, basis = TABLES[kind]
+    for e in table(fam)["entries"]:
         expansion = {frozenset(json.loads(K)): c for K, c in e["coeffs"].items()}
         product = da.multiply(da.basis_element("x", e["I"], fam),
-                              da.basis_element("xt", e["J"], fam))
-        assert da.evaluate_expansion(expansion, "xt", fam) == product, (e["I"], e["J"])
+                              da.basis_element(basis, e["J"], fam))
+        assert da.evaluate_expansion(expansion, basis, fam) == product, (e["I"], e["J"])
 
 
-def _all_pairs_module_entries(fam):
-    """The module table's entries from every product of a face of sigma~_J
-    with a face of sigma_I, each torus orbit checked to be hit uniformly."""
-    sigma, sigmat = da._orbit_sums(fam)
-    anchor = tf._anchor(fam)
+def _all_pairs_entries(kind, fam):
+    """The table's entries from every product of a face of s_J with a face of
+    sigma_I, s being sigma~ (module) or sigma (solomon), each orbit of s
+    checked to be hit uniformly."""
+    torus = kind == "module"
+    sigma = da._orbit_sums(fam, False)
+    lefts = da._orbit_sums(fam, True) if torus else sigma
+    anchor = tf._anchor(fam) if torus else None
     entries = []
     for I in da._subsets(fam.finite_indices()):
         right = sigma[I]._codes
-        for J in da._subsets(fam.affine_indices(), nonempty=True):
-            counts = Counter(r for p in sigmat[J]._codes
+        for J in da._subsets(fam.affine_indices() if torus else fam.finite_indices(),
+                             nonempty=torus):
+            counts = Counter(r for p in lefts[J]._codes
                              for r in cf._refine_all(p, right, anchor))
             expansion = {}
-            for K, orbit in sigmat.items():
+            for K, orbit in lefts.items():
                 values = {counts[r] for r in orbit._codes}
                 assert len(values) == 1, (sorted(I), sorted(J), sorted(K))
                 if values != {0}:
@@ -559,13 +578,24 @@ def _all_pairs_module_entries(fam):
     return entries
 
 
-@pytest.mark.parametrize("fam", [Family("A", r) for r in (2, 3, 4, 5)]
-                         + [Family("C", r) for r in (1, 2, 3)],
-                         ids=lambda f: f"{f.tag}{f.rank}")
-def test_module_table_matches_all_pairs(fam):
-    """One torus face per colour, scaled by the orbit sizes, gives the
+@_both_tables([Family("A", r) for r in (2, 3, 4, 5)] + [Family("C", r) for r in (1, 2, 3)])
+def test_module_table_matches_all_pairs(kind, fam):
+    """One face per colour, scaled by the orbit sizes, gives the
     coefficients of the product over every pair of faces."""
-    assert da.module_table(fam)["entries"] == _all_pairs_module_entries(fam)
+    assert TABLES[kind][0](fam)["entries"] == _all_pairs_entries(kind, fam)
+
+
+def test_solomon_table_builds_no_group(monkeypatch):
+    """With no group cached and the group walk refused, the A4 table is
+    still the stored stdout of `mult-table --kind solomon`."""
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(da, "_group_cache", {})
+    monkeypatch.setattr(da, "enumerate_group", refuse)
+    golden = pathlib.Path(__file__).resolve().parent / "golden" / "mult_table_solomon_A4.json"
+    assert da.solomon_table(A4) == json.loads(golden.read_text())
+    assert da._group_cache == {}
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +674,17 @@ def test_coefficients_must_be_integers(build, c):
     a bare TypeError; like a wire field, a coefficient must be an int."""
     with pytest.raises(ValidationError):
         build(c)
+
+
+def test_face_sums_and_ring_elements_do_not_add():
+    """FaceSum + GroupRingElement once raised AttributeError; both orders
+    refuse the mix as a family mismatch."""
+    s = da.orbit_sum("sigma", [1], A3)
+    g = da.basis_element("x", [1], A3)
+    with pytest.raises(FamilyMismatchError):
+        s + g
+    with pytest.raises(FamilyMismatchError):
+        g + s
 
 
 @pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
