@@ -19,8 +19,8 @@ action.  Its result reads q only on the elements sharing their block of p
 alone, and so does the anchor when alone.  So ``_refine_all``, one left code
 against many right codes, calls the one kernel once per distinct trace.
 Validation stays at the boundary (the public constructors,
-``SymComposition.from_full``, ``from_wire`` and the enumerators); kernel
-output is trusted and built by ``_trusted`` without ``__post_init__``.
+``SymComposition.from_full`` and ``from_wire``); kernel and enumerator
+output is valid by construction and built by ``_trusted`` unchecked.
 """
 
 from __future__ import annotations
@@ -299,33 +299,34 @@ def act(w: WeylElement, F: Composition) -> Composition:
     return _from_code(F.family, _moved(_face_code(F), w))
 
 
-def _ordered_partitions(elements) -> Iterator[Tuple[Block, ...]]:
-    """All ordered set partitions of a sorted element tuple."""
+def _ordered_partitions(elements, sizes=None) -> Iterator[Tuple[Block, ...]]:
+    """All ordered set partitions of a sorted element tuple, or those whose
+    blocks have the given sizes in order."""
     if not elements:
         yield ()
         return
-    for r in range(1, len(elements) + 1):
+    for r in range(1, len(elements) + 1) if sizes is None else sizes[:1]:
         for first in itertools.combinations(elements, r):
             leftover = tuple(x for x in elements if x not in first)
-            for tail in _ordered_partitions(leftover):
+            for tail in _ordered_partitions(leftover, sizes and sizes[1:]):
                 yield (first,) + tail
 
 
-def _self_negating(universe, extra=()):
-    """Yield (block, rest) for every subset S of the universe, by size and
-    then lexicographically: block is S, -S and `extra`, sorted; rest is the
-    universe without S.  This picks a zero block (extra (0,)) or an
-    antipodal block (empty when S is)."""
-    for size in range(len(universe) + 1):
+def _self_negating(universe, extra=(), size=None):
+    """Yield (block, rest) for every subset S of the universe, or of the
+    given size, by size and then lexicographically: block is S, -S and
+    `extra`, sorted; rest is the universe without S.  This picks a zero block
+    (extra (0,)) or an antipodal block (empty when S is)."""
+    for size in range(len(universe) + 1) if size is None else (size,):
         for chosen in itertools.combinations(universe, size):
             block = tuple(sorted(chosen + extra + tuple(-x for x in chosen)))
             yield block, tuple(x for x in universe if x not in chosen)
 
 
-def _signed_partitions(elements) -> Iterator[Tuple[Block, ...]]:
-    """Every ordered set partition of the elements with a sign on each one,
-    signs varying fastest; blocks sorted."""
-    for blocks in _ordered_partitions(elements):
+def _signed_partitions(elements, sizes=None) -> Iterator[Tuple[Block, ...]]:
+    """Every ordered set partition of the elements, or those with the given
+    block sizes, with signs on the elements varying fastest; blocks sorted."""
+    for blocks in _ordered_partitions(elements, sizes):
         for signs in itertools.product((-1, 1), repeat=len(elements)):
             sign_of = dict(zip(elements, signs))
             yield tuple(tuple(sorted(sign_of[x] * x for x in b)) for b in blocks)
@@ -350,25 +351,35 @@ def count_faces(family: Family) -> int:
     return sum(math.comb(n, s) * 2 ** (n - s) * F[n - s] for s in range(n + 1))
 
 
+def _block_sizes(family: Family, color: Optional[ColorSet]) -> Optional[List[int]]:
+    """The gaps of 0, the color's sorted indices and n, which fix the block
+    sizes of the color's faces and necklaces; None without a color."""
+    if color is None:
+        return None
+    if color.family != family:
+        raise FamilyMismatchError(f"a color set of {color.family}, not {family}")
+    cuts = [0, *color.sorted(), family.rank]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
+
+
 def enumerate_faces(
     family: Family, color: Optional[ColorSet] = None
 ) -> Iterator[Composition]:
-    """All faces, or the W-orbit of the given color set, each exactly once."""
+    """All faces, or the W-orbit of the given color set, once each and built
+    unchecked.  The color's block sizes are a type A face's blocks, or a type
+    C zero block's count of positive elements, then the right half's blocks."""
+    sizes = _block_sizes(family, color)
     if color is not None and family.affine_index in color:
         raise ValidationError("finite color sets exclude the affine index")
     check_count(family, count_faces, f"faces of {family}")
     universe = tuple(range(1, family.rank + 1))
     if family.tag == "A":
-        faces = (SetComposition(family, b) for b in _ordered_partitions(universe))
-    else:
-        faces = (
-            SymComposition(family, zero_block, right)
-            for zero_block, rest in _self_negating(universe, (0,))
-            for right in _signed_partitions(rest)
-        )
-    for face in faces:
-        if color is None or color_set(face).indices == color.indices:
-            yield face
+        for blocks in _ordered_partitions(universe, sizes):
+            yield _trusted(SetComposition, family, blocks)
+        return
+    for zero_block, rest in _self_negating(universe, (0,), sizes and sizes[0]):
+        for right in _signed_partitions(rest, sizes and sizes[1:]):
+            yield _trusted(SymComposition, family, zero_block, right)
 
 
 def to_wire(F: Composition) -> dict:

@@ -9,10 +9,11 @@ over the class with descent set exactly J), with boolean-lattice Moebius
 inversion translating between the two.
 
 Face sums enter through orbit sums sigma_J (all finite faces of color J)
-and sigma~_J (all torus faces of color J).  The map psi sends a W-invariant
-face sum to the group ring by replacing each face with its canonical group
-element; on invariants it reverses products on the finite side and
-intertwines the module structures.
+and sigma~_J (all torus faces of color J), built by ``orbit_sum`` alone,
+unchecked, from the faces generated for color J.  The map psi sends a
+W-invariant face sum to the group ring by replacing each face with its
+canonical group element; on invariants it reverses products on the finite
+side and intertwines the module structures.
 
 Internally a group element is its index in the lexicographic enumeration
 of the group by one-line values, so the convolution, the basis sums and the
@@ -170,13 +171,17 @@ class GroupRingElement:
         return dict(self.coeffs)
 
     def __add__(self, other):
-        if self.family != other.family:
-            raise FamilyMismatchError("family mismatch")
-        return GroupRingElement(self.family, self.coeffs + other.coeffs)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + GroupRingElement(other.family,
-                                       tuple((w, -c) for w, c in other.coeffs))
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int) -> "GroupRingElement":
+        """self + sign * other, through the checked constructor."""
+        if not isinstance(other, GroupRingElement) or self.family != other.family:
+            raise FamilyMismatchError("only ring elements of one family add")
+        return GroupRingElement(self.family, self.coeffs + tuple(
+            (w, sign * c) for w, c in other.coeffs))
 
     def is_zero(self):
         return not self.coeffs
@@ -389,8 +394,11 @@ def orbit_sum(kind: str, index, family: Family) -> FaceSum:
     if kind not in ("sigma", "sigmat"):
         raise ValidationError(f"unknown orbit sum kind {kind!r}")
     torus = kind == "sigmat"
-    walk = torusfaces.enumerate_torus_faces if torus else coxfaces.enumerate_faces
-    return FaceSum.from_dict(family, torus, dict.fromkeys(walk(family, color), 1))
+    walk, code = ((torusfaces.enumerate_torus_faces, torusfaces._necklace_code) if torus
+                  else (coxfaces.enumerate_faces, coxfaces._face_code))
+    # Each face of the colour comes once, valid and of this family: nothing to check.
+    return coxfaces._trusted(FaceSum, family, torus,
+                             dict.fromkeys(map(code, walk(family, color)), 1))
 
 
 def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
@@ -490,16 +498,10 @@ def _check_work(name: str, family: Family) -> None:
 
 
 def _orbit_sums(family: Family, torus: bool) -> dict:
-    """Every sigma_J, or every sigma~_J if torus, keyed by J in the order the
-    enumerator first reaches each colour, from one walk of that side only.
-    The enumerator checks its faces, so the sums take its codes unchecked."""
-    walk, color_set, code = (
-        (torusfaces.enumerate_torus_faces, torusfaces.color_set, torusfaces._necklace_code)
-        if torus else (coxfaces.enumerate_faces, coxfaces.color_set, coxfaces._face_code))
-    orbits = {}
-    for F in walk(family):
-        orbits.setdefault(frozenset(color_set(F).indices), {})[code(F)] = 1
-    return {J: coxfaces._trusted(FaceSum, family, torus, orbit) for J, orbit in orbits.items()}
+    """Every sigma_J, or every sigma~_J if torus, keyed by J in the order of
+    ``_subsets``: ``orbit_sum`` of each legal colour, which walks its faces only."""
+    return {J: orbit_sum("sigmat" if torus else "sigma", J, family)
+            for J in _subsets(_universe("xt" if torus else "x", family), nonempty=torus)}
 
 
 def _keyed(expansion) -> dict:
@@ -524,12 +526,11 @@ def _face_table(kind: str, family: Family) -> dict:
     color_of = {r: K for K, orbit in lefts.items() for r in orbit._codes}
     anchor = torusfaces._anchor(family) if torus else None
     entries = []
-    for I in _subsets(family.finite_indices()):
-        right = sigma[I]._codes
-        for J in _subsets(_universe("xt" if torus else "x", family), nonempty=torus):
-            orbit = lefts[J]._codes
+    for I, sigma_I in sigma.items():
+        for J, s_J in lefts.items():
+            orbit = s_J._codes
             hits = Counter(map(color_of.__getitem__,
-                               coxfaces._refine_all(next(iter(orbit)), right, anchor)))
+                               coxfaces._refine_all(next(iter(orbit)), sigma_I._codes, anchor)))
             expansion = {}
             for K, h in hits.items():
                 expansion[K], rest = divmod(len(orbit) * h, len(lefts[K]._codes))
@@ -692,16 +693,12 @@ def _verify_counts(family: Family, seed=0):
     data = _data(family)
     order = family.group_order()
     sigma, sigmat = _orbit_sums(family, False), _orbit_sums(family, True)
-
-    def orbit(sums, J):
-        return sums[J]._codes if J in sums else {}
-
     finite = frozenset(family.finite_indices())
-    chambers = orbit(sigma, finite)
+    chambers = sigma[finite]._codes
     checks += 1
     if len(chambers) != order:
         failures.append({"check": "chamber count", "got": len(chambers)})
-    maximal = [r for r in orbit(sigmat, frozenset(family.affine_indices()))
+    maximal = [r for r in sigmat[frozenset(family.affine_indices())]._codes
                if torusfaces.is_maximal(torusfaces._from_code(family, r))]
     checks += 1
     if len(maximal) != order:
@@ -711,7 +708,7 @@ def _verify_counts(family: Family, seed=0):
     for kind, sums, side in (("x", sigma, "finite"), ("xt", sigmat, "affine")):
         for J in data.masks[kind]:
             checks += 1
-            images = [coxfaces._w_of_code(family, r) for r in orbit(sums, J)]
+            images = [coxfaces._w_of_code(family, r) for r in sums[J]._codes]
             target = {data.elements[i].values for D, members in data.classes[kind].items()
                       if D <= J for i in members}
             if len(images) != len(set(images)) or set(images) != target:
@@ -723,7 +720,7 @@ def _verify_counts(family: Family, seed=0):
             cuts = [0, *sorted(J), n]
             multinomial = math.factorial(n) // math.prod(
                 math.factorial(b - a) for a, b in zip(cuts, cuts[1:]))
-            if len(orbit(sigma, J)) != multinomial:
+            if len(sigma[J]._codes) != multinomial:
                 failures.append({"check": "orbit size", "J": sorted(J)})
     return _report("counts", family, checks, failures)
 

@@ -28,7 +28,7 @@ blocks, and since they increase from the clasp, also the clasp-first order;
 the refined code starts from the clasp's incoming label.  A symmetric
 necklace's code gives each element of [-n, n] the end of its block on the
 cycle read from the zero block, and the refined cycle is rotated back to
-the piece holding 0.  Kernel output is built without revalidation.
+the piece holding 0.  Kernel and enumerator output is built unchecked.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .coxfaces import (
     Composition,
     SetComposition,
     SymComposition,
+    _block_sizes,
     _check_blocks,
     _decode,
     _encode,
@@ -263,34 +264,31 @@ def count_torus_faces(family: Family) -> int:
 def enumerate_torus_faces(
     family: Family, color: Optional[ColorSet] = None
 ) -> Iterator:
-    """Every torus face exactly once (the empty face does not exist here)."""
+    """Every torus face, or those of the given color, once each and built
+    unchecked.  The color's block sizes are a type A necklace's blocks, the
+    clasp without its tail, then the tail; or a type C zero block's count of
+    positive elements, the clockwise blocks, then the antipodal block's."""
+    sizes = _block_sizes(family, color)
     if color is not None and not color.indices:
         raise ValidationError("torus color sets are nonempty")
     check_count(family, count_torus_faces, f"torus faces of {family}")
-    n = family.rank
-    universe = tuple(range(1, n + 1))
+    universe = tuple(range(1, family.rank + 1))
     if family.tag == "A":
         # The clasp is a tail followed by the first block of a composition
         # of the rest, all of whose elements follow the tail; the labels are
         # the running sizes of the composition's blocks.
-        faces = (
-            SpinNecklace(family, (tail + comp[0],) + comp[1:],
-                         tuple(itertools.accumulate(map(len, comp))))
-            for ts in range(n)  # the tail never exhausts [n]
-            for tail in itertools.combinations(universe, ts)
-            for comp in _ordered_partitions(tuple(x for x in universe if x not in tail))
-            if min(comp[0]) > (max(tail) if tail else 0)
-        )
-    else:
-        faces = (
-            SymNecklace(family, zero_block, clockwise, antipodal or None)
-            for zero_block, after_zero in _self_negating(universe, (0,))
-            for antipodal, rest in _self_negating(after_zero)
-            for clockwise in _signed_partitions(rest)
-        )
-    for N in faces:
-        if color is None or color_set(N).indices == color.indices:
-            yield N
+        for ts in range(family.rank) if sizes is None else sizes[-1:]:  # never all of [n]
+            for tail in itertools.combinations(universe, ts):
+                rest = tuple(x for x in universe if x not in tail)
+                for comp in _ordered_partitions(rest, sizes and sizes[:-1]):
+                    if min(comp[0]) > (max(tail) if tail else 0):
+                        yield _trusted(SpinNecklace, family, (tail + comp[0],) + comp[1:],
+                                       tuple(itertools.accumulate(map(len, comp))))
+        return
+    for zero_block, after_zero in _self_negating(universe, (0,), sizes and sizes[0]):
+        for antipodal, rest in _self_negating(after_zero, (), sizes and sizes[-1]):
+            for clockwise in _signed_partitions(rest, sizes and sizes[1:-1]):
+                yield _trusted(SymNecklace, family, zero_block, clockwise, antipodal or None)
 
 
 def to_wire(N) -> dict:

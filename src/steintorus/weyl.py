@@ -120,6 +120,9 @@ class ColorSet:
     indices: frozenset
 
     def __post_init__(self):
+        for i in self.indices:
+            if type(i) is not int:  # bools and floats are refused, as on the wire
+                raise ValidationError(f"color index {i!r} is not an integer")
         allowed = self.family.affine_indices()
         if not all(i in allowed for i in self.indices):
             raise ValidationError(

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as hst
 
-from steintorus.errors import ValidationError
+from steintorus.errors import FamilyMismatchError, ValidationError
 from steintorus.weyl import ColorSet, Family, WeylElement
 from steintorus import coxfaces as cf
 
@@ -97,13 +97,41 @@ def test_counts():
     assert cf.count_faces(Family("A", 4)) == 75
 
 
+# Families whose every colour's walk is compared with the full walk.
+BY_COLOR = [Family("A", n) for n in range(2, 7)] + [Family("C", n) for n in range(1, 5)]
+
+
 def test_enumerate_by_color():
-    fam = Family("A", 4)
-    chambers = list(
-        cf.enumerate_faces(fam, ColorSet(fam, frozenset({1, 2, 3})))
-    )
-    assert len(chambers) == 24
-    assert all(len(F.blocks) == 4 for F in chambers)
+    """A colour's walk is the full walk filtered by color_set, order included."""
+    for fam in BY_COLOR:
+        full = [(F, cf.color_set(F)) for F in cf.enumerate_faces(fam)]
+        indices = fam.finite_indices()
+        for J in itertools.chain.from_iterable(
+                itertools.combinations(indices, r) for r in range(len(indices) + 1)):
+            color = ColorSet(fam, frozenset(J))
+            expected = [F for F, c in full if c == color]
+            assert list(cf.enumerate_faces(fam, color)) == expected, (fam, J)
+
+
+def test_enumerated_faces_pass_the_constructor():
+    """The walk builds its faces unchecked; each equals its rebuild through
+    the checked constructor."""
+    for fam in BY_COLOR:
+        for F in cf.enumerate_faces(fam):
+            rebuilt = (cf.SetComposition(fam, F.blocks) if fam.tag == "A"
+                       else cf.SymComposition(fam, F.zero_block, F.right))
+            assert F == rebuilt and hash(F) == hash(rebuilt)
+
+
+def test_enumerate_refuses_foreign_and_non_integer_colors():
+    """A colour of another family once gave faces of this one, and 1.0 or
+    True once stood for the index 1."""
+    A3 = Family("A", 3)
+    with pytest.raises(FamilyMismatchError):
+        next(cf.enumerate_faces(A3, ColorSet(Family("A", 5), frozenset({1}))))
+    for bad in (1.0, True):
+        with pytest.raises(ValidationError):
+            next(cf.enumerate_faces(A3, ColorSet(A3, frozenset({bad}))))
 
 
 def test_is_subface():

@@ -122,6 +122,9 @@ def test_orbit_sums_and_psi():
     assert da.psi(st) == da.basis_element("xt", [1, 2], A3)
     with pytest.raises(ValidationError):
         da.orbit_sum("sigmat", [], A3)
+    for bad in ([1.0], [True]):  # both once meant the colour {1}
+        with pytest.raises(ValidationError):
+            da.orbit_sum("sigma", bad, A3)
 
 
 def test_psi_rejects_non_invariant_sums():
@@ -677,14 +680,14 @@ def test_coefficients_must_be_integers(build, c):
 
 
 def test_face_sums_and_ring_elements_do_not_add():
-    """FaceSum + GroupRingElement once raised AttributeError; both orders
-    refuse the mix as a family mismatch."""
+    """FaceSum + GroupRingElement, and a ring element plus or minus 1 or
+    None, once raised AttributeError; each is refused as a family mismatch."""
     s = da.orbit_sum("sigma", [1], A3)
     g = da.basis_element("x", [1], A3)
-    with pytest.raises(FamilyMismatchError):
-        s + g
-    with pytest.raises(FamilyMismatchError):
-        g + s
+    for combine in (lambda: s + g, lambda: g + s, lambda: g + 1, lambda: g - 1,
+                    lambda: g + None, lambda: g - None, lambda: s + 1):
+        with pytest.raises(FamilyMismatchError):
+            combine()
 
 
 @pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])

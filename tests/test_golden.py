@@ -11,7 +11,8 @@ import pathlib
 
 import pytest
 
-from steintorus import cli
+from steintorus import cli, coxfaces, descent_algebra, torusfaces
+from steintorus.weyl import Family
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -32,3 +33,31 @@ def test_stdout_matches_golden(name, argv, capsys):
 
 def test_every_golden_file_is_checked():
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(name for name, _ in CASES)
+
+
+def test_orbit_sums_and_tables_read_no_colour(monkeypatch, capsys):
+    """Orbit sums walk their own colour's faces: with both color_set
+    functions refusing, every orbit sum at A4 and C3 still equals the full
+    walk filtered by colour, and both tables still match their golden files."""
+    families = [Family("A", 4), Family("C", 3)]
+    expected = {}
+    for family in families:
+        for torus, walk, color_set in ((False, coxfaces.enumerate_faces, coxfaces.color_set),
+                                       (True, torusfaces.enumerate_torus_faces,
+                                        torusfaces.color_set)):
+            for X in walk(family):
+                key = (family, torus, frozenset(color_set(X).indices))
+                expected.setdefault(key, {})[X] = 1
+
+    def refuse(X):
+        raise AssertionError("color_set was called")
+
+    monkeypatch.setattr(coxfaces, "color_set", refuse)
+    monkeypatch.setattr(torusfaces, "color_set", refuse)
+    for (family, torus, J), faces in expected.items():
+        got = descent_algebra.orbit_sum("sigmat" if torus else "sigma", J, family)
+        assert got == descent_algebra.FaceSum.from_dict(family, torus, faces), (family, J)
+    for name in (f"mult_table_{kind}_{tag}.json" for kind in ("solomon", "module")
+                 for tag in ("A4", "C3")):
+        assert cli.main(dict(CASES)[name]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

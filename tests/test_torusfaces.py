@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as hst
 
-from steintorus.errors import ValidationError
+from steintorus.errors import FamilyMismatchError, ValidationError
 from steintorus.weyl import (
     ColorSet,
     Family,
@@ -217,11 +217,42 @@ def test_group_action_keeps_structure():
         )
 
 
+# Families whose every colour's walk is compared with the full walk.
+BY_COLOR = [Family("A", n) for n in range(2, 7)] + [Family("C", n) for n in range(1, 5)]
+
+
 def test_enumerate_by_color():
-    fam = Family("A", 3)
-    edges = list(tf.enumerate_torus_faces(fam, ColorSet(fam, frozenset({1, 3}))))
-    assert len(edges) == 3
-    assert all(set(N.labels) == {1, 3} for N in edges)
+    """A colour's walk is the full walk filtered by color_set, order included."""
+    for fam in BY_COLOR:
+        full = [(N, tf.color_set(N)) for N in tf.enumerate_torus_faces(fam)]
+        indices = fam.affine_indices()
+        for J in itertools.chain.from_iterable(
+                itertools.combinations(indices, r) for r in range(1, len(indices) + 1)):
+            color = ColorSet(fam, frozenset(J))
+            expected = [N for N, c in full if c == color]
+            assert list(tf.enumerate_torus_faces(fam, color)) == expected, (fam, J)
+
+
+def test_enumerated_necklaces_pass_the_constructor():
+    """The walk builds its necklaces unchecked; each equals its rebuild
+    through the checked constructor."""
+    for fam in BY_COLOR:
+        for N in tf.enumerate_torus_faces(fam):
+            rebuilt = (tf.SpinNecklace(fam, N.blocks, N.labels) if fam.tag == "A"
+                       else tf.SymNecklace(fam, N.zero_block, N.clockwise, N.antipodal))
+            assert N == rebuilt and hash(N) == hash(rebuilt)
+
+
+def test_enumerate_refuses_foreign_and_non_integer_colors():
+    """A colour of another family once gave no necklaces, or those of this
+    one, and 1.0 or True once stood for the index 1."""
+    A3, A5 = Family("A", 3), Family("A", 5)
+    for J in ({5}, {1}):
+        with pytest.raises(FamilyMismatchError):
+            next(tf.enumerate_torus_faces(A3, ColorSet(A5, frozenset(J))))
+    for bad in (1.0, True):
+        with pytest.raises(ValidationError):
+            next(tf.enumerate_torus_faces(A3, ColorSet(A3, frozenset({bad}))))
 
 
 def test_wire_roundtrip():

@@ -91,6 +91,9 @@ def test_multiply_inverse():
 def test_colorset_range():
     with pytest.raises(ValidationError):
         ColorSet(Family("A", 3), frozenset({4}))
+    for bad in (1.0, True, None, "1"):  # 1.0 and True once meant the index 1
+        with pytest.raises(ValidationError):
+            ColorSet(Family("A", 3), frozenset({2, bad}))
     assert 2 in ColorSet(Family("A", 3), frozenset({2, 3}))
 
 
