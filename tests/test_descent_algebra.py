@@ -19,6 +19,7 @@ from steintorus.weyl import (
     descent_set,
     enumerate_group,
     identity,
+    inverse,
 )
 from steintorus import affine_oracle as ao
 from steintorus import coxfaces as cf
@@ -45,6 +46,10 @@ def test_basis_index_validation():
         da.basis_element("xt", [], A3)
     with pytest.raises(ValidationError):
         da.basis_element("yt", [1, 2, 3], A3)  # the full affine class is empty
+    # 1.0 and True once meant the index 1, and a bare int raised a TypeError
+    for bad in ([1.0], [True], [1, True], 5):
+        with pytest.raises(ValidationError):
+            da.basis_element("x", bad, A3)
     # ... but the full x~ sum is legal (it is the sum of all group elements)
     full = da.basis_element("xt", [1, 2, 3], A3)
     assert len(full.coeffs) == 6
@@ -122,7 +127,7 @@ def test_orbit_sums_and_psi():
     assert da.psi(st) == da.basis_element("xt", [1, 2], A3)
     with pytest.raises(ValidationError):
         da.orbit_sum("sigmat", [], A3)
-    for bad in ([1.0], [True]):  # both once meant the colour {1}
+    for bad in ([1.0], [True], 5):  # both lists once meant the colour {1}
         with pytest.raises(ValidationError):
             da.orbit_sum("sigma", bad, A3)
 
@@ -213,6 +218,101 @@ def test_suites_pass(suite, fam):
     report = da.verify(suite, fam)
     assert report["pass"], report["failures"][:3]
     assert report["checks"] > 0
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("fam", [Family("A", 4), Family("C", 3)], ids=["A4", "C3"])
+def test_product_suites_store_no_table(monkeypatch, fam):
+    """The solomon and module suites once read every product off the stored
+    |W|^2 table through multiply, express_in_basis and evaluate_expansion."""
+    def refuse(*args):
+        raise AssertionError("the table or the ring route was used")
+
+    # One check per entry (I, J).  A4 and C3 both have 3 finite and 4 affine
+    # indices, so the stored C3 counts hold for both.
+    golden = {r["suite"]: r["checks"] for r in json.loads(
+        (GOLDEN / "verify_all_C3.json").read_text())["reports"]}
+    checks = {"solomon": 2 ** 3 * 2 ** 3, "module": 2 ** 3 * (2 ** 4 - 1)}
+    assert checks == {suite: golden[suite] for suite in checks}
+    monkeypatch.setattr(da, "_group_cache", {})
+    monkeypatch.setattr(da._GroupData, "mult", property(refuse))
+    for name in ("multiply", "express_in_basis", "evaluate_expansion"):
+        monkeypatch.setattr(da, name, refuse)
+    for suite, expected in checks.items():
+        report = da.verify(suite, fam)
+        assert report["pass"] and report["checks"] == expected
+
+
+def _compose(w, v):
+    """w v in one-line notation: x goes to w(v(x))."""
+    return WeylElement(w.family, tuple(w(x) for x in v.values))
+
+
+def _signless_inverse(u):
+    """A type C inverse that drops the signs; type A is unaffected."""
+    out = [0] * u.family.rank
+    for i in range(1, u.family.rank + 1):
+        out[abs(u(i)) - 1] = i
+    return WeylElement(u.family, tuple(out))
+
+
+def _histogram_failures(fam, kind, compose, invert):
+    """The failures due from the solomon ('x') or module ('xt') suite, in
+    group order: each element whose histogram of (Des(w v), D(v^-1)) over all
+    v, counted on WeylElements, differs from its D-class's first element's,
+    at the least (A, B) in the order of their bit masks."""
+    descents = descent_set if kind == "x" else affine_descent_set
+    start = fam.affine_indices().start
+    elements = list(enumerate_group(fam))
+
+    def mask(color):
+        return sum(1 << (i - start) for i in color.indices)
+
+    firsts, failures = {}, []
+    for w in elements:
+        h = Counter((mask(descent_set(compose(w, v))), mask(descents(invert(v))))
+                    for v in elements)
+        first, h_first = firsts.setdefault(descents(w).indices, (w, h))
+        if h != h_first:
+            key = min(k for k in h.keys() | h_first.keys() if h[k] != h_first[k])
+            A, B = ([i for i in fam.affine_indices() if m >> (i - start) & 1] for m in key)
+            failures.append({"class": descents(w).sorted(),
+                             "elements": [list(first.values), list(w.values)],
+                             "A": A, "B": B})
+    return failures
+
+
+def _reversed_rows(data):
+    """The products v u where rows gives u v."""
+    for u in data.elements:
+        yield [data.index_of[_compose(v, u).values] for v in data.elements]
+
+
+@pytest.mark.parametrize("fam", [Family("A", 4), Family("C", 3)], ids=["A4", "C3"])
+def test_module_suite_catches_reversed_products(monkeypatch, fam):
+    """With every row read as v w in place of w v, the module suite fails and
+    names each element whose histogram leaves its class's."""
+    passing = da.verify("module", fam)
+    monkeypatch.setattr(da._GroupData, "rows", _reversed_rows)
+    report = da.verify("module", fam)
+    expected = _histogram_failures(fam, "xt", lambda w, v: _compose(v, w), inverse)
+    assert expected and report["failures"] == expected
+    assert report["checks"] == passing["checks"]
+
+
+@pytest.mark.parametrize("suite, kind", [("solomon", "x"), ("module", "xt")])
+def test_product_suites_catch_an_unsigned_inverse(monkeypatch, suite, kind):
+    """A type C inverse that drops its signs fails both suites at C3."""
+    fam = Family("C", 3)
+    passing = da.verify(suite, fam)
+    assert passing["pass"]
+    monkeypatch.setattr(da, "inverse", _signless_inverse)
+    report = da.verify(suite, fam)
+    expected = _histogram_failures(fam, kind, _compose, _signless_inverse)
+    assert expected and report["failures"] == expected
+    assert report["checks"] == passing["checks"]
 
 
 @pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
@@ -406,6 +506,9 @@ def test_evaluate_expansion_rejects_illegal_index_sets():
     for fam in KERNEL_FAMILIES:
         with pytest.raises(ValidationError):
             da.evaluate_expansion({frozenset(): 1}, "xt", fam)
+    for bad in (frozenset([1.0]), frozenset([True]), 1):  # frozenset([1.0]) once meant {1}
+        with pytest.raises(ValidationError):
+            da.evaluate_expansion({bad: 1}, "x", A3)
 
 
 # ---------------------------------------------------------------------------
@@ -547,13 +650,18 @@ def _both_tables(families):
 @_both_tables(KERNEL_FAMILIES)
 def test_module_table_matches_the_ring(kind, fam):
     """Each entry's coefficients, evaluated over x (solomon) or x~ (module),
-    give x_I * x_J or x_I * x~_J."""
+    give x_I * x_J or x_I * x~_J; the ring's own expansion of the product
+    re-evaluates to it, and over the x basis it is the table's."""
     table, basis = TABLES[kind]
     for e in table(fam)["entries"]:
         expansion = {frozenset(json.loads(K)): c for K, c in e["coeffs"].items()}
         product = da.multiply(da.basis_element("x", e["I"], fam),
                               da.basis_element(basis, e["J"], fam))
         assert da.evaluate_expansion(expansion, basis, fam) == product, (e["I"], e["J"])
+        ring = da.express_in_basis(product, basis)
+        assert da.evaluate_expansion(ring, basis, fam) == product, (e["I"], e["J"])
+        if kind == "solomon":
+            assert ring == expansion, (e["I"], e["J"])
 
 
 def _all_pairs_entries(kind, fam):
