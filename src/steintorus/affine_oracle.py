@@ -24,6 +24,8 @@ the edge after block p of c is the translation-invariant count
 
 ``oracle_act`` applies G's signs through ``_act``.  The vectors this module
 builds skip the check of the public ``CompactSignVector`` constructor.
+``project`` keeps every check; the oracle suite caches it per run, so each
+distinct acted vector is projected once, however many pairs it serves.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import FamilyMismatchError, NotRealizableError, ValidationError
-from .weyl import Family
-from .coxfaces import SetComposition, _trusted, positive_root_order, sign_vector
+from .weyl import Family, _trusted
+from .coxfaces import SetComposition, positive_root_order, sign_vector
 from .torusfaces import SpinNecklace, make_spin, split, w_of_torus_face
 
 Entry = Tuple[int, str]

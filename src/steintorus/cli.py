@@ -202,12 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled property checks")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=("all", "solomon", "module", "psi", "oracle", "lrb", "euler",
-                 "counts"),
-    )
+    p.add_argument("--suite", required=True, choices=("all", *descent_algebra._SUITES))
     p.set_defaults(run=_cmd_verify)
     return parser
 

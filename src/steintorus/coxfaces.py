@@ -20,7 +20,7 @@ alone, and so does the anchor when alone.  So ``_refine_all``, one left code
 against many right codes, calls the one kernel once per distinct trace.
 Validation stays at the boundary (the public constructors,
 ``SymComposition.from_full`` and ``from_wire``); kernel and enumerator
-output is valid by construction and built by ``_trusted`` unchecked.
+output is valid by construction and built by ``weyl._trusted`` unchecked.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, List, Optional, Tuple, Union
 
-from .budget import check_count
-from .errors import FamilyMismatchError, ValidationError
-from .weyl import ColorSet, Family, WeylElement
+from .budget import check_count, current_budget
+from .errors import BudgetExceededError, FamilyMismatchError, ValidationError
+from .weyl import ColorSet, Family, WeylElement, _trusted
 
 Block = Tuple[int, ...]
 
@@ -117,14 +117,6 @@ def _from_full(family: Family, blocks) -> Composition:
     if family.tag == "A":
         return SetComposition(family, blocks)
     return SymComposition.from_full(family, blocks)
-
-
-def _trusted(cls, *fields):
-    """An instance of the frozen dataclass cls with the given field values,
-    built without __post_init__: for kernel output only."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
-    return obj
 
 
 def _encode(blocks, values, n: int) -> Tuple[int, ...]:
@@ -299,15 +291,15 @@ def act(w: WeylElement, F: Composition) -> Composition:
     return _from_code(F.family, _moved(_face_code(F), w))
 
 
-def _ordered_partitions(elements, sizes=None) -> Iterator[Tuple[Block, ...]]:
-    """All ordered set partitions of a sorted element tuple, or those whose
-    blocks have the given sizes in order."""
+def _ordered_partitions(elements, sizes=None, above=0) -> Iterator[Tuple[Block, ...]]:
+    """Every ordered set partition of a sorted element tuple, or those with
+    the given block sizes, whose first block's elements all pass `above`."""
     if not elements:
         yield ()
         return
     for r in range(1, len(elements) + 1) if sizes is None else sizes[:1]:
-        for first in itertools.combinations(elements, r):
-            leftover = tuple(x for x in elements if x not in first)
+        for first in itertools.combinations(itertools.dropwhile(above.__ge__, elements), r):
+            leftover = tuple(itertools.filterfalse(set(first).__contains__, elements))
             for tail in _ordered_partitions(leftover, sizes and sizes[1:]):
                 yield (first,) + tail
 
@@ -320,7 +312,7 @@ def _self_negating(universe, extra=(), size=None):
     for size in range(len(universe) + 1) if size is None else (size,):
         for chosen in itertools.combinations(universe, size):
             block = tuple(sorted(chosen + extra + tuple(-x for x in chosen)))
-            yield block, tuple(x for x in universe if x not in chosen)
+            yield block, tuple(itertools.filterfalse(set(chosen).__contains__, universe))
 
 
 def _signed_partitions(elements, sizes=None) -> Iterator[Tuple[Block, ...]]:
@@ -362,6 +354,22 @@ def _block_sizes(family: Family, color: Optional[ColorSet]) -> Optional[List[int
     return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
+def _check_walk(family: Family, sizes, count, torus: bool = False) -> None:
+    """Refuse a walk over every face or necklace (sizes None), or a colour's orbit
+    whose multinomial(parts) * 2**(type C signs) members of n entries pass the budget."""
+    if sizes is None:
+        return check_count(family, count, f"{'torus ' * torus}faces of {family}")
+    budget, ends = current_budget(), sizes[0] + torus * sizes[-1]  # a type A tail joins its clasp
+    parts = [ends, *sizes[1 : len(sizes) - torus]] if family.tag == "A" else sizes
+    b = budget.bit_length()  # C(m, k), k <= m / 2, cut to C(m, b) still passes 2**b
+    entries = family.rank << min((family.tag == "C") * (family.rank - ends), b)
+    for before, part in zip(itertools.accumulate(parts), parts[1:]):
+        entries *= math.comb(before + part, min(part, before, b)) if entries <= budget else 1
+    if entries > budget:
+        raise BudgetExceededError(f"one colour's {'torus ' * torus}faces of {family}: at "
+                                  f"least {entries} entries pass the budget of {budget}")
+
+
 def enumerate_faces(
     family: Family, color: Optional[ColorSet] = None
 ) -> Iterator[Composition]:
@@ -371,7 +379,7 @@ def enumerate_faces(
     sizes = _block_sizes(family, color)
     if color is not None and family.affine_index in color:
         raise ValidationError("finite color sets exclude the affine index")
-    check_count(family, count_faces, f"faces of {family}")
+    _check_walk(family, sizes, count_faces)
     universe = tuple(range(1, family.rank + 1))
     if family.tag == "A":
         for blocks in _ordered_partitions(universe, sizes):

@@ -69,12 +69,13 @@ from .weyl import (
     ColorSet,
     Family,
     WeylElement,
+    _trusted,
     affine_descent_set,
     descent_set,
     enumerate_group,
     inverse,
 )
-from . import coxfaces, torusfaces
+from . import affine_oracle as oracle, coxfaces, torusfaces
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,7 @@ class _GroupData:
 
     def element(self, coeffs) -> "GroupRingElement":
         """The ring element with coefficient coeffs[i] on elements[i]."""
-        return coxfaces._trusted(GroupRingElement, self.family, tuple(
+        return _trusted(GroupRingElement, self.family, tuple(
             zip(itertools.compress(self.elements, coeffs), filter(None, coeffs))))
 
 
@@ -391,8 +392,7 @@ class FaceSum:
             raise FamilyMismatchError("incompatible face sums")
         acc = Counter(self._codes)
         acc.update(other._codes)  # Counter.update adds; dict.update would replace
-        return coxfaces._trusted(FaceSum, self.family, self.torus,
-                                 {r: c for r, c in acc.items() if c})
+        return _trusted(FaceSum, self.family, self.torus, {r: c for r, c in acc.items() if c})
 
 
 def orbit_sum(kind: str, index, family: Family) -> FaceSum:
@@ -404,8 +404,7 @@ def orbit_sum(kind: str, index, family: Family) -> FaceSum:
     walk, code = ((torusfaces.enumerate_torus_faces, torusfaces._necklace_code) if torus
                   else (coxfaces.enumerate_faces, coxfaces._face_code))
     # Each face of the colour comes once, valid and of this family: nothing to check.
-    return coxfaces._trusted(FaceSum, family, torus,
-                             dict.fromkeys(map(code, walk(family, color)), 1))
+    return _trusted(FaceSum, family, torus, dict.fromkeys(map(code, walk(family, color)), 1))
 
 
 def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
@@ -420,18 +419,18 @@ def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     for p, cp in s._codes.items():
         for r, cq in zip(coxfaces._refine_all(p, right, anchor), right.values()):
             acc[r] = acc.get(r, 0) + cp * cq
-    return coxfaces._trusted(FaceSum, s.family, s.torus, {r: c for r, c in acc.items() if c})
+    return _trusted(FaceSum, s.family, s.torus, {r: c for r, c in acc.items() if c})
 
 
 def _generators(family: Family):
     n = family.rank
     gens = []
     if family.tag == "C":
-        gens.append(WeylElement(family, (-1,) + tuple(range(2, n + 1))))
+        gens.append(_trusted(WeylElement, family, (-1,) + tuple(range(2, n + 1))))
     for i in range(1, n):
         values = list(range(1, n + 1))
         values[i - 1], values[i] = values[i], values[i - 1]
-        gens.append(WeylElement(family, tuple(values)))
+        gens.append(_trusted(WeylElement, family, tuple(values)))
     return gens
 
 
@@ -454,8 +453,8 @@ def _psi_unchecked(s: FaceSum) -> GroupRingElement:
     acc = {}
     for r, c in s._codes.items():
         acc[w] = acc.get(w := coxfaces._w_of_code(s.family, r), 0) + c
-    return coxfaces._trusted(GroupRingElement, s.family, tuple(
-        (coxfaces._trusted(WeylElement, s.family, w), c) for w, c in sorted(acc.items()) if c))
+    return _trusted(GroupRingElement, s.family, tuple(
+        (_trusted(WeylElement, s.family, w), c) for w, c in sorted(acc.items()) if c))
 
 
 def psi(s: FaceSum) -> GroupRingElement:
@@ -734,9 +733,10 @@ def _verify_counts(family: Family, seed=0):
 def _verify_oracle(family: Family, seed=0):
     """Cross-check the necklace action, read off the product table a row at
     a time, against the affine sign-vector model, which reads no code and
-    takes each face's signs once (type A; ``verify`` refuses type C)."""
-    from . import affine_oracle as oracle
-
+    takes each face's signs once (type A; ``verify`` refuses type C).  Each
+    pair is compared, through one cache per run of the checked ``project``:
+    each distinct acted vector (a few thousand at A5) is projected once."""
+    project = functools.cache(oracle.project)
     checks, failures = 0, []
     necklaces = list(torusfaces.enumerate_torus_faces(family))
     faces = list(coxfaces.enumerate_faces(family))
@@ -744,7 +744,7 @@ def _verify_oracle(family: Family, seed=0):
     lifted = [(N, oracle.lift(N)) for N in necklaces]
     for N, V in lifted:
         checks += 1
-        if oracle.project(V) != N:
+        if project(V) != N:
             failures.append({"check": "project(lift(N)) = N", "N": str(N)})
         mu, w = oracle.w_of_affine_face(V)
         checks += 1
@@ -755,7 +755,7 @@ def _verify_oracle(family: Family, seed=0):
     for (N, V), row in zip(lifted, rows):
         for G, g, k in zip(faces, signs, row):
             checks += 1
-            if k is None or necklaces[k] != oracle.project(oracle._act(V, g)):
+            if k is None or necklaces[k] != project(oracle._act(V, g)):
                 failures.append(
                     {"check": "action equivalence", "N": str(N), "G": str(G)}
                 )

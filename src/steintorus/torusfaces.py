@@ -38,15 +38,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from .budget import check_count
 from .errors import FamilyMismatchError, ValidationError
-from .weyl import ColorSet, Family, WeylElement
+from .weyl import ColorSet, Family, WeylElement, _trusted
 from .coxfaces import (
     Composition,
     SetComposition,
     SymComposition,
     _block_sizes,
     _check_blocks,
+    _check_walk,
     _decode,
     _encode,
     _face_code,
@@ -57,7 +57,6 @@ from .coxfaces import (
     _refine,
     _self_negating,
     _signed_partitions,
-    _trusted,
     _w_of_code,
     _wire_blocks,
     _wire_ints,
@@ -271,19 +270,18 @@ def enumerate_torus_faces(
     sizes = _block_sizes(family, color)
     if color is not None and not color.indices:
         raise ValidationError("torus color sets are nonempty")
-    check_count(family, count_torus_faces, f"torus faces of {family}")
+    _check_walk(family, sizes, count_torus_faces, torus=True)
     universe = tuple(range(1, family.rank + 1))
     if family.tag == "A":
-        # The clasp is a tail followed by the first block of a composition
-        # of the rest, all of whose elements follow the tail; the labels are
-        # the running sizes of the composition's blocks.
+        # The clasp is a tail, which leaves room above it, then the first
+        # block of a composition of the rest, all of whose elements follow
+        # the tail; the labels are the running sizes of the composition's blocks.
         for ts in range(family.rank) if sizes is None else sizes[-1:]:  # never all of [n]
-            for tail in itertools.combinations(universe, ts):
-                rest = tuple(x for x in universe if x not in tail)
-                for comp in _ordered_partitions(rest, sizes and sizes[:-1]):
-                    if min(comp[0]) > (max(tail) if tail else 0):
-                        yield _trusted(SpinNecklace, family, (tail + comp[0],) + comp[1:],
-                                       tuple(itertools.accumulate(map(len, comp))))
+            for tail in itertools.combinations(universe[: family.rank - (sizes or [1])[0]], ts):
+                rest = tuple(itertools.filterfalse(set(tail).__contains__, universe))
+                for comp in _ordered_partitions(rest, sizes and sizes[:-1], max(tail, default=0)):
+                    yield _trusted(SpinNecklace, family, (tail + comp[0],) + comp[1:],
+                                   tuple(itertools.accumulate(map(len, comp))))
         return
     for zero_block, after_zero in _self_negating(universe, (0,), sizes and sizes[0]):
         for antipodal, rest in _self_negating(after_zero, (), sizes and sizes[-1]):

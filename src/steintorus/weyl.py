@@ -17,6 +17,9 @@ Simple-root indices:
   extra affine index is n;
 * type C: the finite simple roots are identified with {0, ..., n-1} and the
   extra affine index is n.
+
+The public constructors ``WeylElement`` and ``ColorSet`` check their input;
+the results computed here are valid by construction and built unchecked.
 """
 
 from __future__ import annotations
@@ -67,6 +70,15 @@ class Family:
         if self.tag == "A":
             return factorial(self.rank)
         return factorial(self.rank) * 2**self.rank
+
+
+def _trusted(cls, *fields):
+    """cls(*fields) for a frozen dataclass cls, its fields set one by one as
+    __init__ does, without __post_init__: for values valid by construction."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, order=True)
@@ -141,19 +153,14 @@ class ColorSet:
 
 
 def identity(family: Family) -> WeylElement:
-    return WeylElement(family, tuple(range(1, family.rank + 1)))
+    return _trusted(WeylElement, family, tuple(range(1, family.rank + 1)))
 
 
 def inverse(u: WeylElement) -> WeylElement:
-    n = u.family.rank
-    out = [0] * n
-    for i in range(1, n + 1):
-        image = u(i)
-        if image > 0:
-            out[image - 1] = i
-        else:
-            out[-image - 1] = -i
-    return WeylElement(u.family, tuple(out))
+    out = [0] * u.family.rank
+    for i, image in enumerate(u.values, 1):
+        out[abs(image) - 1] = i if image > 0 else -i
+    return _trusted(WeylElement, u.family, tuple(out))
 
 
 def _descents(w: WeylElement, indices: range) -> ColorSet:
@@ -161,7 +168,7 @@ def _descents(w: WeylElement, indices: range) -> ColorSet:
     w_0 w_1 ... w_n w_{n+1} under the boundary conventions above."""
     values = w.values
     word = (0,) + values + ((values[0],) if w.family.tag == "A" else (0,))
-    return ColorSet(w.family, frozenset(i for i in indices if word[i] > word[i + 1]))
+    return _trusted(ColorSet, w.family, frozenset(i for i in indices if word[i] > word[i + 1]))
 
 
 def descent_set(w: WeylElement) -> ColorSet:
@@ -185,7 +192,7 @@ def enumerate_group(family: Family) -> Iterator[WeylElement]:
     n = family.rank
     if family.tag == "A":
         for values in itertools.permutations(range(1, n + 1)):
-            yield WeylElement(family, values)
+            yield _trusted(WeylElement, family, values)
         return
     signed = sorted(
         (tuple(s * p for s, p in zip(signs, perm)))
@@ -193,4 +200,4 @@ def enumerate_group(family: Family) -> Iterator[WeylElement]:
         for signs in itertools.product((-1, 1), repeat=n)
     )
     for values in signed:
-        yield WeylElement(family, values)
+        yield _trusted(WeylElement, family, values)

@@ -420,6 +420,23 @@ def test_module_table_budget_edge(capsys, monkeypatch, kind, rank, expected):
     assert code == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "A", "--rank", "9", "--object", "faces", "--color", "[]"),
+    ("--family", "C", "--rank", "7", "--object", "torus", "--color", "[0]"),
+    ("--family", "A", "--rank", "200000", "--object", "faces", "--color", "[]"),
+    ("--family", "A", "--rank", "200000", "--object", "torus", "--color", "[1]"),
+    ("--family", "C", "--rank", "200000", "--object", "torus", "--color", "[0]"),
+])
+def test_a_colour_of_one_face_passes_where_the_family_does_not(capsys, argv):
+    """The walks at A9 and C7 were refused for the family's 7,087,261 faces
+    and 12,107,008 torus faces; each colour's orbit is a single face.  Its n
+    entries take time linear in n: membership in a tuple made it quadratic,
+    and the type A torus walk tried n tails."""
+    start = time.perf_counter()
+    assert run(capsys, "enumerate", *argv, "--count") == (0, "1\n", "")
+    assert time.perf_counter() - start < 2.0
+
+
 def test_type_a_rank_one_is_rejected(capsys):
     code, out, err = run(
         capsys, "verify", "--family", "A", "--rank", "1", "--suite", "all",
@@ -456,6 +473,14 @@ HUGE = "100000000"
     (("verify", "--family", "A", "--rank", "9", "--suite", "counts"), 3),
     # The oracle's type rule comes before the budget.
     (("verify", "--family", "C", "--rank", "7", "--suite", "oracle"), 1),
+    # An orbit of one face still holds n entries.
+    (("enumerate", "--family", "A", "--rank", HUGE, "--object", "faces",
+      "--color", "[]", "--count"), 3),
+    # At a rank the budget admits, n faces or necklaces of n entries pass it.
+    (("enumerate", "--family", "A", "--rank", "1000000", "--object", "faces",
+      "--color", "[1]"), 3),
+    (("enumerate", "--family", "C", "--rank", "1000000", "--object", "torus",
+      "--color", "[1]"), 3),
 ])
 def test_huge_ranks_stop_at_once(capsys, argv, expected):
     start = time.perf_counter()

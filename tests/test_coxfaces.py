@@ -3,9 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as hst
 
-from steintorus.errors import FamilyMismatchError, ValidationError
+from steintorus.errors import BudgetExceededError, FamilyMismatchError, ValidationError
 from steintorus.weyl import ColorSet, Family, WeylElement
 from steintorus import coxfaces as cf
+from steintorus import torusfaces as tf
 
 A7 = Family("A", 7)
 C5 = Family("C", 5)
@@ -111,6 +112,26 @@ def test_enumerate_by_color():
             color = ColorSet(fam, frozenset(J))
             expected = [F for F, c in full if c == color]
             assert list(cf.enumerate_faces(fam, color)) == expected, (fam, J)
+
+
+def test_a_colour_walk_is_budgeted_by_its_own_orbit(monkeypatch):
+    """A coloured walk was budgeted by every face of the family.  It passes at
+    a budget of the entries it builds, its length times the n entries of one
+    face, and stops one below, naming that exact number."""
+    for fam in BY_COLOR:
+        for walk, indices, nonempty in ((cf.enumerate_faces, fam.finite_indices(), 0),
+                                        (tf.enumerate_torus_faces, fam.affine_indices(), 1)):
+            for J in itertools.chain.from_iterable(itertools.combinations(indices, r)
+                                                   for r in range(nonempty, len(indices) + 1)):
+                color = ColorSet(fam, frozenset(J))
+                entries = sum(1 for _ in walk(fam, color)) * fam.rank
+                monkeypatch.setenv("STEINTORUS_BUDGET", str(entries))
+                next(walk(fam, color))
+                if entries > 1:
+                    monkeypatch.setenv("STEINTORUS_BUDGET", str(entries - 1))
+                    with pytest.raises(BudgetExceededError, match=f"least {entries} entries"):
+                        next(walk(fam, color))
+                monkeypatch.delenv("STEINTORUS_BUDGET")
 
 
 def test_enumerated_faces_pass_the_constructor():

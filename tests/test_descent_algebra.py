@@ -374,6 +374,38 @@ def test_oracle_reports_every_failure(monkeypatch):
     assert not report["pass"]
 
 
+def test_the_oracle_projects_each_acted_vector_once(monkeypatch):
+    """Each of the 8,093 projections at A4 was made for its own pair."""
+    calls, project = Counter(), ao.project
+
+    def counted(V):
+        calls[V] += 1
+        return project(V)
+
+    monkeypatch.setattr(ao, "project", counted)
+    assert da.verify("oracle", Family("A", 4)) == {
+        "suite": "oracle", "family": "A", "rank": 4, "checks": 11493, "failures": [],
+        "pass": True}
+    assert sum(calls.values()) <= 600
+
+
+def test_the_cached_projection_hides_no_failure(monkeypatch):
+    """A projection wrong for one acted vector fails every pair that acts to
+    it, each once, and nothing else."""
+    fam = Family("A", 4)
+    necklaces, faces = list(tf.enumerate_torus_faces(fam)), list(cf.enumerate_faces(fam))
+    lifts = [ao.lift(N) for N in necklaces]
+    acted = Counter(ao.oracle_act(V, G) for V in lifts for G in faces)
+    target, expected = next((V, k) for V, k in acted.most_common() if V not in lifts)
+    assert expected > 1
+    project = ao.project
+    wrong = next(N for N in necklaces if N != project(target))
+    monkeypatch.setattr(ao, "project", lambda V: wrong if V == target else project(V))
+    report = da.verify("oracle", fam)
+    assert [f["check"] for f in report["failures"]] == ["action equivalence"] * expected
+    assert report["checks"] == 11493
+
+
 def test_a_product_that_is_no_face_fails_the_laws_that_read_it(monkeypatch):
     """A product code outside the enumeration, which only a kernel defect
     makes, is reported as failures with witnesses, not raised."""

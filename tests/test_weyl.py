@@ -88,6 +88,41 @@ def test_multiply_inverse():
     assert multiply(inverse(u), u) == identity(u.family)
 
 
+GROUP_FAMILIES = [Family("A", n) for n in range(2, 7)] + [Family("C", n) for n in range(1, 5)]
+
+
+def test_computed_elements_and_descents_pass_the_constructors():
+    """The group layer builds its results unchecked; each equals, and hashes
+    like, its rebuild through the checked constructor."""
+    for fam in GROUP_FAMILIES:
+        for w in enumerate_group(fam):
+            for v in (w, inverse(w)):
+                rebuilt = WeylElement(fam, v.values)
+                assert v == rebuilt and hash(v) == hash(rebuilt)
+            for D in (descent_set(w), affine_descent_set(w)):
+                rebuilt = ColorSet(fam, D.indices)
+                assert D == rebuilt and hash(D) == hash(rebuilt)
+        assert identity(fam) == WeylElement(fam, tuple(range(1, fam.rank + 1)))
+    with pytest.raises(ValidationError):
+        WeylElement(Family("A", 3), (1, 1, 2))
+
+
+@pytest.mark.parametrize("fam", [Family("A", 4), Family("C", 3)], ids=["A4", "C3"])
+def test_the_group_layer_checks_nothing_it_computes(monkeypatch, fam):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} re-checked")
+
+    monkeypatch.setattr(WeylElement, "__post_init__", refuse)
+    monkeypatch.setattr(ColorSet, "__post_init__", refuse)
+    elements = list(enumerate_group(fam))
+    assert len(elements) == fam.group_order()
+    assert identity(fam).values == tuple(range(1, fam.rank + 1))
+    for w in elements:
+        assert inverse(inverse(w)) == w
+        assert descent_set(w).indices <= affine_descent_set(w).indices
+    assert len(da._generators(fam)) == len(fam.finite_indices())
+
+
 def test_colorset_range():
     with pytest.raises(ValidationError):
         ColorSet(Family("A", 3), frozenset({4}))
