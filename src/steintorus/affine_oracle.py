@@ -24,8 +24,8 @@ the edge after block p of c is the translation-invariant count
 
 ``oracle_act`` applies G's signs through ``_act``.  The vectors this module
 builds skip the check of the public ``CompactSignVector`` constructor.
-``project`` keeps every check; the oracle suite caches it per run, so each
-distinct acted vector is projected once, however many pairs it serves.
+``project`` keeps every check; the oracle suite caches it per run and hands
+it to ``_locate``, so each distinct vector is projected once.
 """
 
 from __future__ import annotations
@@ -158,7 +158,11 @@ def project(V: CompactSignVector) -> SpinNecklace:
 
 def w_of_affine_face(V: CompactSignVector):
     """The unique (coroot translation, group element) locating the face."""
-    N = project(V)
+    return _locate(V, project(V))
+
+
+def _locate(V: CompactSignVector, N: SpinNecklace):
+    """``w_of_affine_face(V)``, given N = project(V)."""
     w = w_of_torus_face(N)
     base = lift(N)
     n = V.n

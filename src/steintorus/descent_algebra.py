@@ -19,8 +19,8 @@ Internally a group element is its index in the lexicographic enumeration
 of the group by one-line values, so the convolution, the basis sums and the
 |W|^2 multiplication table work on plain integers; because that order is the
 order of ``GroupRingElement.coeffs``, a dense coefficient list read in index
-order gives the canonical ``coeffs`` tuple, built without the check.  Every
-(affine) descent class is kept as its list of element indices.  ``multiply``
+order gives the canonical ``coeffs`` tuple, built without the check.  Each
+element's (affine) descent set is kept as a bit mask.  ``multiply``
 adds, for each coefficient group of the right factor, every left row's
 table entries over the group's columns: x_I * x_J is one exact count over
 all |x_I| * |x_J| pairs, which assumes nothing of Solomon's theorem; the
@@ -28,7 +28,7 @@ solomon and module suites check the theorem on rows of products, one
 histogram per element.  The structure tables build no group: they expand
 sigma_J * sigma_I and sigma~_J * sigma_I, which psi maps to x_I * x_J
 (Bidigare's theorem) and x_I * x~_J.
-Class sums give each class one value and fill its list; their zeta sum over
+Class sums give each element the value at its mask; their zeta sum over
 index sets and the Moebius inversion are one subset transform on bit masks.
 
 A face sum's state is its {position code: coefficient} dict (see
@@ -87,20 +87,21 @@ class _GroupData:
         self.family = family
         self.elements = list(enumerate_group(family))
         self.index_of = {w.values: i for i, w in enumerate(self.elements)}
-        # Per basis kind: each (affine) descent class as its ascending element
-        # indices, keyed by descent set in the order of first elements; and
-        # the bit mask of each legal index set, in the order of _subsets.
-        self.classes, self.masks = {}, {}
+        # Per basis kind: the bit mask of each legal index set, in the order
+        # of _subsets; mask_of[i], the mask of element i's (affine) descent
+        # set; and first_of[i], the index of the first element of i's class.
+        self.masks, self.mask_of, self.first_of = {}, {}, {}
         for kinds, descents in ((("x", "y"), descent_set),
                                 (("xt", "yt"), affine_descent_set)):
-            classes = {}
-            for i, w in enumerate(self.elements):
-                classes.setdefault(frozenset(descents(w).indices), []).append(i)
             universe = _universe(kinds[0], family)
             masks = {I: sum(1 << (i - universe.start) for i in I)
                      for I in _subsets(universe, nonempty=kinds[0] == "xt")}
+            mask_of = [masks[descents(w).indices] for w in self.elements]
+            firsts = {}
+            first_of = [firsts.setdefault(m, i) for i, m in enumerate(mask_of)]
             for kind in kinds:
-                self.classes[kind], self.masks[kind] = classes, masks
+                self.masks[kind], self.mask_of[kind] = masks, mask_of
+                self.first_of[kind] = first_of
 
     def rows(self):
         """Per element u in index order, the index of u * v for every element v
@@ -222,9 +223,11 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
 # descent bases
 
 
-def _as_index_set(index) -> FrozenSet[int]:
+def _as_index_set(index, family: Family) -> FrozenSet[int]:
     """index as a frozenset; as in ``ColorSet``, bools and floats are refused."""
     if isinstance(index, ColorSet):
+        if index.family != family:
+            raise FamilyMismatchError(f"a color set of {index.family}, not {family}")
         return frozenset(index.indices)
     try:
         items = tuple(index)
@@ -274,7 +277,7 @@ def _subset_transform(f: list, sign: int) -> list:
 def _class_sum(kind: str, terms, family: Family) -> GroupRingElement:
     """The sum of c * basis_element(kind, J) over the checked pairs (J, c):
     a descent class gets the sum of the c whose J contains (x) or equals (y)
-    it, and that value goes on every index of the class."""
+    it; itemgetter reads each element's value at its mask (a tuple: |W| > 1)."""
     data = _data(family)
     masks = data.masks[kind]
     values = [0] * (1 << len(_universe(kind, family)))
@@ -282,18 +285,12 @@ def _class_sum(kind: str, terms, family: Family) -> GroupRingElement:
         values[masks[J]] += c
     if kind in ("x", "xt"):
         _subset_transform(values, 1)
-    coeffs = [0] * len(data.elements)
-    for D, members in data.classes[kind].items():
-        v = values[masks[D]]
-        if v:
-            for i in members:
-                coeffs[i] = v
-    return data.element(coeffs)
+    return data.element(itemgetter(*data.mask_of[kind])(values))
 
 
 def basis_element(kind: str, index, family: Family) -> GroupRingElement:
     """x_J, y_J, x~_J (kind 'xt') or y~_J (kind 'yt')."""
-    J = _as_index_set(index)
+    J = _as_index_set(index, family)
     _check_indices(kind, [J], family)
     return _class_sum(kind, [(J, 1)], family)
 
@@ -311,31 +308,30 @@ def express_in_basis(a: GroupRingElement, kind: str):
         raise ValidationError("expansions are over kind 'x' or 'xt'")
     family = a.family
     data = _data(family)
-    masks = data.masks[kind]
+    masks, mask_of, first_of = data.masks[kind], data.mask_of[kind], data.first_of[kind]
     coeffs = [0] * len(data.elements)
     for w, c in a.coeffs:
         coeffs[data.index_of[w.values]] = c
-    values = [0] * (1 << len(_universe(kind, family)))
-    broken = []
-    for D, members in data.classes[kind].items():
-        v = values[masks[D]] = coeffs[members[0]]
-        if list(map(coeffs.__getitem__, members)).count(v) != len(members):
-            broken.append((next(i for i in members if coeffs[i] != v), members[0], D))
-    if broken:
-        first, rep, D = min(broken)
+    firsts = list(itemgetter(*first_of)(coeffs))
+    if firsts != coeffs:
+        i = next(i for i, c in enumerate(coeffs) if c != firsts[i])
+        D = next(D for D, m in masks.items() if m == mask_of[i])
         raise NotInSpanError(
             f"not constant on the descent class {sorted(D)}",
-            witness=(data.elements[rep], data.elements[first]),
+            witness=(data.elements[first_of[i]], data.elements[i]),
         )
     # Moebius inversion over the classes above I; x~ over the empty set is
     # the empty sum, so masks has no entry for it.
+    values = [0] * (1 << len(_universe(kind, family)))
+    for i in set(first_of):
+        values[mask_of[i]] = coeffs[i]
     _subset_transform(values, -1)
     return {I: values[mask] for I, mask in masks.items() if values[mask]}
 
 
 def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement:
     """The sum of c * basis_element(kind, I, family) over the items (I, c)."""
-    terms = [(_as_index_set(I), _integer(c)) for I, c in expansion.items()]
+    terms = [(_as_index_set(I, family), _integer(c)) for I, c in expansion.items()]
     _check_indices(kind, (J for J, _ in terms), family)
     return _class_sum(kind, terms, family)
 
@@ -397,7 +393,7 @@ class FaceSum:
 
 def orbit_sum(kind: str, index, family: Family) -> FaceSum:
     """sigma_J (kind 'sigma') or sigma~_J (kind 'sigmat')."""
-    color = ColorSet(family, _as_index_set(index))
+    color = ColorSet(family, _as_index_set(index, family))
     if kind not in ("sigma", "sigmat"):
         raise ValidationError(f"unknown orbit sum kind {kind!r}")
     torus = kind == "sigmat"
@@ -575,10 +571,9 @@ def _verify_products(suite: str, kind: str, family: Family, seed=0):
     iff each w's histogram of (Des(w v), D(v^-1)) over all v, at (A, B) w's
     coefficient in y_A * y_B or y_A * y~_B, is its class's first one's."""
     data, width = _data(family), len(_universe(kind, family))
-    descents = descent_set if kind == "x" else affine_descent_set
-    des = [data.masks["x"][descent_set(w).indices] << width for w in data.elements]
-    d = [data.masks[kind][descents(w).indices] for w in data.elements]
-    d_inverse = [data.masks[kind][descents(inverse(w)).indices] for w in data.elements]
+    des = [m << width for m in data.mask_of["x"]]
+    d = data.mask_of[kind]
+    d_inverse = [d[data.index_of[inverse(w).values]] for w in data.elements]
     named = {k: {m: sorted(J) for J, m in data.masks[k].items()} for k in ("x", kind)}
     firsts, failures = {}, []
     for i, row in enumerate(data.rows()):
@@ -711,11 +706,10 @@ def _verify_counts(family: Family, seed=0):
     # The faces of colour J map one to one onto the elements with (affine)
     # descent set inside J; codes give one-line values without a face.
     for kind, sums, side in (("x", sigma, "finite"), ("xt", sigmat, "affine")):
-        for J in data.masks[kind]:
+        for J, m in data.masks[kind].items():
             checks += 1
             images = [coxfaces._w_of_code(family, r) for r in sums[J]._codes]
-            target = {data.elements[i].values for D, members in data.classes[kind].items()
-                      if D <= J for i in members}
+            target = {w.values for w, d in zip(data.elements, data.mask_of[kind]) if d | m == m}
             if len(images) != len(set(images)) or set(images) != target:
                 failures.append({"check": f"{side} descent bijection", "J": sorted(J)})
     if family.tag == "A":
@@ -734,8 +728,8 @@ def _verify_oracle(family: Family, seed=0):
     """Cross-check the necklace action, read off the product table a row at
     a time, against the affine sign-vector model, which reads no code and
     takes each face's signs once (type A; ``verify`` refuses type C).  Each
-    pair is compared, through one cache per run of the checked ``project``:
-    each distinct acted vector (a few thousand at A5) is projected once."""
+    pair is compared, and each lift and translate located, through one cache
+    per run of the checked ``project``: each distinct vector is projected once."""
     project = functools.cache(oracle.project)
     checks, failures = 0, []
     necklaces = list(torusfaces.enumerate_torus_faces(family))
@@ -746,7 +740,7 @@ def _verify_oracle(family: Family, seed=0):
         checks += 1
         if project(V) != N:
             failures.append({"check": "project(lift(N)) = N", "N": str(N)})
-        mu, w = oracle.w_of_affine_face(V)
+        mu, w = oracle._locate(V, project(V))
         checks += 1
         if any(mu.coords) or w != torusfaces.w_of_torus_face(N):
             failures.append({"check": "locate canonical lift", "N": str(N)})
@@ -780,7 +774,8 @@ def _verify_oracle(family: Family, seed=0):
         # The located translation part must follow the shift as well.
         (N, V), _ = pairs[0]
         checks += 1
-        got_mu, got_w = oracle.w_of_affine_face(oracle.translate(V, mu))
+        shifted = oracle.translate(V, mu)
+        got_mu, got_w = oracle._locate(shifted, project(shifted))
         if got_mu != mu or got_w != torusfaces.w_of_torus_face(N):
             failures.append({"check": "locate translate", "mu": list(mu.coords)})
     return _report("oracle", family, checks, failures)
