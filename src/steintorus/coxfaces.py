@@ -14,10 +14,10 @@ Products are computed on position codes.  A face's code gives each element
 of [1, n] (type A) or [-n, n] (type C), in order, the end of its block in
 the concatenated full blocks: its block position, relabelled monotonically.
 The one kernel ``_refine`` serves the Tits product and the torus module
-action.  Its result reads q only on the elements sharing their block of p
-(the trace of q on p): an element alone in its block sorts by its p value
-alone, and so does the anchor when alone.  So ``_refine_all``, one left code
-against many right codes, calls the one kernel once per distinct trace.
+action.  Its result reads q only through its order, with ties, on each
+block of p with two or more elements: it compares q[x] with q[y] only for
+x and y in one block of p.  So ``_refine_all``, many left codes against
+many right codes, calls the one kernel once per distinct order on p's blocks.
 Validation stays at the boundary (the public constructors,
 ``SymComposition.from_full`` and ``from_wire``); kernel and enumerator
 output is valid by construction and built by ``weyl._trusted`` unchecked.
@@ -30,7 +30,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import gt, itemgetter, lt, sub
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .budget import check_count, current_budget
@@ -160,14 +160,24 @@ def _refine(p, q, anchor: Optional[int] = None):
     return tuple(map(ring.__getitem__, counts))
 
 
-def _refine_all(p, qs, anchor: Optional[int] = None):
-    """[_refine(p, q, anchor) for q in qs], with one kernel call per distinct
-    trace of q on p's blocks of two or more elements, on the last q of that
-    trace (any q of a trace gives its result); qs is read twice."""
-    shared = [i for i, value in enumerate(p) if p.count(value) > 1]
-    traces = list(map(itemgetter(*shared) if shared else (lambda q: ()), qs))
-    results = {t: _refine(p, q, anchor) for t, q in dict(zip(traces, qs)).items()}
-    return list(map(results.__getitem__, traces))
+def _refine_all(ps, qs, anchor: Optional[int] = None):
+    """Yield, per left code p, [_refine(p, q, anchor) for q in qs], with one
+    kernel call per distinct order of q on p's blocks of two or more
+    elements, on the last q of that order (any q of an order gives its
+    result).  The order is read off one comparison column per position pair,
+    sign(q[x] - q[y]) over all qs, made once per call."""
+    qs, columns = list(qs), {}
+    for p in ps:
+        pairs = [(x, y) for x, y in itertools.combinations(range(len(p)), 2) if p[x] == p[y]]
+        for x, y in pairs:
+            if (x, y) not in columns:
+                X, Y = list(map(itemgetter(x), qs)), list(map(itemgetter(y), qs))
+                columns[x, y] = list(map(sub, map(gt, X, Y), map(lt, X, Y)))
+        # Keys are zipped twice, not listed: len(qs) freed key tuples would stay
+        # in CPython's tuple free lists.  A chamber has one constant column.
+        cols = [columns[pair] for pair in pairs] or [[0] * len(qs)]
+        results = {key: _refine(p, q, anchor) for key, q in dict(zip(zip(*cols), qs)).items()}
+        yield list(map(results.__getitem__, zip(*cols)))
 
 
 def _face_code(F: Composition) -> Tuple[int, ...]:

@@ -33,10 +33,11 @@ index sets and the Moebius inversion are one subset transform on bit masks.
 
 A face sum's state is its {position code: coefficient} dict (see
 ``coxfaces``); its faces are decoded from the codes only when ``coeffs`` is
-first read.  ``face_sum_product`` refines each left code against the whole
-right factor in one call of ``coxfaces._refine_all``, which runs the one
-kernel once per distinct trace of a right code on the left code's blocks of
-two or more elements, and returns the codes it accumulates.
+first read.  ``face_sum_product`` refines every left code against each
+coefficient group of the right factor in one call of ``coxfaces._refine_all``,
+which runs the one kernel once per distinct order of a right code on a left
+code's blocks of two or more elements; it adds each distinct result of a row
+once, with its count, and returns the codes it accumulates.
 ``_face_table`` refines one face per colour; ``is_invariant``
 permutes codes; ``psi`` reads each group element off a code and builds each
 element of its result once; the ``lrb`` and ``oracle`` suites index their
@@ -228,7 +229,7 @@ def _as_index_set(index, family: Family) -> FrozenSet[int]:
     if isinstance(index, ColorSet):
         if index.family != family:
             raise FamilyMismatchError(f"a color set of {index.family}, not {family}")
-        return frozenset(index.indices)
+        return index.indices
     try:
         items = tuple(index)
     except TypeError:
@@ -410,11 +411,13 @@ def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     if s.family != t.family:
         raise FamilyMismatchError("family mismatch")
     anchor = torusfaces._anchor(s.family) if s.torus else None
-    right = t._codes
-    acc = {}
-    for p, cp in s._codes.items():
-        for r, cq in zip(coxfaces._refine_all(p, right, anchor), right.values()):
-            acc[r] = acc.get(r, 0) + cp * cq
+    groups, acc = {}, {}
+    for q, cq in t._codes.items():
+        groups.setdefault(cq, []).append(q)
+    for cq, qs in groups.items():
+        for cp, row in zip(s._codes.values(), coxfaces._refine_all(s._codes, qs, anchor)):
+            for r, m in Counter(row).items():
+                acc[r] = acc.get(r, 0) + cp * cq * m
     return _trusted(FaceSum, s.family, s.torus, {r: c for r, c in acc.items() if c})
 
 
@@ -528,11 +531,12 @@ def _face_table(kind: str, family: Family) -> dict:
     color_of = {r: K for K, orbit in lefts.items() for r in orbit._codes}
     anchor = torusfaces._anchor(family) if torus else None
     entries = []
+    firsts = [next(iter(s_J._codes)) for s_J in lefts.values()]
     for I, sigma_I in sigma.items():
-        for J, s_J in lefts.items():
+        rows = coxfaces._refine_all(firsts, sigma_I._codes, anchor)
+        for (J, s_J), row in zip(lefts.items(), rows):
             orbit = s_J._codes
-            hits = Counter(map(color_of.__getitem__,
-                               coxfaces._refine_all(next(iter(orbit)), sigma_I._codes, anchor)))
+            hits = Counter(map(color_of.__getitem__, row))
             expansion = {}
             for K, h in hits.items():
                 expansion[K], rest = divmod(len(orbit) * h, len(lefts[K]._codes))
@@ -626,8 +630,8 @@ def _table(lefts, rights, anchor=None):
     """Per left code, the indices in lefts of its products with every right
     code; a product outside lefts, which only a kernel defect makes, is None."""
     index_of = {p: i for i, p in enumerate(lefts)}
-    for p in lefts:
-        yield list(map(index_of.get, coxfaces._refine_all(p, rights, anchor)))
+    for row in coxfaces._refine_all(lefts, rights, anchor):
+        yield list(map(index_of.get, row))
 
 
 def _verify_lrb(family: Family, seed=0):

@@ -132,6 +132,11 @@ class ColorSet:
     indices: frozenset
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "indices", frozenset(self.indices))
+        except TypeError:
+            raise ValidationError(
+                f"color indices {self.indices!r} are not a collection of integers") from None
         for i in self.indices:
             if type(i) is not int:  # bools and floats are refused, as on the wire
                 raise ValidationError(f"color index {i!r} is not an integer")

@@ -7,6 +7,7 @@ shuffling the elements and cutting the sequence, without enumeration.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as hst
@@ -248,8 +249,10 @@ def left_objects(family, torus):
     return list(walk(family))
 
 
-def assert_batch_matches(p, qs, anchor):
-    assert cf._refine_all(p, qs, anchor) == [cf._refine(p, q, anchor) for q in qs]
+def assert_batch_matches(ps, qs, anchor):
+    """All left codes in one call give, per left code, its one-at-a-time row."""
+    assert list(cf._refine_all(ps, qs, anchor)) == [
+        [cf._refine(p, q, anchor) for q in qs] for p in ps]
 
 
 @pytest.mark.parametrize("family", [Family("A", n) for n in (2, 3, 4)]
@@ -257,28 +260,33 @@ def assert_batch_matches(p, qs, anchor):
                          ids=lambda f: f"{f.tag}{f.rank}")
 @pytest.mark.parametrize("torus", [False, True], ids=["face", "necklace"])
 def test_batch_refinement_matches_one_pair_at_a_time(family, torus):
-    """Every left code against all face codes, and against none; chamber
-    and one-block left codes are among them."""
+    """Every left code against all face codes in one call; then shuffled
+    left codes, some repeated, against the face codes reversed, so a call
+    that reused another call's comparisons would differ; then no right codes,
+    and no left codes.  Chamber and one-block left codes are among them."""
     code = tf._necklace_code if torus else cf._face_code
     anchor = tf._anchor(family) if torus else None
     qs = [cf._face_code(G) for G in cf.enumerate_faces(family)]
     ps = [code(X) for X in left_objects(family, torus)]
     assert any(len(set(p)) == len(p) for p in ps)
     assert any(len(set(p)) == 1 for p in ps)
-    for p in ps:
-        assert_batch_matches(p, qs, anchor)
-        assert cf._refine_all(p, [], anchor) == []
+    assert_batch_matches(ps, qs, anchor)
+    mixed = ps + ps[::3]
+    random.Random(len(ps)).shuffle(mixed)
+    assert_batch_matches(mixed, qs[::-1], anchor)
+    assert list(cf._refine_all(ps, [], anchor)) == [[]] * len(ps)
+    assert list(cf._refine_all([], qs, anchor)) == []
 
 
 @given(hst.sampled_from([Family("A", 5), Family("C", 4)]).flatmap(
-    lambda family: hst.tuples(hst.booleans().flatmap(lambda torus: objects(family, torus)),
-                              hst.lists(objects(family, False), max_size=12))))
+    lambda family: hst.booleans().flatmap(lambda torus: hst.tuples(
+        hst.just(family), hst.just(torus), hst.lists(objects(family, torus), max_size=6),
+        hst.lists(objects(family, False), max_size=12)))))
 def test_batch_refinement_matches_at_a5_and_c4(case):
-    X, faces = case
-    torus = not isinstance(X, (cf.SetComposition, cf.SymComposition))
-    p = (tf._necklace_code if torus else cf._face_code)(X)
-    anchor = tf._anchor(X.family) if torus else None
-    assert_batch_matches(p, [cf._face_code(G) for G in faces], anchor)
+    family, torus, lefts, faces = case
+    code = tf._necklace_code if torus else cf._face_code
+    anchor = tf._anchor(family) if torus else None
+    assert_batch_matches([code(X) for X in lefts], [cf._face_code(G) for G in faces], anchor)
 
 
 @pytest.mark.parametrize("family", [Family("A", 3), Family("C", 2)], ids=["A3", "C2"])

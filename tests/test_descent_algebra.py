@@ -29,6 +29,8 @@ from steintorus import torusfaces as tf
 
 A3 = Family("A", 3)
 C2 = Family("C", 2)
+A4 = Family("A", 4)
+C3 = Family("C", 3)
 
 
 def test_basis_element_supports():
@@ -352,7 +354,7 @@ def test_lrb_catches_a_broken_kernel(monkeypatch, fam):
     # A product that returns its right factor keeps idempotence and
     # associativity, and breaks every other law.
     passing = da.verify("lrb", fam)
-    monkeypatch.setattr(cf, "_refine_all", lambda p, qs, anchor=None: list(qs))
+    monkeypatch.setattr(cf, "_refine_all", lambda ps, qs, anchor=None: (list(qs) for p in ps))
     report = da.verify("lrb", fam)
     assert not report["pass"]
     assert {f["law"] for f in report["failures"]} == {
@@ -399,7 +401,8 @@ def test_oracle_reports_every_failure(monkeypatch):
         for G in cf.enumerate_faces(A3)
     )
     assert expected > 6
-    monkeypatch.setattr(cf, "_refine_all", lambda p, qs, anchor=None: [p] * len(qs))
+    monkeypatch.setattr(cf, "_refine_all",
+                        lambda ps, qs, anchor=None: ([p] * len(qs) for p in ps))
     report = da.verify("oracle", A3)
     failures = [f for f in report["failures"] if f["check"] == "action equivalence"]
     assert len(failures) == expected
@@ -444,7 +447,8 @@ def test_a_product_that_is_no_face_fails_the_laws_that_read_it(monkeypatch):
     makes, is reported as failures with witnesses, not raised."""
     faces, necklaces = list(cf.enumerate_faces(A3)), list(tf.enumerate_torus_faces(A3))
     passing = [da.verify(suite, A3)["checks"] for suite in ("lrb", "oracle")]
-    monkeypatch.setattr(cf, "_refine_all", lambda p, qs, anchor=None: [p + (0,)] * len(qs))
+    monkeypatch.setattr(cf, "_refine_all",
+                        lambda ps, qs, anchor=None: ([p + (0,)] * len(qs) for p in ps))
     lrb, oracle = da.verify("lrb", A3), da.verify("oracle", A3)
     laws = Counter(f["law"] for f in lrb["failures"])
     assert set(laws) == {"idempotent", "unit", "chamber absorption", "xyx=xy",
@@ -585,15 +589,72 @@ def test_a_colour_set_of_another_family_is_refused_as_an_index_set():
         da.evaluate_expansion({ColorSet(A5, frozenset({2})): 1}, "x", A3)
     with pytest.raises(FamilyMismatchError):
         da.orbit_sum("sigma", ColorSet(Family("C", 3), frozenset({0})), C2)
+    # A colour set built from a set hashes (it once raised TypeError here).
+    with pytest.raises(FamilyMismatchError):
+        da.evaluate_expansion({ColorSet(A5, {2}): 1}, "x", A3)
     own = ColorSet(A3, frozenset({1}))
     assert da.basis_element("x", own, A3) == da.basis_element("x", [1], A3)
 
 
 # ---------------------------------------------------------------------------
+# face-sum products: one kernel call per distinct result, every coefficient
+
+
+@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
+def test_face_sum_products_refine_once_per_distinct_result(monkeypatch, fam):
+    """sigma_J * sigma_K and sigma~_K * sigma_J, for every colour pair, call
+    the kernel once per distinct result of each left code; a call per
+    distinct trace of the right codes on the left code's blocks is more."""
+    sigma, sigmat = da._orbit_sums(fam, False), da._orbit_sums(fam, True)
+    products = ([(s, t, None) for s in sigma.values() for t in sigma.values()]
+                + [(s, t, tf._anchor(fam)) for s in sigmat.values() for t in sigma.values()])
+    refine, calls = cf._refine, 0
+    expected = sum(len({refine(p, q, anchor) for q in t._codes})
+                   for s, t, anchor in products for p in s._codes)
+    traces = sum(len({tuple(q[x] for x in range(len(p)) if p.count(p[x]) > 1)
+                      for q in t._codes})
+                 for s, t, _ in products for p in s._codes)
+    assert expected < traces
+
+    def counted(p, q, anchor=None):
+        nonlocal calls
+        calls += 1
+        return refine(p, q, anchor)
+
+    monkeypatch.setattr(cf, "_refine", counted)
+    for s, t, _ in products:
+        da.face_sum_product(s, t)
+    assert calls == expected
+
+
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+@pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
+def test_face_sum_product_adds_every_coefficient_group(fam, torus):
+    """The chambers and a left object of fewest blocks, times a right factor
+    with coefficients in four groups of both signs that sum to 0, so a
+    chamber's products cancel: the product is the double loop over terms,
+    with no zero coefficient kept."""
+    code = tf._necklace_code if torus else cf._face_code
+    lefts = list((tf.enumerate_torus_faces if torus else cf.enumerate_faces)(fam))
+    coarsest = min(lefts, key=lambda X: len(set(code(X))))
+    lefts = [coarsest] + [X for X in lefts if len(set(code(X))) == len(code(X))]
+    faces = list(cf.enumerate_faces(fam))
+    act = tf.module_action if torus else cf.tits_product
+    s = da.FaceSum.from_dict(fam, torus, dict(zip(lefts, itertools.cycle([1, -2, 3]))))
+    t = da.FaceSum.from_dict(fam, False, dict(zip(faces[::2], [2, -1, -1, 3, -3, 2, -2])))
+    acc = Counter()
+    for X, cx in s.coeffs:
+        for G, cg in t.coeffs:
+            acc[act(X, G)] += cx * cg
+    assert 0 in acc.values()
+    got = da.face_sum_product(s, t)
+    assert got == da.FaceSum.from_dict(fam, torus, acc)
+    assert got._codes and 0 not in got._codes.values()
+
+
+# ---------------------------------------------------------------------------
 # the counted convolution against the pairwise route
 
-A4 = Family("A", 4)
-C3 = Family("C", 3)
 BIG = 10**30
 
 
@@ -755,8 +816,8 @@ def _all_pairs_entries(kind, fam):
         right = sigma[I]._codes
         for J in da._subsets(fam.affine_indices() if torus else fam.finite_indices(),
                              nonempty=torus):
-            counts = Counter(r for p in lefts[J]._codes
-                             for r in cf._refine_all(p, right, anchor))
+            counts = Counter(r for row in cf._refine_all(lefts[J]._codes, right, anchor)
+                             for r in row)
             expansion = {}
             for K, orbit in lefts.items():
                 values = {counts[r] for r in orbit._codes}

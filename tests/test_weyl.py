@@ -132,6 +132,20 @@ def test_colorset_range():
     assert 2 in ColorSet(Family("A", 3), frozenset({2, 3}))
 
 
+def test_colorset_keeps_any_collection_as_a_frozenset():
+    """A set or a list is stored as a frozenset, so the colour set hashes
+    like its frozenset twin (a set or a list once made it unhashable); a
+    non-collection is refused."""
+    A3 = Family("A", 3)
+    for indices in ({1}, [1, 2], (2, 1, 2), frozenset({3})):
+        color, twin = ColorSet(A3, indices), ColorSet(A3, frozenset(indices))
+        assert type(color.indices) is frozenset
+        assert color == twin and hash(color) == hash(twin)
+    for bad in (5, None, 1.5):
+        with pytest.raises(ValidationError):
+            ColorSet(A3, bad)
+
+
 @hst.composite
 def elements(draw, fam):
     perm = draw(hst.permutations(list(range(1, fam.rank + 1))))
