@@ -33,10 +33,10 @@ index sets and the Moebius inversion are one subset transform on bit masks.
 
 A face sum's state is its {position code: coefficient} dict (see
 ``coxfaces``); its faces are decoded from the codes only when ``coeffs`` is
-first read.  ``face_sum_product`` refines every left code against each
-coefficient group of the right factor in one call of ``coxfaces._refine_all``,
-which runs the one kernel once per distinct order of a right code on a left
-code's blocks of two or more elements; it adds each distinct result of a row
+first read.  ``face_sum_product`` refines every left code against every
+right code in one call of ``coxfaces._refine_all``, which runs the one kernel
+once per distinct order of a right code on a left code's blocks of two or
+more elements; it adds each distinct (result, right coefficient) pair of a row
 once, with its count, and returns the codes it accumulates.
 ``_face_table`` refines one face per colour; ``is_invariant``
 permutes codes; ``psi`` reads each group element off a code and builds each
@@ -411,13 +411,10 @@ def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     if s.family != t.family:
         raise FamilyMismatchError("family mismatch")
     anchor = torusfaces._anchor(s.family) if s.torus else None
-    groups, acc = {}, {}
-    for q, cq in t._codes.items():
-        groups.setdefault(cq, []).append(q)
-    for cq, qs in groups.items():
-        for cp, row in zip(s._codes.values(), coxfaces._refine_all(s._codes, qs, anchor)):
-            for r, m in Counter(row).items():
-                acc[r] = acc.get(r, 0) + cp * cq * m
+    acc, cqs = {}, list(t._codes.values())
+    for cp, row in zip(s._codes.values(), coxfaces._refine_all(s._codes, t._codes, anchor)):
+        for (r, cq), m in Counter(zip(row, cqs)).items():
+            acc[r] = acc.get(r, 0) + cp * cq * m
     return _trusted(FaceSum, s.family, s.torus, {r: c for r, c in acc.items() if c})
 
 

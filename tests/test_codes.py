@@ -10,7 +10,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as hst
+from hypothesis import example, given, strategies as hst
 
 from steintorus.errors import ValidationError
 from steintorus.weyl import Family, WeylElement
@@ -200,7 +200,24 @@ def sum_pair(draw):
     return face_sum(torus), face_sum(False)
 
 
+def cancelling_pair(family, torus):
+    """(s, t): the chambers and a left object of fewest blocks, times seven
+    faces whose coefficients fall in five groups of both signs and sum to 0,
+    so every chamber's products cancel and the coarsest object's do not."""
+    code = tf._necklace_code if torus else cf._face_code
+    lefts = list((tf.enumerate_torus_faces if torus else cf.enumerate_faces)(family))
+    coarsest = min(lefts, key=lambda X: len(set(code(X))))
+    lefts = [coarsest] + [X for X in lefts if len(set(code(X))) == len(code(X))]
+    faces = list(cf.enumerate_faces(family))
+    return (da.FaceSum.from_dict(family, torus, dict(zip(lefts, itertools.cycle([1, -2, 3])))),
+            da.FaceSum.from_dict(family, False, dict(zip(faces[::2], [2, -1, -1, 3, -3, 2, -2]))))
+
+
 @given(sum_pair())
+@example(cancelling_pair(Family("A", 3), False))
+@example(cancelling_pair(Family("A", 3), True))
+@example(cancelling_pair(Family("C", 2), False))
+@example(cancelling_pair(Family("C", 2), True))
 def test_face_sum_product_matches_double_loop(pair):
     s, t = pair
     op = naive_action if s.torus else naive_product

@@ -602,12 +602,17 @@ def test_a_colour_set_of_another_family_is_refused_as_an_index_set():
 
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
 def test_face_sum_products_refine_once_per_distinct_result(monkeypatch, fam):
-    """sigma_J * sigma_K and sigma~_K * sigma_J, for every colour pair, call
-    the kernel once per distinct result of each left code; a call per
-    distinct trace of the right codes on the left code's blocks is more."""
+    """sigma_J * sigma_K and sigma~_K * sigma_J, for every colour pair, and
+    every orbit sum times a right factor whose coefficients take seven values,
+    call the kernel once per distinct result of each left code, so once per
+    chamber however many coefficients; a call per distinct trace of the right
+    codes on the left code's blocks is more."""
     sigma, sigmat = da._orbit_sums(fam, False), da._orbit_sums(fam, True)
-    products = ([(s, t, None) for s in sigma.values() for t in sigma.values()]
-                + [(s, t, tf._anchor(fam)) for s in sigmat.values() for t in sigma.values()])
+    faces = list(cf.enumerate_faces(fam))
+    rights = [*sigma.values(), da.FaceSum.from_dict(
+        fam, False, dict(zip(faces, itertools.cycle([1, -1, 2, -2, 3, -3, 4]))))]
+    products = ([(s, t, None) for s in sigma.values() for t in rights]
+                + [(s, t, tf._anchor(fam)) for s in sigmat.values() for t in rights])
     refine, calls = cf._refine, 0
     expected = sum(len({refine(p, q, anchor) for q in t._codes})
                    for s, t, anchor in products for p in s._codes)
@@ -625,31 +630,6 @@ def test_face_sum_products_refine_once_per_distinct_result(monkeypatch, fam):
     for s, t, _ in products:
         da.face_sum_product(s, t)
     assert calls == expected
-
-
-@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
-@pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
-def test_face_sum_product_adds_every_coefficient_group(fam, torus):
-    """The chambers and a left object of fewest blocks, times a right factor
-    with coefficients in four groups of both signs that sum to 0, so a
-    chamber's products cancel: the product is the double loop over terms,
-    with no zero coefficient kept."""
-    code = tf._necklace_code if torus else cf._face_code
-    lefts = list((tf.enumerate_torus_faces if torus else cf.enumerate_faces)(fam))
-    coarsest = min(lefts, key=lambda X: len(set(code(X))))
-    lefts = [coarsest] + [X for X in lefts if len(set(code(X))) == len(code(X))]
-    faces = list(cf.enumerate_faces(fam))
-    act = tf.module_action if torus else cf.tits_product
-    s = da.FaceSum.from_dict(fam, torus, dict(zip(lefts, itertools.cycle([1, -2, 3]))))
-    t = da.FaceSum.from_dict(fam, False, dict(zip(faces[::2], [2, -1, -1, 3, -3, 2, -2])))
-    acc = Counter()
-    for X, cx in s.coeffs:
-        for G, cg in t.coeffs:
-            acc[act(X, G)] += cx * cg
-    assert 0 in acc.values()
-    got = da.face_sum_product(s, t)
-    assert got == da.FaceSum.from_dict(fam, torus, acc)
-    assert got._codes and 0 not in got._codes.values()
 
 
 # ---------------------------------------------------------------------------
