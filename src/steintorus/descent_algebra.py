@@ -15,21 +15,21 @@ W-invariant face sum to the group ring by replacing each face with its
 canonical group element; on invariants it reverses products on the finite
 side and intertwines the module structures.
 
-Internally a group element is its index in the lexicographic enumeration
-of the group by one-line values, so the convolution, the basis sums and the
-|W|^2 multiplication table work on plain integers; because that order is the
-order of ``GroupRingElement.coeffs``, a dense coefficient list read in index
-order gives the canonical ``coeffs`` tuple, built without the check.  Each
-element's (affine) descent set is kept as a bit mask.  ``multiply``
-adds, for each coefficient group of the right factor, every left row's
-table entries over the group's columns: x_I * x_J is one exact count over
-all |x_I| * |x_J| pairs, which assumes nothing of Solomon's theorem; the
-solomon and module suites check the theorem on rows of products, one
-histogram per element.  The structure tables build no group: they expand
-sigma_J * sigma_I and sigma~_J * sigma_I, which psi maps to x_I * x_J
-(Bidigare's theorem) and x_I * x~_J.
-Class sums give each element the value at its mask; their zeta sum over
-index sets and the Moebius inversion are one subset transform on bit masks.
+Internally a group element is its index in the lexicographic enumeration of
+the group by one-line values, so the convolution, the basis sums and the rows
+of products work on plain integers; each row after the first is the previous
+one read through one of O(n^2) step rows.  As that order is the order of
+``GroupRingElement.coeffs``, a dense coefficient list read in index order
+gives the canonical ``coeffs`` tuple, built without the check.  Each element's
+(affine) descent set is kept as a bit mask.  ``multiply`` adds, for each
+coefficient group of the right factor, every left row's table entries over the
+group's columns: x_I * x_J is one exact count over all |x_I| * |x_J| pairs,
+which assumes nothing of Solomon's theorem; the solomon and module suites
+check the theorem on the rows, one histogram per element.  The structure
+tables build no group: they expand sigma_J * sigma_I and sigma~_J * sigma_I,
+which psi maps to x_I * x_J (Bidigare's theorem) and x_I * x~_J.  Class sums
+give each element the value at its mask; their zeta sum over index sets and
+the Moebius inversion are one subset transform on bit masks.
 
 A face sum's state is its {position code: coefficient} dict (see
 ``coxfaces``); its faces are decoded from the codes only when ``coeffs`` is
@@ -76,7 +76,7 @@ from .weyl import (
     enumerate_group,
     inverse,
 )
-from . import affine_oracle as oracle, coxfaces, torusfaces
+from . import affine_oracle as oracle, coxfaces, torusfaces, weyl
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +105,21 @@ class _GroupData:
                 self.first_of[kind] = first_of
 
     def rows(self):
-        """Per element u in index order, the index of u * v for every element v
-        in index order: itemgetter(0, *v) reads the tuple 0, u(v_1), ..., u(v_n)
-        off image, where image[x] = u(x) for x in [-n, n], negative x from the end."""
+        """Per element w in index order, the tuple of the index of w * v for each
+        v in index order.  As w * v = prev * (d * v), prev the element before w (the
+        identity before the first) and d = prev^-1 * w, w's row is prev's read at
+        d's row; each distinct d's row, O(n^2) in all, is read directly once a call:
+        itemgetter(0, *v) reads 0, d(v_1), ..., d(v_n) off image, image[x] = d(x)."""
         at = {(0,) + w.values: i for i, w in enumerate(self.elements)}
         getters = [itemgetter(0, *w.values) for w in self.elements]
+        row, prev, steps = range(len(self.elements)), weyl.identity(self.family), {}
         for w in self.elements:
-            image = (0,) + w.values + tuple(-x for x in reversed(w.values))
-            yield [at[g(image)] for g in getters]
+            d = tuple(map(weyl.inverse(prev), w.values))
+            if d not in steps:
+                image = (0,) + d + tuple(-x for x in reversed(d))
+                steps[d] = itemgetter(*[at[g(image)] for g in getters])
+            row, prev = steps[d](row), w
+            yield row
 
     @functools.cached_property
     def mult(self):
@@ -203,7 +210,7 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     of b, one pass over the elements u of a adds cu*cv at the table entries
     of u's row in the columns of b's elements with that value, cu being u's
     coefficient; a basis element x_J or x~_J is a single group."""
-    if a.family != b.family:
+    if not all(isinstance(g, GroupRingElement) for g in (a, b)) or a.family != b.family:
         raise FamilyMismatchError("family mismatch")
     data = _data(a.family)
     table = data.mult
@@ -307,6 +314,8 @@ def express_in_basis(a: GroupRingElement, kind: str):
     """
     if kind not in ("x", "xt"):
         raise ValidationError("expansions are over kind 'x' or 'xt'")
+    if not isinstance(a, GroupRingElement):
+        raise FamilyMismatchError("only ring elements expand in a basis")
     family = a.family
     data = _data(family)
     masks, mask_of, first_of = data.masks[kind], data.mask_of[kind], data.first_of[kind]
@@ -406,10 +415,10 @@ def orbit_sum(kind: str, index, family: Family) -> FaceSum:
 
 def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     """Bilinear extension of the Tits product / module action, on codes."""
+    if not all(isinstance(f, FaceSum) for f in (s, t)) or s.family != t.family:
+        raise FamilyMismatchError("family mismatch")
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
-    if s.family != t.family:
-        raise FamilyMismatchError("family mismatch")
     anchor = torusfaces._anchor(s.family) if s.torus else None
     acc, cqs = {}, list(t._codes.values())
     for cp, row in zip(s._codes.values(), coxfaces._refine_all(s._codes, t._codes, anchor)):
@@ -455,6 +464,8 @@ def _psi_unchecked(s: FaceSum) -> GroupRingElement:
 
 def psi(s: FaceSum) -> GroupRingElement:
     """Replace each face by its canonical group element (invariant sums only)."""
+    if not isinstance(s, FaceSum):
+        raise FamilyMismatchError("psi maps face sums only")
     if not is_invariant(s):
         raise ValidationError("psi is only defined on W-invariant face sums")
     return _psi_unchecked(s)

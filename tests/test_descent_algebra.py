@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -322,6 +323,45 @@ def _reversed_rows(data):
     """The products v u where rows gives u v."""
     for u in data.elements:
         yield [data.index_of[_compose(v, u).values] for v in data.elements]
+
+
+ROW_FAMILIES = [Family(tag, n) for tag, ns in (("A", range(2, 6)), ("C", range(1, 5)))
+                for n in ns]
+
+
+@pytest.mark.parametrize("fam", ROW_FAMILIES, ids=lambda f: f"{f.tag}{f.rank}")
+def test_rows_are_the_direct_products(fam):
+    """Each row, read off the previous one through a step row, is the row of
+    products w v composed directly, in index order; mult lists the rows."""
+    data = da._GroupData(fam)
+    index_of = data.index_of
+    expected = [[index_of[tuple(map(w, v.values))] for v in data.elements]
+                for w in data.elements]
+    assert [list(row) for row in data.rows()] == expected
+    assert data.mult == list(data.rows())
+
+
+@pytest.mark.parametrize("fam", [Family("A", 6), Family("C", 4), Family("C", 5)],
+                         ids=["A6", "C4", "C5"])
+def test_rows_read_few_rows_directly(monkeypatch, fam):
+    """One walk of rows() reads at most 1 + n^2 rows directly (16, 17 and 26
+    at A6, C4 and C5), a direct read calling each of the |W| getters
+    itemgetter(0, *v) once; each row is one call of a step row."""
+    calls = Counter()
+
+    def counted(*items):
+        get = itemgetter(*items)
+
+        def call(seq):
+            calls[len(items)] += 1
+            return get(seq)
+        return call
+
+    monkeypatch.setattr(da, "itemgetter", counted)
+    order = fam.group_order()
+    assert sum(1 for _ in da._GroupData(fam).rows()) == order
+    assert calls[fam.rank + 1] <= (1 + fam.rank ** 2) * order
+    assert calls[order] == order
 
 
 @pytest.mark.parametrize("fam", [Family("A", 4), Family("C", 3)], ids=["A4", "C3"])
@@ -915,6 +955,22 @@ def test_face_sums_and_ring_elements_do_not_add():
                     lambda: g + None, lambda: g - None, lambda: s + 1):
         with pytest.raises(FamilyMismatchError):
             combine()
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, x: da.multiply(x, s),
+    lambda s, x: da.multiply(s, x),
+    lambda s, x: da.face_sum_product(s, x),
+    lambda s, x: da.face_sum_product(x, s),
+    lambda s, x: da.psi(x),
+    lambda s, x: da.express_in_basis(s, "x"),
+], ids=["multiply(x, s)", "multiply(s, x)", "face_sum_product(s, x)",
+        "face_sum_product(x, s)", "psi(x)", "express_in_basis(s)"])
+def test_mixed_kinds_are_a_family_mismatch(call):
+    """A face sum where a ring element belongs, or the reverse, once raised
+    AttributeError; like FaceSum + GroupRingElement, it is a family mismatch."""
+    with pytest.raises(FamilyMismatchError):
+        call(da.orbit_sum("sigma", [1], A3), da.basis_element("x", [1], A3))
 
 
 @pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
