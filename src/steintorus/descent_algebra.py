@@ -39,8 +39,8 @@ once per distinct order of a right code on a left code's blocks of two or
 more elements; it adds each distinct (result, right coefficient) pair of a row
 once, with its count, and returns the codes it accumulates.
 ``_face_table`` refines one face per colour; ``is_invariant``
-permutes codes; ``psi`` reads each group element off a code and builds each
-element of its result once; the ``lrb`` and ``oracle`` suites index their
+permutes codes; ``psi`` reads each code's group element once per family and
+keeps it, built without the group; the ``lrb`` and ``oracle`` suites index their
 products by ``_table``.  So none of them builds a face.  The public
 constructors of sums check their keys and int coefficients and make them
 canonical; internal results skip that check.  ``_WORK`` holds each suite's
@@ -135,6 +135,8 @@ class _GroupData:
 
 
 _group_cache: Dict[Family, _GroupData] = {}
+# Per family, psi's {face or necklace code: (one-line values, element)}.
+_element_cache: Dict[Family, dict] = {}
 
 
 def _data(family: Family) -> _GroupData:
@@ -455,11 +457,16 @@ def is_invariant(s: FaceSum) -> bool:
 
 
 def _psi_unchecked(s: FaceSum) -> GroupRingElement:
-    acc = {}
+    family, acc, elements = s.family, {}, {}
+    memo = _element_cache.setdefault(family, {})
     for r, c in s._codes.items():
-        acc[w] = acc.get(w := coxfaces._w_of_code(s.family, r), 0) + c
-    return _trusted(GroupRingElement, s.family, tuple(
-        (_trusted(WeylElement, s.family, w), c) for w, c in sorted(acc.items()) if c))
+        if (vw := memo.get(r)) is None:  # a code met first: read it once
+            v = coxfaces._w_of_code(family, r)
+            vw = memo[r] = v, _trusted(WeylElement, family, v)
+        acc[v] = acc.get(v := vw[0], 0) + c
+        elements[v] = vw[1]
+    return _trusted(GroupRingElement, family, tuple(
+        (elements[v], c) for v, c in sorted(acc.items()) if c))
 
 
 def psi(s: FaceSum) -> GroupRingElement:
@@ -591,7 +598,7 @@ def _verify_products(suite: str, kind: str, family: Family, seed=0):
     for i, row in enumerate(data.rows()):
         h = Counter(map(or_, map(des.__getitem__, row), d_inverse))
         first, h_first = firsts.setdefault(d[i], (i, h))
-        if h != h_first:
+        if not dict.__eq__(h, h_first):  # no zero counts, so a plain dict compare
             key = min(k for k in h.keys() | h_first.keys() if h[k] != h_first[k])
             failures.append({"class": named[kind][d[i]], "elements": [
                 list(data.elements[j].values) for j in (first, i)],

@@ -389,6 +389,22 @@ def test_product_suites_catch_an_unsigned_inverse(monkeypatch, suite, kind):
     assert report["checks"] == passing["checks"]
 
 
+@pytest.mark.parametrize("suite", ["solomon", "module"])
+@pytest.mark.parametrize("fam", [Family("A", 4), Family("C", 3)], ids=["A4", "C3"])
+def test_histograms_compare_as_plain_dicts(monkeypatch, suite, fam):
+    """The histograms hold no zero counts, so the suites compare them as
+    dicts: with Counter's Python-level comparison refused, each report is
+    the one the Counter comparison gave."""
+    def refuse(self, other):
+        raise AssertionError("Counter comparison")
+
+    monkeypatch.setattr(Counter, "__eq__", refuse)
+    monkeypatch.setattr(Counter, "__ne__", refuse)
+    checks = {"solomon": 2 ** 3 * 2 ** 3, "module": 2 ** 3 * (2 ** 4 - 1)}[suite]
+    assert da.verify(suite, fam) == {"suite": suite, "family": fam.tag, "rank": fam.rank,
+                                     "checks": checks, "failures": [], "pass": True}
+
+
 @pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
 def test_lrb_catches_a_broken_kernel(monkeypatch, fam):
     # A product that returns its right factor keeps idempotence and
@@ -1016,3 +1032,99 @@ def test_work_is_checked_before_any_work(monkeypatch, name):
         name, lambda family: da.verify(name, family))
     with pytest.raises(BudgetExceededError, match=unit):
         run(A4)
+
+
+# ---------------------------------------------------------------------------
+# psi: each code's group element read once per family, without the group
+
+
+def _all_codes(fam):
+    """{code: one-line values} over every face and necklace of fam."""
+    return {r: cf._w_of_code(fam, r) for torus in (False, True)
+            for s in da._orbit_sums(fam, torus).values() for r in s._codes}
+
+
+def test_psi_keeps_each_familys_elements_apart(monkeypatch):
+    """A3 and C1 share codes that name different elements, so a memo keyed
+    by the code alone would hand C1 an element of A3, or A3 one of C1."""
+    C1 = Family("C", 1)
+    a3, c1 = _all_codes(A3), _all_codes(C1)
+    shared = a3.keys() & c1.keys()
+    assert (3, 3, 3) in shared and (3, 1, 3) in shared
+    assert all(a3[r] != c1[r] for r in shared)
+    monkeypatch.setattr(da, "_element_cache", {})
+    for fam in (A3, C1, A3):
+        for kind, basis in (("sigma", "x"), ("sigmat", "xt")):
+            for J, s in da._orbit_sums(fam, kind == "sigmat").items():
+                assert da.psi(s) == da.basis_element(basis, J, fam)
+
+
+def test_psi_reads_each_codes_element_once(monkeypatch):
+    """Over every finite and module product at A4 and C3, run twice, psi
+    reads each distinct code's element once, and none on the second pass."""
+    products = []
+    for fam in (A4, C3):
+        sigma, sigmat = da._orbit_sums(fam, False), da._orbit_sums(fam, True)
+        products += [(s, t) for s in (*sigma.values(), *sigmat.values())
+                     for t in sigma.values()]
+    w_of_code, calls = cf._w_of_code, Counter()
+
+    def counted(family, code):
+        calls[family, code] += 1
+        return w_of_code(family, code)
+
+    monkeypatch.setattr(da, "_element_cache", {})
+    monkeypatch.setattr(cf, "_w_of_code", counted)
+    distinct = set()
+    for s, t in products:
+        product = da.face_sum_product(s, t)
+        distinct.update((s.family, r) for r in product._codes)
+        da.psi(product)
+    assert set(calls) == distinct and set(calls.values()) == {1}
+    calls.clear()
+    for s, t in products:
+        da.psi(da.face_sum_product(s, t))
+    assert not calls
+
+
+@pytest.mark.parametrize("fam", [A3, A4, C2, C3], ids=["A3", "A4", "C2", "C3"])
+@pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
+def test_psi_is_exact_and_canonical_without_the_group(monkeypatch, fam, torus):
+    """Signed sums of orbit sums, a * s_J - b * s_K for J inside K, cancel on
+    the elements that both colours reach; psi of each is the sum of the
+    faces' elements through the checked constructor, with no zero left."""
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(da, "_group_cache", {})
+    monkeypatch.setattr(da, "_element_cache", {})
+    monkeypatch.setattr(da, "enumerate_group", refuse)
+    w_of = tf.w_of_torus_face if torus else cf.w_of_face
+    sums = {J: s.as_dict() for J, s in da._orbit_sums(fam, torus).items()}
+    cancelled = 0
+    for (J, faces_J), (K, faces_K) in itertools.product(sums.items(), repeat=2):
+        if not J <= K:
+            continue
+        for a, b in ((1, 1), (2, 2), (3, 1)):
+            mapping = {F: a for F in faces_J}
+            for F in faces_K:
+                mapping[F] = mapping.get(F, 0) - b
+            s = da.FaceSum.from_dict(fam, torus, mapping)
+            reference = da.GroupRingElement(fam, tuple((w_of(F), c) for F, c in s.coeffs))
+            got = da.psi(s)
+            assert got == reference and hash(got) == hash(reference)
+            assert got.coeffs == reference.coeffs and all(c for _, c in got.coeffs)
+            cancelled += len({w_of(F) for F in s.as_dict()}) > len(got.coeffs)
+    assert cancelled
+    assert da._group_cache == {}
+
+
+def test_psi_of_a_lone_face_at_high_rank_builds_no_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(da, "_group_cache", {})
+    monkeypatch.setattr(da, "enumerate_group", refuse)
+    for kind, J, fam in (("sigma", [], Family("A", 12)), ("sigmat", [9], Family("C", 9))):
+        assert da.psi(da.orbit_sum(kind, J, fam)).as_dict() == {identity(fam): 1}
+    assert da._group_cache == {}
