@@ -1,11 +1,12 @@
 """Command line interface.
 
-Subcommands: enumerate, product, act, descent-table, mult-table, verify.
-All output is deterministic JSON on stdout.  Exit codes: 0 success,
-1 verification/validation failure or stdout closed early, 2 usage or parse
-error (including a malformed STEINTORUS_BUDGET), 3 enumeration budget
-exceeded.  `main` builds the parser once per process and reuses it, so a
-caller must not mutate what `build_parser()` returns.
+Subcommands: enumerate, product, act, descent-table, mult-table, verify.  All
+output is deterministic JSON on stdout, byte for byte as from
+`json.dump(..., indent=2)` and written a top-level element at a time.  Exit
+codes: 0 success, 1 verification/validation failure or stdout closed early,
+2 usage or parse error (including a malformed STEINTORUS_BUDGET), 3
+enumeration budget exceeded.  `main` builds the parser once per process and
+reuses it, so a caller must not mutate what `build_parser()` returns.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _ascii
 
 from . import coxfaces, descent_algebra, torusfaces, weyl
 from .errors import (
@@ -55,10 +57,37 @@ def _color(args, family):
     return ColorSet(family, frozenset(indices))
 
 
+def _dumps(obj, indent):
+    """json.dumps(obj, indent=2) for obj after `indent`, a newline and spaces."""
+    inner = indent + "  "
+    if obj and isinstance(obj, (list, tuple)):
+        body = (map(int.__repr__, obj) if set(map(type, obj)) == {int}  # bools excluded
+                else [_dumps(x, inner) for x in obj])
+        return "[" + inner + ("," + inner).join(body) + indent + "]"
+    if obj and isinstance(obj, dict):
+        body = [_ascii(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(body) + indent + "}"
+    # A string at C speed; every other scalar and an empty container by json.dumps.
+    return _ascii(obj) if isinstance(obj, str) else json.dumps(obj)
+
+
 def _emit(payload):
-    json.dump(payload, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
-    sys.stdout.flush()  # a closed pipe shows here, inside main
+    """json.dump(payload, stdout, indent=2) and a newline, byte for byte,
+    written a top-level field, and an element of a list in one, at a time."""
+    write = sys.stdout.write
+    if not (isinstance(payload, dict) and payload):
+        write(_dumps(payload, "\n") + "\n")
+    else:
+        for i, (key, value) in enumerate(payload.items()):
+            write(("," if i else "{") + "\n  " + _ascii(key) + ": ")
+            if isinstance(value, list) and value and set(map(type, value)) != {int}:
+                for j, x in enumerate(value):
+                    write(("," if j else "[") + "\n    " + _dumps(x, "\n    "))
+                write("\n  ]")
+            else:
+                write(_dumps(value, "\n  "))
+        write("\n}\n")
+    sys.stdout.flush()  # a closed pipe shows here at the latest, inside main
 
 
 def _cmd_enumerate(args):
@@ -109,11 +138,12 @@ def _cmd_act(args):
 
 def _cmd_descent_table(args):
     family = _family(args)
+    finite, affine = family.finite_indices(), family.affine_indices()
     rows = []
     for w in weyl.enumerate_group(family):
-        row = {"w": list(w.values), "descents": weyl.descent_set(w).sorted()}
+        row = {"w": list(w.values), "descents": weyl._descent_list(w, finite)}
         if args.affine:
-            row["affine_descents"] = weyl.affine_descent_set(w).sorted()
+            row["affine_descents"] = weyl._descent_list(w, affine)
         rows.append(row)
     _emit(
         {

@@ -168,12 +168,16 @@ def inverse(u: WeylElement) -> WeylElement:
     return _trusted(WeylElement, u.family, tuple(out))
 
 
-def _descents(w: WeylElement, indices: range) -> ColorSet:
-    """The indices i in the range with w_i > w_{i+1}, read off the word
-    w_0 w_1 ... w_n w_{n+1} under the boundary conventions above."""
+def _descent_list(w: WeylElement, indices: range) -> list:
+    """The indices i in the range with w_i > w_{i+1}, ascending, read off the
+    word w_0 w_1 ... w_n w_{n+1} under the boundary conventions above."""
     values = w.values
     word = (0,) + values + ((values[0],) if w.family.tag == "A" else (0,))
-    return _trusted(ColorSet, w.family, frozenset(i for i in indices if word[i] > word[i + 1]))
+    return [i for i in indices if word[i] > word[i + 1]]
+
+
+def _descents(w: WeylElement, indices: range) -> ColorSet:
+    return _trusted(ColorSet, w.family, frozenset(_descent_list(w, indices)))
 
 
 def descent_set(w: WeylElement) -> ColorSet:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 import steintorus
-from steintorus import cli, descent_algebra
+from steintorus import cli, descent_algebra, weyl
 from steintorus.cli import main
 from steintorus.weyl import Family
 
@@ -106,12 +106,15 @@ def test_reused_parser_leaks_nothing(capsys):
     assert parse(list(counts)).seed == 0
 
 
-# The table (about 160 kB) outgrows the pipe buffer; the count still sits in
-# stdout's buffer when the read end closes, so only the flush meets the pipe.
+# The table (about 160 kB) and the faces (about 970 kB) outgrow the pipe
+# buffer, so a write in the middle of the output meets the closed pipe; the
+# count still sits in stdout's buffer when the read end closes, so only the
+# flush meets the pipe.
 @pytest.mark.parametrize("argv,read", [
     (["descent-table", "--family", "A", "--rank", "6", "--affine"], 1),
+    (["enumerate", "--family", "A", "--rank", "6", "--object", "faces"], 1),
     (["enumerate", "--family", "A", "--rank", "3", "--object", "faces", "--count"], 0),
-], ids=["table", "count"])
+], ids=["table", "faces", "count"])
 def test_closed_stdout_pipe_exits_one_without_traceback(argv, read):
     src = os.path.dirname(os.path.dirname(steintorus.__file__))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -196,6 +199,18 @@ def test_descent_table_c2_nonempty_affine(capsys):
     payload = json.loads(out)
     assert len(payload["rows"]) == 8
     assert all(r["affine_descents"] for r in payload["rows"])
+
+
+@pytest.mark.parametrize("tag, rank", [("A", n) for n in range(2, 7)]
+                         + [("C", n) for n in range(1, 5)])
+def test_descent_table_rows_are_the_descent_sets(capsys, tag, rank):
+    code, out, _ = run(capsys, "descent-table", "--family", tag, "--rank", str(rank),
+                       "--affine")
+    assert code == 0
+    group = list(weyl.enumerate_group(Family(tag, rank)))
+    assert json.loads(out)["rows"] == [
+        {"w": list(w.values), "descents": weyl.descent_set(w).sorted(),
+         "affine_descents": weyl.affine_descent_set(w).sorted()} for w in group]
 
 
 def test_mult_table(capsys):
@@ -573,3 +588,26 @@ def test_fuzzed_command_lines(case):
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") <= 1
     assert "Traceback" not in err.getvalue()
+
+
+# JSON values for the writer: text keys with any character, ints of any
+# size with bools mixed in, floats with nan and inf, and lists, tuples and
+# dicts that may be empty at any depth.
+_json_value = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.text(max_size=6)
+    | hst.lists(hst.integers() | hst.booleans(), max_size=5),
+    lambda inner: hst.lists(inner, max_size=4) | hst.lists(inner, max_size=4).map(tuple)
+    | hst.dictionaries(hst.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_value | hst.dictionaries(hst.text(max_size=6),
+                                      _json_value | hst.lists(_json_value, max_size=4),
+                                      max_size=4))
+def test_output_is_json_dump_with_indent_two(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"

@@ -1,5 +1,7 @@
-"""Stdout of `verify --suite all` and of both `mult-table` kinds, byte for
-byte against outputs stored in `tests/golden/`.
+"""Stdout of every subcommand, byte for byte against outputs stored in
+`tests/golden/`: `verify --suite all`, both `mult-table` kinds, `enumerate`
+of each object with and without a colour, `descent-table` with and without
+`--affine`, one `product` and one `act` per family.
 
 The stored files are the stdout of `python -m steintorus.cli` with these
 arguments; a change to the output is a change to these files.  `verify
@@ -23,6 +25,27 @@ CASES += [(f"mult_table_{kind}_{tag}{n}.json",
            ["mult-table", "--family", tag, "--rank", str(n), "--kind", kind])
           for tag, n in (("A", 3), ("A", 4), ("C", 2), ("C", 3))
           for kind in ("solomon", "module")]
+CASES += [(f"enumerate_{obj}{suffix}_{tag}{n}.json",
+           ["enumerate", "--family", tag, "--rank", str(n), "--object", obj, *color])
+          for tag, n in (("A", 3), ("C", 2))
+          for obj, suffix, color in (("faces", "", []), ("torus", "", []), ("group", "", []),
+                                     ("faces", "_color1", ["--color", "[1]"]),
+                                     ("torus", "_color1", ["--color", "[1]"]))]
+CASES += [(f"descent_table{suffix}_{tag}{n}.json",
+           ["descent-table", "--family", tag, "--rank", str(n), *affine])
+          for tag, n in (("A", 3), ("C", 2))
+          for suffix, affine in (("", []), ("_affine", ["--affine"]))]
+CASES += [
+    ("product_A3.json", ["product", "--family", "A", "--rank", "3",
+                         "--left", '{"blocks":[[1,2],[3]]}', "--right", '{"blocks":[[2],[1,3]]}']),
+    ("product_C2.json", ["product", "--family", "C", "--rank", "2", "--left",
+                         '{"blocks":[[-2],[-1,0,1],[2]]}', "--right", '{"blocks":[[1],[-2,0,2],[-1]]}']),
+    ("act_A3.json", ["act", "--family", "A", "--rank", "3", "--torus",
+                     '{"blocks":[[1,3],[2]],"labels":[2,3]}', "--face", '{"blocks":[[3],[1,2]]}']),
+    ("act_C2.json", ["act", "--family", "C", "--rank", "2", "--torus",
+                     '{"zero_block":[0],"clockwise":[[2]],"antipodal":[-1,1]}',
+                     "--face", '{"blocks":[[-1],[-2,0,2],[1]]}']),
+]
 
 
 @pytest.mark.parametrize("name, argv", CASES, ids=[name[:-5] for name, _ in CASES])
