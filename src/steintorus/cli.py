@@ -6,7 +6,8 @@ output is deterministic JSON on stdout, byte for byte as from
 codes: 0 success, 1 verification/validation failure or stdout closed early,
 2 usage or parse error (including a malformed STEINTORUS_BUDGET), 3
 enumeration budget exceeded.  `main` builds the parser once per process and
-reuses it, so a caller must not mutate what `build_parser()` returns.
+reuses it, so a caller must not mutate what `build_parser()` returns; a named
+subcommand's own parser, in the parser's `commands`, reads its arguments.
 """
 
 from __future__ import annotations
@@ -187,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.commands = sub.choices  # each subcommand's own parser, for main
 
     # argparse takes a separate value that starts with "-" (other than a
     # plain number) for an option.
@@ -194,46 +196,37 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", required=required, help=f"{what} (inline or "
                        f"@file); pass a value starting with '-' as --{name}=VALUE")
 
-    def common(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--family", required=True, choices=("A", "C"))
         p.add_argument("--rank", required=True, type=int)
+        p.set_defaults(run=run, subcommand=name)
+        return p
 
-    p = sub.add_parser("enumerate", help="list faces, torus faces or group elements")
-    common(p)
+    p = command("enumerate", _cmd_enumerate, "list faces, torus faces or group elements")
     p.add_argument("--object", required=True, choices=("faces", "torus", "group"))
     json_flag(p, "color", "JSON list of simple-root indices to filter by", False)
     p.add_argument("--count", action="store_true", help="emit only the total")
-    p.set_defaults(run=_cmd_enumerate)
 
-    p = sub.add_parser("product", help="Tits product of two finite faces")
-    common(p)
+    p = command("product", _cmd_product, "Tits product of two finite faces")
     json_flag(p, "left", "face JSON")
     json_flag(p, "right", "face JSON")
-    p.set_defaults(run=_cmd_product)
 
-    p = sub.add_parser("act", help="act by a finite face on a torus face")
-    common(p)
+    p = command("act", _cmd_act, "act by a finite face on a torus face")
     json_flag(p, "torus", "necklace JSON")
     json_flag(p, "face", "face JSON")
-    p.set_defaults(run=_cmd_act)
 
-    p = sub.add_parser("descent-table", help="descent sets of every group element")
-    common(p)
+    p = command("descent-table", _cmd_descent_table, "descent sets of every group element")
     p.add_argument("--affine", action="store_true",
                    help="include affine descent sets")
-    p.set_defaults(run=_cmd_descent_table)
 
-    p = sub.add_parser("mult-table", help="structure constants table")
-    common(p)
+    p = command("mult-table", _cmd_mult_table, "structure constants table")
     p.add_argument("--kind", required=True, choices=("solomon", "module"))
-    p.set_defaults(run=_cmd_mult_table)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    common(p)
+    p = command("verify", _cmd_verify, "run a verification suite")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled property checks")
     p.add_argument("--suite", required=True, choices=("all", *descent_algebra._SUITES))
-    p.set_defaults(run=_cmd_verify)
     return parser
 
 
@@ -246,7 +239,10 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv, parser = sys.argv[1:] if argv is None else list(argv), build_parser()
+        # A named subcommand's own parser reads the rest, as the top-level one would.
+        own = parser.commands.get(argv[0]) if argv else None
+        args = own.parse_args(argv[1:]) if own else parser.parse_args(argv)
         return args.run(args)
     except SystemExit as exc:  # raised only by --help, after the help
         return exc.code

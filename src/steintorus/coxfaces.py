@@ -17,7 +17,9 @@ The one kernel ``_refine`` serves the Tits product and the torus module
 action.  Its result reads q only through its order, with ties, on each
 block of p with two or more elements: it compares q[x] with q[y] only for
 x and y in one block of p.  So ``_refine_all``, many left codes against
-many right codes, calls the one kernel once per distinct order on p's blocks.
+many right codes, calls the one kernel once per distinct order on p's blocks;
+that order reads p only through them, so ``_refine_sums`` tallies weighted
+right codes by it once per set of left blocks in a call.
 Validation stays at the boundary (the public constructors,
 ``SymComposition.from_full`` and ``from_wire``); kernel and enumerator
 output is valid by construction and built by ``weyl._trusted`` unchecked.
@@ -29,6 +31,7 @@ import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from operator import gt, itemgetter, lt, sub
 from typing import Iterator, List, Optional, Tuple, Union
@@ -160,24 +163,47 @@ def _refine(p, q, anchor: Optional[int] = None):
     return tuple(map(ring.__getitem__, counts))
 
 
+def _key_columns(p, qs, columns):
+    """Per pair (x, y) within a block of p, sign(q[x] - q[y]) over qs, kept in
+    columns; zip(*cols) yields each q's key.  A chamber has one constant column."""
+    pairs = [(x, y) for x, y in itertools.combinations(range(len(p)), 2) if p[x] == p[y]]
+    for x, y in pairs:
+        if (x, y) not in columns:
+            X, Y = list(map(itemgetter(x), qs)), list(map(itemgetter(y), qs))
+            columns[x, y] = list(map(sub, map(gt, X, Y), map(lt, X, Y)))
+    return [columns[pair] for pair in pairs] or [[0] * len(qs)]
+
+
 def _refine_all(ps, qs, anchor: Optional[int] = None):
     """Yield, per left code p, [_refine(p, q, anchor) for q in qs], with one
-    kernel call per distinct order of q on p's blocks of two or more
-    elements, on the last q of that order (any q of an order gives its
-    result).  The order is read off one comparison column per position pair,
-    sign(q[x] - q[y]) over all qs, made once per call."""
+    kernel call per distinct key of q (its order on p's blocks of two or more
+    elements), on the last q of that key: any q of a key gives its result."""
     qs, columns = list(qs), {}
     for p in ps:
-        pairs = [(x, y) for x, y in itertools.combinations(range(len(p)), 2) if p[x] == p[y]]
-        for x, y in pairs:
-            if (x, y) not in columns:
-                X, Y = list(map(itemgetter(x), qs)), list(map(itemgetter(y), qs))
-                columns[x, y] = list(map(sub, map(gt, X, Y), map(lt, X, Y)))
+        cols = _key_columns(p, qs, columns)
         # Keys are zipped twice, not listed: len(qs) freed key tuples would stay
-        # in CPython's tuple free lists.  A chamber has one constant column.
-        cols = [columns[pair] for pair in pairs] or [[0] * len(qs)]
+        # in CPython's tuple free lists.
         results = {key: _refine(p, q, anchor) for key, q in dict(zip(zip(*cols), qs)).items()}
         yield list(map(results.__getitem__, zip(*cols)))
+
+
+def _tally(cols, qs, weights):
+    """[(total weight, last q)] per distinct key of the qs, keys read off cols."""
+    reps, totals = dict(zip(zip(*cols), qs)), Counter()
+    for (key, w), m in Counter(zip(zip(*cols), weights)).items():
+        totals[key] += w * m
+    return [(totals[key], q) for key, q in reps.items()]
+
+
+def _refine_sums(ps, qs: dict, anchor: Optional[int] = None):
+    """Yield, per left code p, {_refine(p, q, anchor): total weight of the qs
+    of that result}, qs being {code: weight}: the qs are tallied once per set
+    of p's blocks (named by first positions) in a call, a kernel call per key."""
+    weights, columns, tallies = list(qs.values()), {}, {}
+    for p in ps:
+        if (tally := tallies.get(blocks := tuple(map(p.index, p)))) is None:
+            tally = tallies[blocks] = _tally(_key_columns(p, qs, columns), qs, weights)
+        yield {_refine(p, q, anchor): w for w, q in tally}
 
 
 def _face_code(F: Composition) -> Tuple[int, ...]:

@@ -34,10 +34,10 @@ the Moebius inversion are one subset transform on bit masks.
 A face sum's state is its {position code: coefficient} dict (see
 ``coxfaces``); its faces are decoded from the codes only when ``coeffs`` is
 first read.  ``face_sum_product`` refines every left code against every
-right code in one call of ``coxfaces._refine_all``, which runs the one kernel
-once per distinct order of a right code on a left code's blocks of two or
-more elements; it adds each distinct (result, right coefficient) pair of a row
-once, with its count, and returns the codes it accumulates.
+right code in one call of ``coxfaces._refine_sums``, which tallies the right
+coefficients by their order on a left code's blocks of two or more elements,
+once per set of such blocks, and runs the one kernel once per distinct order;
+it adds each result's total times the left coefficient into the codes it returns.
 ``_face_table`` refines one face per colour; ``is_invariant``
 permutes codes; ``psi`` reads each code's group element once per family and
 keeps it, built without the group; the ``lrb`` and ``oracle`` suites index their
@@ -391,6 +391,9 @@ class FaceSum:
     def __hash__(self):
         return hash((self.family, self.torus, frozenset(self._codes.items())))
 
+    def __repr__(self):
+        return f"FaceSum(family={self.family!r}, torus={self.torus!r}, coeffs={self.coeffs!r})"
+
     def as_dict(self):
         return dict(self.coeffs)
 
@@ -422,10 +425,10 @@ def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
     anchor = torusfaces._anchor(s.family) if s.torus else None
-    acc, cqs = {}, list(t._codes.values())
-    for cp, row in zip(s._codes.values(), coxfaces._refine_all(s._codes, t._codes, anchor)):
-        for (r, cq), m in Counter(zip(row, cqs)).items():
-            acc[r] = acc.get(r, 0) + cp * cq * m
+    acc = {}
+    for cp, sums in zip(s._codes.values(), coxfaces._refine_sums(s._codes, t._codes, anchor)):
+        for r, w in sums.items():
+            acc[r] = acc.get(r, 0) + cp * w
     return _trusted(FaceSum, s.family, s.torus, {r: c for r, c in acc.items() if c})
 
 

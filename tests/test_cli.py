@@ -18,10 +18,25 @@ UNIT_A3 = '{"blocks":[[1,2,3]]}'
 UNIT_C2 = '{"blocks":[[-2,-1,0,1,2]]}'
 
 
+@contextlib.contextmanager
+def top_level_only():
+    """main with its direct route off: every argv goes through the top-level
+    parser, which hands a subcommand's arguments to that subcommand's parser."""
+    parser = cli.build_parser()
+    commands, parser.commands = parser.commands, {}
+    try:
+        yield
+    finally:
+        parser.commands = commands
+
+
 def run(capsys, *argv):
-    code = main(list(argv))
-    out, err = capsys.readouterr()
-    return code, out, err
+    """(exit code, stdout, stderr) of main(argv); each is the same with the
+    direct route to the subcommand's own parser off."""
+    result = main(list(argv)), *capsys.readouterr()
+    with top_level_only():
+        assert (main(list(argv)), *capsys.readouterr()) == result
+    return result
 
 
 def test_enumerate_counts(capsys):
@@ -104,6 +119,36 @@ def test_reused_parser_leaks_nothing(capsys):
     assert parse(list(table)).affine is False
     assert parse(list(faces)).color is None and parse(list(faces)).count is False
     assert parse(list(counts)).seed == 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    ((), 2),
+    (("--help",), 0),
+    (("frobnicate", "--family", "A", "--rank", "3"), 2),
+    (("--family", "A", "verify", "--rank", "3", "--suite", "counts"), 2),
+    (("verify", "--family", "A", "--rank", "3", "--suite", "counts", "--bogus", "x"), 2),
+    (("verify", "--family", "A", "--rank", "3"), 2),
+    (("verify", "--family", "A", "--rank", "3", "--suite", "counts", "--", "x"), 2),
+    (("verify", "--help"), 0),
+    (("descent-table", "--family", "A", "--rank", "6", "--affine"), 0),
+    (("enumerate", "--family", "A", "--rank", "6", "--object", "faces"), 0),
+], ids=["none", "help", "unknown", "option-first", "unrecognized", "missing", "dashes",
+        "verify-help", "table", "faces"])
+def test_subcommand_parser_answers_as_the_top_level_parser(capsys, argv, code):
+    """No subcommand, an unknown one, unrecognized and missing arguments: the
+    exit code, stdout and stderr match the top-level parser's (run checks)."""
+    assert run(capsys, *argv)[0] == code
+
+
+def test_subcommand_parser_gives_the_top_level_namespace():
+    """A subcommand's own parser names the subcommand, as the top-level one does."""
+    parser = cli.build_parser()
+    for argv in (["verify", "--family", "C", "--rank", "2", "--suite", "psi"],
+                 ["enumerate", "--family", "A", "--rank", "3", "--object", "torus"],
+                 ["product", "--family", "A", "--rank", "3", f"--left={UNIT_A3}",
+                  "--right", UNIT_A3]):
+        args = parser.commands[argv[0]].parse_args(argv[1:])
+        assert args == parser.parse_args(argv) and args.subcommand == argv[0]
 
 
 # The table (about 160 kB) and the faces (about 970 kB) outgrow the pipe
@@ -577,9 +622,13 @@ def test_fuzzed_command_lines(case):
     out, err = io.StringIO(), io.StringIO()
     saved = os.environ.get("STEINTORUS_BUDGET")
     os.environ["STEINTORUS_BUDGET"] = budget
+    top_out, top_err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        with contextlib.redirect_stdout(top_out), contextlib.redirect_stderr(top_err), \
+                top_level_only():
+            top_code = main(argv)
     finally:
         if saved is None:
             del os.environ["STEINTORUS_BUDGET"]
@@ -588,6 +637,8 @@ def test_fuzzed_command_lines(case):
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") <= 1
     assert "Traceback" not in err.getvalue()
+    assert (top_code, top_out.getvalue(), top_err.getvalue()) == (
+        code, out.getvalue(), err.getvalue())
 
 
 # JSON values for the writer: text keys with any character, ints of any

@@ -295,6 +295,46 @@ def test_batch_refinement_matches_one_pair_at_a_time(family, torus):
     assert list(cf._refine_all([], qs, anchor)) == []
 
 
+def assert_sums_match(ps, qs, anchor):
+    """Per left code, the weight of each result over the pairs one at a time,
+    zero totals kept."""
+    expected = []
+    for p in ps:
+        acc = {}
+        for q, w in qs.items():
+            r = cf._refine(p, q, anchor)
+            acc[r] = acc.get(r, 0) + w
+        expected.append(acc)
+    assert list(cf._refine_sums(ps, qs, anchor)) == expected
+
+
+@pytest.mark.parametrize("family", [Family("A", n) for n in (2, 3, 4)]
+                         + [Family("C", n) for n in (1, 2, 3)],
+                         ids=lambda f: f"{f.tag}{f.rank}")
+@pytest.mark.parametrize("torus", [False, True], ids=["face", "necklace"])
+def test_refined_sums_match_one_pair_at_a_time(family, torus):
+    """Shuffled left codes, some repeated, against every face code with
+    seeded weights of both signs; then against the face codes reversed with
+    other weights that sum to zero, so every chamber's total is zero and a
+    call that reused another call's tallies would differ; then no right
+    codes, and no left codes."""
+    code = tf._necklace_code if torus else cf._face_code
+    anchor = tf._anchor(family) if torus else None
+    rng = random.Random(f"{family.tag}{family.rank}{torus}")
+    faces = [cf._face_code(G) for G in cf.enumerate_faces(family)]
+    ps = [code(X) for X in left_objects(family, torus)]
+    ps += ps[::3]
+    rng.shuffle(ps)
+    weights = {q: rng.randint(1, 3) * (-1) ** i for i, q in enumerate(faces)}
+    assert_sums_match(ps, weights, anchor)
+    cancelling = {q: rng.randint(1, 3) * (-1) ** i for i, q in enumerate(faces[:0:-1])}
+    cancelling[faces[0]] = -sum(cancelling.values())
+    assert sum(cancelling.values()) == 0
+    assert_sums_match(ps, cancelling, anchor)
+    assert list(cf._refine_sums(ps, {}, anchor)) == [{}] * len(ps)
+    assert list(cf._refine_sums([], weights, anchor)) == []
+
+
 @given(hst.sampled_from([Family("A", 5), Family("C", 4)]).flatmap(
     lambda family: hst.booleans().flatmap(lambda torus: hst.tuples(
         hst.just(family), hst.just(torus), hst.lists(objects(family, torus), max_size=6),

@@ -688,6 +688,44 @@ def test_face_sum_products_refine_once_per_distinct_result(monkeypatch, fam):
     assert calls == expected
 
 
+def _block_set(p):
+    """The positions of each block of code p with two or more elements."""
+    return frozenset(frozenset(x for x in range(len(p)) if p[x] == v)
+                     for v in set(p) if p.count(v) > 1)
+
+
+@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
+def test_face_sum_products_tally_once_per_block_set(monkeypatch, fam):
+    """Each product tallies the right codes once per distinct set of blocks of
+    two or more elements among its left codes, fewer times than it has left
+    codes, and again in the next call: a call keeps no other call's tallies."""
+    sigma, sigmat = da._orbit_sums(fam, False), da._orbit_sums(fam, True)
+    products = [(s, t) for s in [*sigma.values(), *sigmat.values()] for t in sigma.values()]
+    tally, calls = cf._tally, 0
+
+    def counted(cols, qs, weights):
+        nonlocal calls
+        calls += 1
+        return tally(cols, qs, weights)
+
+    monkeypatch.setattr(cf, "_tally", counted)
+    for _ in range(2):
+        for s, t in products:
+            calls = 0
+            da.face_sum_product(s, t)
+            assert calls == len(set(map(_block_set, s._codes)))
+    assert sum(len(set(map(_block_set, s._codes))) for s, _ in products) < sum(
+        len(s._codes) for s, _ in products)
+
+
+def test_face_sum_repr_shows_faces():
+    """A face sum's repr lists its faces with their coefficients, as a ring
+    element's does, not its position codes."""
+    s = da.orbit_sum("sigma", [1], A3)
+    assert repr(s) == f"FaceSum(family={A3!r}, torus=False, coeffs={s.coeffs!r})"
+    assert "SetComposition" in repr(s) and "_codes" not in repr(s)
+
+
 # ---------------------------------------------------------------------------
 # the counted convolution against the pairwise route
 
