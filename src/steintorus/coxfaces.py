@@ -38,7 +38,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 from .budget import check_count, current_budget
 from .errors import BudgetExceededError, FamilyMismatchError, ValidationError
-from .weyl import ColorSet, Family, WeylElement, _trusted
+from .weyl import ColorSet, Family, WeylElement, _same_family, _trusted
 
 Block = Tuple[int, ...]
 
@@ -113,6 +113,7 @@ class SymComposition:
 
 
 Composition = Union[SetComposition, SymComposition]
+_FACES = (SetComposition, SymComposition)  # for isinstance, quicker than the Union
 
 
 def _from_full(family: Family, blocks) -> Composition:
@@ -277,8 +278,7 @@ def sign_vector(F: Composition) -> FiniteSignVector:
 
 
 def tits_product(F: Composition, G: Composition) -> Composition:
-    if F.family != G.family:
-        raise FamilyMismatchError(f"family mismatch: {F.family} vs {G.family}")
+    _same_family((F, _FACES), (G, _FACES))
     return _from_code(F.family, _refine(_face_code(F), _face_code(G)))
 
 
@@ -322,8 +322,7 @@ def color_set(F: Composition) -> ColorSet:
 
 
 def act(w: WeylElement, F: Composition) -> Composition:
-    if w.family != F.family:
-        raise FamilyMismatchError("family mismatch")
+    _same_family((w, WeylElement), (F, _FACES))
     return _from_code(F.family, _moved(_face_code(F), w))
 
 

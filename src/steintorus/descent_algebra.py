@@ -70,6 +70,7 @@ from .weyl import (
     ColorSet,
     Family,
     WeylElement,
+    _integer,
     _trusted,
     affine_descent_set,
     descent_set,
@@ -150,13 +151,6 @@ def _data(family: Family) -> _GroupData:
 # group ring
 
 
-def _integer(c) -> int:
-    """c, if it is an int; bools and floats are refused, as on the wire."""
-    if type(c) is not int:
-        raise ValidationError(f"coefficient {c!r} is not an integer")
-    return c
-
-
 @dataclass(frozen=True)
 class GroupRingElement:
     """Checked and canonical: every key is an element of the family and every
@@ -189,8 +183,7 @@ class GroupRingElement:
 
     def _plus(self, other, sign: int) -> "GroupRingElement":
         """self + sign * other, through the checked constructor."""
-        if not isinstance(other, GroupRingElement) or self.family != other.family:
-            raise FamilyMismatchError("only ring elements of one family add")
+        weyl._same_family((self, GroupRingElement), (other, GroupRingElement))
         return GroupRingElement(self.family, self.coeffs + tuple(
             (w, sign * c) for w, c in other.coeffs))
 
@@ -212,8 +205,7 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     of b, one pass over the elements u of a adds cu*cv at the table entries
     of u's row in the columns of b's elements with that value, cu being u's
     coefficient; a basis element x_J or x~_J is a single group."""
-    if not all(isinstance(g, GroupRingElement) for g in (a, b)) or a.family != b.family:
-        raise FamilyMismatchError("family mismatch")
+    weyl._same_family((a, GroupRingElement), (b, GroupRingElement))
     data = _data(a.family)
     table = data.mult
     index_of = data.index_of
@@ -316,8 +308,7 @@ def express_in_basis(a: GroupRingElement, kind: str):
     """
     if kind not in ("x", "xt"):
         raise ValidationError("expansions are over kind 'x' or 'xt'")
-    if not isinstance(a, GroupRingElement):
-        raise FamilyMismatchError("only ring elements expand in a basis")
+    weyl._same_family((a, GroupRingElement))
     family = a.family
     data = _data(family)
     masks, mask_of, first_of = data.masks[kind], data.mask_of[kind], data.first_of[kind]
@@ -365,8 +356,7 @@ class FaceSum:
     _codes: dict
 
     def __init__(self, family: Family, torus: bool, coeffs):
-        kinds = ((torusfaces.SpinNecklace, torusfaces.SymNecklace) if torus
-                 else (coxfaces.SetComposition, coxfaces.SymComposition))
+        kinds = torusfaces._NECKLACES if torus else coxfaces._FACES
         acc = {}
         for F, c in coeffs:
             if not isinstance(F, kinds) or F.family != family:
@@ -398,9 +388,9 @@ class FaceSum:
         return dict(self.coeffs)
 
     def __add__(self, other):
-        if not isinstance(other, FaceSum) or (
-                (self.family, self.torus) != (other.family, other.torus)):
-            raise FamilyMismatchError("incompatible face sums")
+        weyl._same_family((self, FaceSum), (other, FaceSum))
+        if self.torus != other.torus:
+            raise FamilyMismatchError("a sum of faces and a sum of necklaces do not add")
         acc = Counter(self._codes)
         acc.update(other._codes)  # Counter.update adds; dict.update would replace
         return _trusted(FaceSum, self.family, self.torus, {r: c for r, c in acc.items() if c})
@@ -420,8 +410,7 @@ def orbit_sum(kind: str, index, family: Family) -> FaceSum:
 
 def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     """Bilinear extension of the Tits product / module action, on codes."""
-    if not all(isinstance(f, FaceSum) for f in (s, t)) or s.family != t.family:
-        raise FamilyMismatchError("family mismatch")
+    weyl._same_family((s, FaceSum), (t, FaceSum))
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
     anchor = torusfaces._anchor(s.family) if s.torus else None
@@ -474,8 +463,7 @@ def _psi_unchecked(s: FaceSum) -> GroupRingElement:
 
 def psi(s: FaceSum) -> GroupRingElement:
     """Replace each face by its canonical group element (invariant sums only)."""
-    if not isinstance(s, FaceSum):
-        raise FamilyMismatchError("psi maps face sums only")
+    weyl._same_family((s, FaceSum))
     if not is_invariant(s):
         raise ValidationError("psi is only defined on W-invariant face sums")
     return _psi_unchecked(s)

@@ -38,12 +38,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from .errors import FamilyMismatchError, ValidationError
-from .weyl import ColorSet, Family, WeylElement, _trusted
+from .errors import ValidationError
+from .weyl import ColorSet, Family, WeylElement, _integer, _same_family, _trusted
 from .coxfaces import (
     Composition,
-    SetComposition,
-    SymComposition,
+    _FACES,
     _block_sizes,
     _check_blocks,
     _check_walk,
@@ -128,6 +127,9 @@ class SymNecklace:
         _check_blocks(full_cycle(self), -n, n)
 
 
+_NECKLACES = (SpinNecklace, SymNecklace)
+
+
 def full_cycle(N: SymNecklace) -> Tuple[Block, ...]:
     """The full clockwise cycle starting at the zero block."""
     middle = (N.antipodal,) if N.antipodal is not None else ()
@@ -164,10 +166,12 @@ def split(N: SpinNecklace) -> SplitNecklace:
 
 
 def contract_edge(N: SpinNecklace, p: int) -> SpinNecklace:
-    """Merge the two blocks joined by edge p (labels[p]); drop its label."""
+    """Merge the two blocks joined by edge p (labels[p], 0 <= p < k); drop its label."""
     k = len(N.blocks)
     if k < 2:
         raise ValidationError("a one-block necklace has no contractible edge")
+    if not 0 <= _integer(p, "edge") < k:
+        raise ValidationError(f"edge {p} is not in 0..{k - 1}")
     # The merged block leaves by the edge after it.
     dropped, kept = N.labels[p], N.labels[(p + 1) % k]
     code = _necklace_code(N)
@@ -202,10 +206,7 @@ def module_action(N, G: Composition):
     """Right action of a finite face on a torus face: the Tits product on the
     block cycle.  A type A piece's outgoing label is the clasp's incoming
     label plus the sizes of the pieces up to it (mod n)."""
-    if N.family != G.family:
-        raise FamilyMismatchError("family mismatch")
-    if not isinstance(G, (SetComposition, SymComposition)):
-        raise FamilyMismatchError("a torus face is acted on by a finite face")
+    _same_family((N, _NECKLACES), (G, _FACES))
     code = _refine(_necklace_code(N), _face_code(G), _anchor(N.family))
     return _from_code(N.family, code)
 
@@ -215,31 +216,24 @@ def w_of_torus_face(N) -> WeylElement:
 
 
 def color_set(N) -> ColorSet:
+    """A spin necklace's labels; a symmetric necklace's running sizes, from the
+    zero block's positive elements through each clockwise block."""
     if isinstance(N, SpinNecklace):
         return ColorSet(N.family, frozenset(N.labels))
-    total = sum(1 for x in N.zero_block if x > 0)
-    indices = [total]
-    for b in N.clockwise:
-        total += len(b)
-        indices.append(total)
-    return ColorSet(N.family, frozenset(indices))
+    sizes = itertools.accumulate(map(len, N.clockwise), initial=len(N.zero_block) // 2)
+    return ColorSet(N.family, frozenset(sizes))
 
 
 def act(w: WeylElement, N):
     """Left W-action: replace every block by its image, structure unchanged."""
-    if w.family != N.family:
-        raise FamilyMismatchError("family mismatch")
+    _same_family((w, WeylElement), (N, _NECKLACES))
     return _from_code(N.family, _moved(_necklace_code(N), w))
 
 
 def is_maximal(N) -> bool:
-    if isinstance(N, SpinNecklace):
-        return len(N.blocks) == N.family.rank
-    return (
-        N.zero_block == (0,)
-        and N.antipodal is None
-        and len(N.clockwise) == N.family.rank
-    )
+    """Every block of the cycle has one element: no two share a code value."""
+    code = _necklace_code(N)
+    return len(set(code)) == len(code)
 
 
 def count_torus_faces(family: Family) -> int:

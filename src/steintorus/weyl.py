@@ -18,8 +18,15 @@ Simple-root indices:
 * type C: the finite simple roots are identified with {0, ..., n-1} and the
   extra affine index is n.
 
-The public constructors ``WeylElement`` and ``ColorSet`` check their input;
-the results computed here are valid by construction and built unchecked.
+A type A element is a type C element with positive values, so one formula
+serves both where they agree: the index ranges, the group order and the
+action on [-n, n].
+
+The public constructors ``Family``, ``WeylElement`` and ``ColorSet`` check
+their input, a rank, one-line value or colour index being an ``int`` only
+(``_integer``, shared with the coefficients of sums); the results computed
+here are valid by construction and built unchecked.  ``_same_family`` is
+the one kind-and-family check of the functions that take two objects.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from math import factorial
 from typing import Iterator, Tuple
 
 from .budget import check_count
-from .errors import ValidationError
+from .errors import FamilyMismatchError, ValidationError
 
 
 @dataclass(frozen=True, order=True)
@@ -43,7 +50,7 @@ class Family:
     def __post_init__(self):
         if self.tag not in ("A", "C"):
             raise ValidationError(f"unknown family tag {self.tag!r}")
-        if self.rank < 1:
+        if _integer(self.rank, "rank") < 1:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
         if self.tag == "A" and self.rank < 2:
             # A_0 is the empty root system: no simple roots, no faces to act on.
@@ -56,20 +63,22 @@ class Family:
 
     def finite_indices(self) -> range:
         """Indices of the finite simple roots."""
-        if self.tag == "A":
-            return range(1, self.rank)
-        return range(0, self.rank)
+        return range(1 if self.tag == "A" else 0, self.rank)
 
     def affine_indices(self) -> range:
         """Indices of the affine simple system (finite ones plus the affine node)."""
-        if self.tag == "A":
-            return range(1, self.rank + 1)
-        return range(0, self.rank + 1)
+        return range(1 if self.tag == "A" else 0, self.rank + 1)
 
     def group_order(self) -> int:
-        if self.tag == "A":
-            return factorial(self.rank)
-        return factorial(self.rank) * 2**self.rank
+        """n! in type A; n! * 2^n in type C, a sign on each of the n letters."""
+        return factorial(self.rank) << (self.rank if self.tag == "C" else 0)
+
+
+def _integer(value, what: str = "coefficient") -> int:
+    """value, if it is an int; bools and floats are refused, as on the wire."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} {value!r} is not an integer")
+    return value
 
 
 def _trusted(cls, *fields):
@@ -79,6 +88,20 @@ def _trusted(cls, *fields):
     for name, value in zip(cls.__dataclass_fields__, fields):
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _same_family(*pairs) -> None:
+    """The one check of a function that takes two objects: each (object, kind)
+    pair must hold an instance of its kind, a class or a tuple of classes, and
+    the objects one family; else a FamilyMismatchError."""
+    family = None
+    for obj, kind in pairs:
+        if not isinstance(obj, kind):
+            names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+            raise FamilyMismatchError(f"a {type(obj).__name__} where a {names} belongs")
+        if family is not None and obj.family != family:
+            raise FamilyMismatchError(f"family mismatch: {family} vs {obj.family}")
+        family = obj.family
 
 
 @dataclass(frozen=True, order=True)
@@ -93,26 +116,17 @@ class WeylElement:
     values: Tuple[int, ...]
 
     def __post_init__(self):
-        n = self.family.rank
-        if len(self.values) != n:
-            raise ValidationError("one-line notation has the wrong length")
-        if self.family.tag == "A":
-            if sorted(self.values) != list(range(1, n + 1)):
-                raise ValidationError(f"not a permutation of 1..{n}: {self.values}")
-        else:
-            if sorted(abs(v) for v in self.values) != list(range(1, n + 1)):
-                raise ValidationError(
-                    f"absolute values are not a permutation of 1..{n}: {self.values}"
-                )
+        n, values = self.family.rank, self.values
+        if not isinstance(values, tuple) or len(values) != n:
+            raise ValidationError(f"one-line notation must be a tuple of {n} integers")
+        absolute = sorted(abs(_integer(v, "one-line value")) for v in values)
+        if absolute != list(range(1, n + 1)) or self.family.tag == "A" and min(values) < 0:
+            signed = "signed " if self.family.tag == "C" else ""
+            raise ValidationError(f"not a {signed}permutation of 1..{n}: {values}")
 
     def __call__(self, i: int) -> int:
-        """Apply the element to a point of its domain.
-
-        Type A acts on {1..n}; type C acts on [-n, n] through the implicit
-        extension w(-i) = -w(i), w(0) = 0.
-        """
-        if self.family.tag == "A":
-            return self.values[i - 1]
+        """Apply the element to a point of its domain, [-n, n] through the
+        extension w(-i) = -w(i), w(0) = 0; type A acts on 1..n."""
         if i == 0:
             return 0
         if i > 0:
@@ -132,14 +146,12 @@ class ColorSet:
     indices: frozenset
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "indices", frozenset(self.indices))
+        try:  # each index is checked before the frozenset merges True into 1
+            indices = frozenset([_integer(i, "color index") for i in self.indices])
         except TypeError:
             raise ValidationError(
                 f"color indices {self.indices!r} are not a collection of integers") from None
-        for i in self.indices:
-            if type(i) is not int:  # bools and floats are refused, as on the wire
-                raise ValidationError(f"color index {i!r} is not an integer")
+        object.__setattr__(self, "indices", indices)
         allowed = self.family.affine_indices()
         if not all(i in allowed for i in self.indices):
             raise ValidationError(

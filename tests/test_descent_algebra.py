@@ -1027,6 +1027,22 @@ def test_mixed_kinds_are_a_family_mismatch(call):
         call(da.orbit_sum("sigma", [1], A3), da.basis_element("x", [1], A3))
 
 
+@pytest.mark.parametrize("call", [
+    lambda F, N, w: cf.tits_product(F, N),
+    lambda F, N, w: cf.tits_product(N, F),
+    lambda F, N, w: tf.module_action(F, F),
+    lambda F, N, w: tf.module_action(N, N),
+    lambda F, N, w: cf.act(w, N),
+    lambda F, N, w: tf.act(w, F),
+], ids=["tits_product(F, N)", "tits_product(N, F)", "module_action(F, F)",
+        "module_action(N, N)", "coxfaces.act(w, N)", "torusfaces.act(w, F)"])
+def test_mixed_faces_and_necklaces_are_a_family_mismatch(call):
+    """A necklace where a face belongs, or the reverse, once raised
+    AttributeError in the Tits product, the module action and both actions."""
+    with pytest.raises(FamilyMismatchError):
+        call(cf.unit_face(A3), next(tf.enumerate_torus_faces(A3)), identity(A3))
+
+
 @pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
 def test_face_sums_add_on_codes(monkeypatch, torus):
     """+ adds the code dicts: no face is decoded, and opposite terms cancel."""

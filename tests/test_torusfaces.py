@@ -93,6 +93,16 @@ def test_contract_edge():
         tf.contract_edge(tf.make_spin(A6, [tuple(range(1, 7))], [6]), 0)
 
 
+def test_contract_edge_refuses_an_edge_that_is_not_an_int_in_range():
+    """With two edges, 5 once leaked IndexError, 1.0 and None TypeError, and
+    -1 and True were taken as edge 1."""
+    N = tf.make_spin(Family("A", 3), [(1, 2), (3,)], [2, 3])
+    for p in (5, 2, 1.0, None, -1, True):
+        with pytest.raises(ValidationError):
+            tf.contract_edge(N, p)
+    assert [tf.contract_edge(N, p).labels for p in (0, 1)] == [(3,), (2,)]
+
+
 def test_module_action_six_elements():
     N = tf.make_spin(A6, [(2,), (4, 6), (1, 3, 5)], [2, 4, 1])
     G = cf.SetComposition(A6, ((2, 5, 6), (1, 3), (4,)))
@@ -204,6 +214,20 @@ def test_maximal_faces_are_the_group():
         for w in elements:
             assert tf.is_maximal(maximal_from_perm(w))
             assert tf.w_of_torus_face(maximal_from_perm(w)) == w
+
+
+@pytest.mark.parametrize("fam", [Family("A", n) for n in range(2, 6)]
+                         + [Family("C", n) for n in range(1, 4)], ids=lambda f: f"{f.tag}{f.rank}")
+def test_maximal_means_one_element_per_block(fam):
+    """is_maximal, read as no two elements sharing a code value, agrees with
+    the per-family definitions on every torus face."""
+    def by_kind(N):
+        if fam.tag == "A":
+            return len(N.blocks) == fam.rank
+        return N.zero_block == (0,) and N.antipodal is None and len(N.clockwise) == fam.rank
+
+    faces = list(tf.enumerate_torus_faces(fam))
+    assert [tf.is_maximal(N) for N in faces] == [by_kind(N) for N in faces]
 
 
 def test_group_action_keeps_structure():

@@ -25,6 +25,25 @@ def test_family_validation():
             Family(tag, rank)
 
 
+def test_family_refuses_a_rank_that_is_not_an_int():
+    """2.5 and 1.0 were once accepted, so that group_order raised TypeError;
+    True was taken as rank 1; "3" and None leaked TypeError."""
+    for tag, rank in [("A", 2.5), ("C", 1.0), ("C", True), ("A", "3"), ("C", None)]:
+        with pytest.raises(ValidationError):
+            Family(tag, rank)
+
+
+def test_group_element_refuses_values_that_are_not_ints():
+    """At A3, (1.0, 2, 3), (True, 2, 3) and the unhashable list [1, 2, 3] were
+    once accepted; at C2, ("a", "b") leaked TypeError from abs."""
+    A3, C2 = Family("A", 3), Family("C", 2)
+    for fam, values in [(A3, (1.0, 2, 3)), (A3, (True, 2, 3)), (A3, [1, 2, 3]),
+                        (C2, ("a", "b")), (A3, (-1, 2, 3)), (A3, (1, 2)), (C2, (2, 2))]:
+        with pytest.raises(ValidationError):
+            WeylElement(fam, values)
+    assert WeylElement(C2, (-2, 1))(-1) == 2 and WeylElement(A3, (3, 1, 2))(1) == 3
+
+
 def test_index_ranges():
     assert list(Family("A", 4).finite_indices()) == [1, 2, 3]
     assert list(Family("A", 4).affine_indices()) == [1, 2, 3, 4]
@@ -144,6 +163,17 @@ def test_colorset_keeps_any_collection_as_a_frozenset():
     for bad in (5, None, 1.5):
         with pytest.raises(ValidationError):
             ColorSet(A3, bad)
+
+
+def test_colorset_checks_each_index_before_the_frozenset_merges_them():
+    """[1, True] was once accepted, as the frozenset merges True into 1, while
+    [True] and the index set [1, True] of basis_element were refused."""
+    A3 = Family("A", 3)
+    for bad in ([1, True], (True, 1), [2, 2.0], [True]):
+        with pytest.raises(ValidationError):
+            ColorSet(A3, bad)
+    with pytest.raises(ValidationError):
+        da.basis_element("x", [1, True], A3)
 
 
 @hst.composite
