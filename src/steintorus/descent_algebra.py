@@ -21,15 +21,16 @@ of products work on plain integers; each row after the first is the previous
 one read through one of O(n^2) step rows.  As that order is the order of
 ``GroupRingElement.coeffs``, a dense coefficient list read in index order
 gives the canonical ``coeffs`` tuple, built without the check.  Each element's
-(affine) descent set is kept as a bit mask.  ``multiply`` adds, for each
-coefficient group of the right factor, every left row's table entries over the
-group's columns: x_I * x_J is one exact count over all |x_I| * |x_J| pairs,
-which assumes nothing of Solomon's theorem; the solomon and module suites
-check the theorem on the rows, one histogram per element.  The structure
-tables build no group: they expand sigma_J * sigma_I and sigma~_J * sigma_I,
-which psi maps to x_I * x_J (Bidigare's theorem) and x_I * x~_J.  Class sums
-give each element the value at its mask; their zeta sum over index sets and
-the Moebius inversion are one subset transform on bit masks.
+(affine) descent set is kept as a bit mask.  ``multiply`` counts the pairs
+in U x V with product w, U and V coefficient groups of its factors, as
+|U^-1 w & V|: popcounts along a breadth-first walk of the Cayley graph, or the
+left rows' entries in V's columns.  x_I * x_J is one exact count over all
+|x_I| * |x_J| pairs, which assumes nothing of Solomon's theorem; the solomon
+and module suites check it on the rows, one histogram per element.
+The structure tables build no group: they expand sigma_J * sigma_I and
+sigma~_J * sigma_I, which psi maps to x_I * x_J (Bidigare's theorem) and
+x_I * x~_J.  Class sums give each element the value at its mask; the zeta
+sum over index sets and its Moebius inversion are one subset transform.
 
 A face sum's state is its {position code: coefficient} dict (see
 ``coxfaces``); its faces are decoded from the codes only when ``coeffs`` is
@@ -57,7 +58,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter, or_
+from itertools import repeat
+from operator import add, and_, itemgetter, lshift, mul, or_, rshift
 from typing import Dict, FrozenSet, Tuple
 
 from .budget import check_count
@@ -129,6 +131,31 @@ class _GroupData:
                     f"multiplication table of {self.family}")
         return list(self.rows())
 
+    @functools.cached_property
+    def walk(self):
+        """For ``multiply``, from ``mult``: (inverse_of, batches, by_index).  Right
+        translation by a simple generator s moves index x by x*s - x, a few values
+        d: its classes are {d: mask of the x moved by d}.  Breadth first from the
+        identity, each child is p * s, p one level up, s the generator with the
+        fewest classes; a batch is (its parents' walk positions, s's classes), its
+        children next in walk order.  by_index reads walk order in index order."""
+        table, index_of, steps = self.mult, self.index_of, []
+        for s in _generators(self.family):
+            column, moved = [row[index_of[s.values]] for row in table], {}
+            for x, y in enumerate(column):
+                moved[y - x] = moved.get(y - x, 0) | 1 << x
+            steps.append((column, moved))
+        position, batches, start = {index_of[weyl.identity(self.family).values]: 0}, [], 0
+        while start < len(position):
+            level, start = list(position)[start:], len(position)
+            for column, classes in sorted(steps, key=lambda step: len(step[1])):
+                if pairs := [(position[p], w) for p in level if (w := column[p]) not in position]:
+                    parents, new = zip(*pairs)
+                    position.update(zip(new, itertools.count(len(position))))
+                    batches.append((parents, classes))
+        return ([index_of[inverse(w).values] for w in self.elements], batches,
+                itemgetter(*map(position.__getitem__, range(len(position)))))
+
     def element(self, coeffs) -> "GroupRingElement":
         """The ring element with coefficient coeffs[i] on elements[i]."""
         return _trusted(GroupRingElement, self.family, tuple(
@@ -160,6 +187,7 @@ class GroupRingElement:
     coeffs: Tuple[Tuple[WeylElement, int], ...]
 
     def __post_init__(self):
+        weyl._family(self.family)
         acc = {}
         for w, c in self.coeffs:
             if not isinstance(w, WeylElement) or w.family != self.family:
@@ -200,21 +228,39 @@ def _groups(data: _GroupData, g: GroupRingElement):
     return list(groups.items())
 
 
+_WALK_FROM = 32  # pairs per walk step from which ``multiply`` walks
+
+
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product in the group ring.  For each coefficient value cv
-    of b, one pass over the elements u of a adds cu*cv at the table entries
-    of u's row in the columns of b's elements with that value, cu being u's
-    coefficient; a basis element x_J or x~_J is a single group."""
+    """Convolution product in the group ring.  A walk costs about |W| steps
+    per pair of coefficient groups, the rows one per pair of elements.  From
+    _WALK_FROM pairs per walk step, a walk of ``_GroupData.walk`` per group U of
+    a (cu) takes each w's mask of U^-1 w, its parent's classes shifted by their
+    moves, and adds cu * cv times its popcount against each group V of b (cv);
+    below, one pass over a's rows per V adds cu * cv at V's columns."""
     weyl._same_family((a, GroupRingElement), (b, GroupRingElement))
     data = _data(a.family)
-    table = data.mult
-    index_of = data.index_of
-    lefts = [(table[index_of[u.values]], cu) for u, cu in a.coeffs]
-    acc = [0] * len(table)
-    for cv, js in _groups(data, b):
+    size, rights, pairs = len(data.elements), _groups(data, b), len(a.coeffs) * len(b.coeffs)
+    acc, least = [0] * size, _WALK_FROM * size * len(rights)  # a is grouped only if it may walk
+    if pairs >= least and pairs >= least * len(lefts := _groups(data, a)):
+        inverse_of, batches, by_index = data.walk
+        for cu, us in lefts:
+            found = [sum(1 << inverse_of[u] for u in us)]
+            for parents, classes in batches:
+                masks = list(map(found.__getitem__, parents))
+                found.extend(functools.reduce(functools.partial(map, or_), [map(
+                    lshift if d > 0 else rshift, map(and_, masks, repeat(P)), repeat(abs(d)))
+                    for d, P in classes.items()]))
+            for cv, js in rights:
+                acc = list(map(add, acc, map(mul, map(int.bit_count, map(and_, found, repeat(
+                    sum(1 << j for j in js)))), repeat(cu * cv))))
+        return data.element(by_index(acc))
+    table, index_of = data.mult, data.index_of
+    rows = [(table[index_of[u.values]], cu) for u, cu in a.coeffs]
+    for cv, js in rights:
         # A slice keeps a lone column a tuple; itemgetter(j) returns a scalar.
         pick = itemgetter(*js) if len(js) > 1 else itemgetter(slice(js[0], js[0] + 1))
-        for row, cu in lefts:
+        for row, cu in rows:
             c = cu * cv
             for k in pick(row):
                 acc[k] += c
@@ -356,6 +402,7 @@ class FaceSum:
     _codes: dict
 
     def __init__(self, family: Family, torus: bool, coeffs):
+        weyl._family(family)
         kinds = torusfaces._NECKLACES if torus else coxfaces._FACES
         acc = {}
         for F, c in coeffs:

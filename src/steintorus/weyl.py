@@ -26,7 +26,8 @@ The public constructors ``Family``, ``WeylElement`` and ``ColorSet`` check
 their input, a rank, one-line value or colour index being an ``int`` only
 (``_integer``, shared with the coefficients of sums); the results computed
 here are valid by construction and built unchecked.  ``_same_family`` is
-the one kind-and-family check of the functions that take two objects.
+the one kind-and-family check of the functions that take objects, and
+``_family`` the check of a family passed in.
 """
 
 from __future__ import annotations
@@ -91,17 +92,22 @@ def _trusted(cls, *fields):
 
 
 def _same_family(*pairs) -> None:
-    """The one check of a function that takes two objects: each (object, kind)
-    pair must hold an instance of its kind, a class or a tuple of classes, and
-    the objects one family; else a FamilyMismatchError."""
-    family = None
+    """The one kind-and-family check of a function that takes objects: each
+    (object, kind) pair must hold an instance of its kind, a class or a tuple of
+    classes, and the objects the first one's family; else a FamilyMismatchError."""
     for obj, kind in pairs:
         if not isinstance(obj, kind):
             names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
             raise FamilyMismatchError(f"a {type(obj).__name__} where a {names} belongs")
-        if family is not None and obj.family != family:
-            raise FamilyMismatchError(f"family mismatch: {family} vs {obj.family}")
-        family = obj.family
+        if obj.family != pairs[0][0].family:
+            raise FamilyMismatchError(f"family mismatch: {pairs[0][0].family} vs {obj.family}")
+
+
+def _family(family) -> Family:
+    """family, if it is a Family; else a ValidationError."""
+    if not isinstance(family, Family):
+        raise ValidationError(f"{family!r} is not a Family")
+    return family
 
 
 @dataclass(frozen=True, order=True)
@@ -116,7 +122,7 @@ class WeylElement:
     values: Tuple[int, ...]
 
     def __post_init__(self):
-        n, values = self.family.rank, self.values
+        n, values = _family(self.family).rank, self.values
         if not isinstance(values, tuple) or len(values) != n:
             raise ValidationError(f"one-line notation must be a tuple of {n} integers")
         absolute = sorted(abs(_integer(v, "one-line value")) for v in values)
@@ -152,7 +158,7 @@ class ColorSet:
             raise ValidationError(
                 f"color indices {self.indices!r} are not a collection of integers") from None
         object.__setattr__(self, "indices", indices)
-        allowed = self.family.affine_indices()
+        allowed = _family(self.family).affine_indices()
         if not all(i in allowed for i in self.indices):
             raise ValidationError(
                 f"indices {sorted(self.indices)} outside the legal range "
@@ -170,10 +176,11 @@ class ColorSet:
 
 
 def identity(family: Family) -> WeylElement:
-    return _trusted(WeylElement, family, tuple(range(1, family.rank + 1)))
+    return _trusted(WeylElement, family, tuple(range(1, _family(family).rank + 1)))
 
 
 def inverse(u: WeylElement) -> WeylElement:
+    _same_family((u, WeylElement))
     out = [0] * u.family.rank
     for i, image in enumerate(u.values, 1):
         out[abs(image) - 1] = i if image > 0 else -i
@@ -194,6 +201,7 @@ def _descents(w: WeylElement, indices: range) -> ColorSet:
 
 def descent_set(w: WeylElement) -> ColorSet:
     """Finite descent set: indices i with w_i > w_{i+1} (finite range only)."""
+    _same_family((w, WeylElement))
     return _descents(w, w.family.finite_indices())
 
 
@@ -204,12 +212,13 @@ def affine_descent_set(w: WeylElement) -> ColorSet:
     type A (rank >= 2) and the word 0 w_1 ... w_n 0 of type C both rise
     and fall.
     """
+    _same_family((w, WeylElement))
     return _descents(w, w.family.affine_indices())
 
 
 def enumerate_group(family: Family) -> Iterator[WeylElement]:
     """All group elements in lexicographic order of their one-line notation."""
-    check_count(family, Family.group_order, f"group of {family}")
+    check_count(_family(family), Family.group_order, f"group of {family}")
     n = family.rank
     if family.tag == "A":
         for values in itertools.permutations(range(1, n + 1)):

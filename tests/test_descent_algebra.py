@@ -3,9 +3,10 @@ import json
 import pathlib
 from collections import Counter
 from operator import itemgetter
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from steintorus.errors import (
     BudgetExceededError,
@@ -749,12 +750,35 @@ def _wide_factors(draw):
     return factor(), factor()
 
 
+# Values of _WALK_FROM that force each path of multiply: the walk, the rows.
+PATHS = (0, 10**9)
+C3_ELEMENTS = list(enumerate_group(C3))
+C3_REFLECTION = da._generators(C3)[1]
+
+
+def _c3(mapping):
+    return da.GroupRingElement.from_dict(C3, mapping)
+
+
+# Coefficient groups of both signs on either side.
+@example((_c3({w: (-2, 1, 5)[i % 3] for i, w in enumerate(C3_ELEMENTS)}),
+          _c3({w: (3, -1)[i % 2] for i, w in enumerate(C3_ELEMENTS[:40])})))
+# (e - s)(e + s) = e - s^2 cancels to zero for a simple reflection s.
+@example((_c3({identity(C3): 1, C3_REFLECTION: -1}), _c3({identity(C3): 1, C3_REFLECTION: 1})))
+# All 48 elements times _WALK_FROM of them, one group each: exactly at the
+# threshold, where multiply walks.
+@example((da.basis_element("x", [0, 1, 2], C3),
+          _c3(dict.fromkeys(C3_ELEMENTS[:da._WALK_FROM], 1))))
 @given(_wide_factors())
 def test_counted_convolution_is_exact(pair):
+    """On the path the threshold picks, and on each path forced."""
     a, b = pair
-    product = da.multiply(a, b)
-    assert product == _naive_multiply(a, b)
-    assert _ordered(product) and all(type(c) is int for _, c in product.coeffs)
+    expected = _naive_multiply(a, b)
+    for walk_from in (da._WALK_FROM, *PATHS):
+        with mock.patch.object(da, "_WALK_FROM", walk_from):
+            product = da.multiply(a, b)
+        assert product == expected
+        assert _ordered(product) and all(type(c) is int for _, c in product.coeffs)
 
 
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
@@ -775,12 +799,38 @@ def test_counted_convolution_edge_cases(fam):
 
 
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
-def test_every_module_product_matches_naive_route(fam):
-    for I in _legal_sets("x", fam):
-        xI = da.basis_element("x", I, fam)
-        for J in _legal_sets("xt", fam):
-            xtJ = da.basis_element("xt", J, fam)
-            assert da.multiply(xI, xtJ) == _naive_multiply(xI, xtJ)
+def test_every_module_product_matches_naive_route(monkeypatch, fam):
+    """Every x_I * x_J and x_I * x~_J, on both paths of multiply."""
+    for kind in ("x", "xt"):
+        for I in _legal_sets("x", fam):
+            xI = da.basis_element("x", I, fam)
+            for J in _legal_sets(kind, fam):
+                right = da.basis_element(kind, J, fam)
+                expected = _naive_multiply(xI, right)
+                for walk_from in PATHS:
+                    monkeypatch.setattr(da, "_WALK_FROM", walk_from)
+                    assert da.multiply(xI, right) == expected
+
+
+@pytest.mark.parametrize("fam", [Family("A", 5), Family("C", 4)], ids=["A5", "C4"])
+def test_the_walk_reads_no_row(monkeypatch, fam):
+    """Once the walk is built, a product at the threshold reads nothing of the
+    table, and one below it reads the rows: the whole group times _WALK_FROM
+    elements, then times one element fewer."""
+    da._data(fam).walk
+    elements = list(enumerate_group(fam))
+
+    def refuse(self):
+        raise AssertionError("the rows were read")
+
+    monkeypatch.setattr(da._GroupData, "mult", property(refuse))
+    group = da.basis_element("x", fam.finite_indices(), fam)
+    assert len(group.coeffs) == len(elements)
+    at = da.GroupRingElement.from_dict(fam, dict.fromkeys(elements[-da._WALK_FROM:], 1))
+    assert da.multiply(group, at) == _naive_multiply(group, at)
+    below = da.GroupRingElement.from_dict(fam, dict.fromkeys(elements[1 - da._WALK_FROM:], 1))
+    with pytest.raises(AssertionError, match="rows were read"):
+        da.multiply(group, below)
 
 
 # ---------------------------------------------------------------------------
