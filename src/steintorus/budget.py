@@ -2,8 +2,8 @@
 
 Every command checks its work against a configurable budget before it
 starts: the enumerators of group elements, faces and torus faces count their
-objects, and ``descent_algebra`` holds the work of each suite and table.
-The default is one million, overridden by the ``STEINTORUS_BUDGET``
+objects, and the row of each suite and table in ``descent_algebra`` holds
+its work.  The default is one million, overridden by the ``STEINTORUS_BUDGET``
 environment variable, which must hold a positive integer.
 """
 

@@ -158,8 +158,7 @@ def _cmd_descent_table(args):
 
 
 def _cmd_mult_table(args):
-    tables = {"solomon": descent_algebra.solomon_table, "module": descent_algebra.module_table}
-    _emit(tables[args.kind](_family(args)))
+    _emit(descent_algebra._TABLES[args.kind].run(_family(args)))
     return 0
 
 
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include affine descent sets")
 
     p = command("mult-table", _cmd_mult_table, "structure constants table")
-    p.add_argument("--kind", required=True, choices=("solomon", "module"))
+    p.add_argument("--kind", required=True, choices=tuple(descent_algebra._TABLES))
 
     p = command("verify", _cmd_verify, "run a verification suite")
     p.add_argument("--seed", type=int, default=0,

@@ -38,7 +38,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 from .budget import check_count, current_budget
 from .errors import BudgetExceededError, FamilyMismatchError, ValidationError
-from .weyl import ColorSet, Family, WeylElement, _same_family, _trusted
+from .weyl import ColorSet, Family, WeylElement, _family, _same_family, _trusted
 
 Block = Tuple[int, ...]
 
@@ -64,7 +64,7 @@ class SetComposition:
     blocks: Tuple[Block, ...]
 
     def __post_init__(self):
-        if self.family.tag != "A":
+        if _family(self.family).tag != "A":
             raise ValidationError("SetComposition is a type A object")
         _check_blocks(self.blocks, 1, self.family.rank)
 
@@ -84,7 +84,7 @@ class SymComposition:
     right: Tuple[Block, ...]
 
     def __post_init__(self):
-        if self.family.tag != "C":
+        if _family(self.family).tag != "C":
             raise ValidationError("SymComposition is a type C object")
         if 0 not in self.zero_block:
             raise ValidationError("the central block must contain 0")

@@ -44,9 +44,11 @@ permutes codes; ``psi`` reads each code's group element once per family and
 keeps it, built without the group; the ``lrb`` and ``oracle`` suites index their
 products by ``_table``.  So none of them builds a face.  The public
 constructors of sums check their keys and int coefficients and make them
-canonical; internal results skip that check.  ``_WORK`` holds each suite's
-and table's work, a unit and a count; ``verify`` and the tables check it
-against the budget before any work, so no suite holds budget code.
+canonical; internal results skip that check.  Each suite and table is one
+row of ``_SUITES`` or ``_TABLES``: its runner, its work (a unit and a count)
+and the families it refuses.  ``verify`` and the tables check the work against
+the budget before any work, so no suite holds budget code, and neither
+``verify`` nor the CLI names a suite.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ import itertools
 import json
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, and_, itemgetter, lshift, mul, or_, rshift
@@ -271,42 +273,32 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
 # descent bases
 
 
-def _as_index_set(index, family: Family) -> FrozenSet[int]:
-    """index as a frozenset; as in ``ColorSet``, bools and floats are refused."""
-    if isinstance(index, ColorSet):
-        if index.family != family:
-            raise FamilyMismatchError(f"a color set of {index.family}, not {family}")
-        return index.indices
-    try:
-        items = tuple(index)
-    except TypeError:
-        raise ValidationError(f"index set {index!r} is not a collection") from None
-    for i in items:
-        if type(i) is not int:
-            raise ValidationError(f"index {i!r} is not an integer")
-    return frozenset(items)
-
-
 def _universe(kind: str, family: Family) -> range:
     """The simple indices a basis index set of the kind draws from."""
+    if kind not in ("x", "y", "xt", "yt"):
+        raise ValidationError(f"unknown basis kind {kind!r}")
     return family.finite_indices() if kind in ("x", "y") else family.affine_indices()
 
 
-def _check_indices(kind: str, sets, family: Family) -> None:
-    """Every index set must be legal for the basis kind."""
-    if kind not in ("x", "y", "xt", "yt"):
-        raise ValidationError(f"unknown basis kind {kind!r}")
-    legal = frozenset(_universe(kind, family))
-    for J in sets:
-        if kind in ("x", "y") and not J <= legal:
-            raise ValidationError(f"{kind}-index {sorted(J)} must lie inside "
-                                  f"the finite range {sorted(legal)}")
-        if kind in ("xt", "yt") and not (J and J <= legal):
-            raise ValidationError(
-                f"{kind}-index must be a nonempty subset of {sorted(legal)}")
-        if kind == "yt" and J == legal:
-            raise ValidationError(
-                "no element has every affine descent; this class sum is empty")
+def _index_set(kind: str, index, family: Family) -> FrozenSet[int]:
+    """index, a collection of ints or a colour set of the family, as a legal
+    index set of the basis kind.  The check of ``ColorSet`` takes the ints, their
+    range and the family; x and y sets lie in the finite range, x~ and y~ sets
+    are nonempty, and y~ of every affine index would be the empty class."""
+    if isinstance(index, ColorSet):
+        if index.family != family:
+            raise FamilyMismatchError(f"a color set of {index.family}, not {family}")
+        index = index.indices
+    # J lies in the affine range, so only the finite kinds' affine index is left.
+    J, legal = weyl._color_indices(family, index), _universe(kind, family)
+    if kind in ("x", "y") and legal.stop in J:
+        raise ValidationError(f"{kind}-index {sorted(J)} must lie inside "
+                              f"the finite range {list(legal)}")
+    if kind in ("xt", "yt") and not J:
+        raise ValidationError(f"{kind}-index must be a nonempty subset of {list(legal)}")
+    if kind == "yt" and len(J) == len(legal):
+        raise ValidationError("no element has every affine descent; this class sum is empty")
+    return J
 
 
 def _subset_transform(f: list, sign: int) -> list:
@@ -326,9 +318,9 @@ def _class_sum(kind: str, terms, family: Family) -> GroupRingElement:
     """The sum of c * basis_element(kind, J) over the checked pairs (J, c):
     a descent class gets the sum of the c whose J contains (x) or equals (y)
     it; itemgetter reads each element's value at its mask (a tuple: |W| > 1)."""
+    values = [0] * (1 << len(_universe(kind, weyl._family(family))))
     data = _data(family)
     masks = data.masks[kind]
-    values = [0] * (1 << len(_universe(kind, family)))
     for J, c in terms:
         values[masks[J]] += c
     if kind in ("x", "xt"):
@@ -338,9 +330,7 @@ def _class_sum(kind: str, terms, family: Family) -> GroupRingElement:
 
 def basis_element(kind: str, index, family: Family) -> GroupRingElement:
     """x_J, y_J, x~_J (kind 'xt') or y~_J (kind 'yt')."""
-    J = _as_index_set(index, family)
-    _check_indices(kind, [J], family)
-    return _class_sum(kind, [(J, 1)], family)
+    return _class_sum(kind, [(_index_set(kind, index, family), 1)], family)
 
 
 def express_in_basis(a: GroupRingElement, kind: str):
@@ -380,9 +370,8 @@ def express_in_basis(a: GroupRingElement, kind: str):
 
 def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement:
     """The sum of c * basis_element(kind, I, family) over the items (I, c)."""
-    terms = [(_as_index_set(I, family), _integer(c)) for I, c in expansion.items()]
-    _check_indices(kind, (J for J, _ in terms), family)
-    return _class_sum(kind, terms, family)
+    return _class_sum(kind, [(_index_set(kind, I, family), _integer(c))
+                             for I, c in expansion.items()], family)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +434,10 @@ class FaceSum:
 
 def orbit_sum(kind: str, index, family: Family) -> FaceSum:
     """sigma_J (kind 'sigma') or sigma~_J (kind 'sigmat')."""
-    color = ColorSet(family, _as_index_set(index, family))
     if kind not in ("sigma", "sigmat"):
         raise ValidationError(f"unknown orbit sum kind {kind!r}")
     torus = kind == "sigmat"
+    color = _trusted(ColorSet, family, _index_set("xt" if torus else "x", index, family))
     walk, code = ((torusfaces.enumerate_torus_faces, torusfaces._necklace_code) if torus
                   else (coxfaces.enumerate_faces, coxfaces._face_code))
     # Each face of the colour comes once, valid and of this family: nothing to check.
@@ -528,33 +517,6 @@ def _subsets(indices, nonempty=False):
             for c in itertools.combinations(indices, r))
 
 
-# The work of each suite of _SUITES and of the two tables: its unit, and its
-# count from the group order g, the numbers f of faces and t of torus faces,
-# and the number c of nonempty affine colour sets.  Each table refines one
-# face per left colour against every face: the module table over the c torus
-# colours, the solomon table over the (c + 1) / 2 finite colours.
-_WORK = {
-    "solomon": ("group products", lambda g, f, t, c: g * g),
-    "module": ("group products", lambda g, f, t, c: g * g),
-    "psi": ("face products", lambda g, f, t, c: f * (f + t)),
-    "oracle": ("face products", lambda g, f, t, c: f * t),
-    "lrb": ("face products", lambda g, f, t, c: 2 * f * f),
-    "euler": ("torus faces", lambda g, f, t, c: t),
-    "counts": ("faces and torus faces", lambda g, f, t, c: max(f, t)),
-    "solomon table": ("face products", lambda g, f, t, c: f * (c + 1) // 2),
-    "module table": ("face products", lambda g, f, t, c: f * c),
-}
-
-
-def _check_work(name: str, family: Family) -> None:
-    """Refuse to start the suite or table `name` if its work passes the budget."""
-    unit, work = _WORK[name]
-    check_count(family, lambda family: work(
-        family.group_order(), coxfaces.count_faces(family),
-        torusfaces.count_torus_faces(family), 2 ** len(family.affine_indices()) - 1),
-        f"{unit} of the {name}{'' if name.endswith('table') else ' suite'} for {family}")
-
-
 def _orbit_sums(family: Family, torus: bool) -> dict:
     """Every sigma_J, or every sigma~_J if torus, keyed by J in the order of
     ``_subsets``: ``orbit_sum`` of each legal colour, which walks its faces only."""
@@ -577,7 +539,7 @@ def _face_table(kind: str, family: Family) -> dict:
     coefficient: c_K = |s_J| * h_K / |s_K|, where h_K counts the faces of
     colour K in F * sigma_I.  The psi suite checks the invariance of
     s_J * sigma_I that this assumes."""
-    _check_work(f"{kind} table", family)
+    _check_work(f"{kind} table", _TABLES[kind], family)
     torus = kind == "module"
     sigma = _orbit_sums(family, False)
     lefts = _orbit_sums(family, True) if torus else sigma
@@ -645,37 +607,30 @@ def _verify_products(suite: str, kind: str, family: Family, seed=0):
 
 
 def _verify_psi(family: Family, seed=0):
+    """Per orbit sum s_J, sigma_J or sigma~_J: psi(s_J) is x_J or x~_J, and
+    each s_J * sigma_K is W-invariant, which the module table assumes, with
+    psi(s_J * sigma_K) = x_K * psi(s_J).  A failure's I and J are the sets
+    that its identity calls J and K."""
     checks, failures = 0, []
-    sigma, sigmat = _orbit_sums(family, False), _orbit_sums(family, True)
+    sigma = _orbit_sums(family, False)
+    x = {K: basis_element("x", K, family) for K in sigma}
 
-    def fail(tag, I, J):
-        failures.append({"identity": tag, "I": sorted(I), "J": sorted(J)})
+    def fail(identity, I, J):
+        failures.append({"identity": identity, "I": sorted(I), "J": sorted(J)})
 
-    x = {J: basis_element("x", J, family) for J in sigma}
-    for J, s in sigma.items():
-        checks += 1
-        if psi(s) != x[J]:
-            fail("psi(sigma_J) = x_J", J, J)
-    for J, s in sigmat.items():
-        checks += 1
-        if psi(s) != basis_element("xt", J, family):
-            fail("psi(sigma~_J) = x~_J", J, J)
-    # Each product must be W-invariant, which the module table assumes, and
-    # map to the ring-side product.
-    def holds(product, expected):
-        return is_invariant(product) and _psi_unchecked(product) == expected
-
-    for J, sJ in sigma.items():
-        for K, sK in sigma.items():
-            checks += 1
-            if not holds(face_sum_product(sJ, sK), multiply(x[K], x[J])):
-                fail("psi(sigma_J sigma_K) = x_K x_J", J, K)
-    for K, sK in sigmat.items():
-        xtK = basis_element("xt", K, family)
-        for J, sJ in sigma.items():
-            checks += 1
-            if not holds(face_sum_product(sK, sJ), multiply(x[J], xtK)):
-                fail("psi(sigma~_K sigma_J) = x_J x~_K", J, K)
+    for kind, sums, identities in (
+            ("x", sigma, ("psi(sigma_J) = x_J", "psi(sigma_J sigma_K) = x_K x_J")),
+            ("xt", _orbit_sums(family, True),
+             ("psi(sigma~_J) = x~_J", "psi(sigma~_K sigma_J) = x_J x~_K"))):
+        for J, sJ in sums.items():
+            xJ = basis_element(kind, J, family)
+            checks += 1 + len(sigma)
+            if psi(sJ) != xJ:
+                fail(identities[0], J, J)
+            for K, sK in sigma.items():
+                product = face_sum_product(sJ, sK)
+                if not (is_invariant(product) and _psi_unchecked(product) == multiply(x[K], xJ)):
+                    fail(identities[1], *((J, K) if kind == "x" else (K, J)))
     return _report("psi", family, checks, failures)
 
 
@@ -838,30 +793,49 @@ def _verify_oracle(family: Family, seed=0):
     return _report("oracle", family, checks, failures)
 
 
+# One row per suite and per structure table: its runner; its budget unit and its
+# work from the group order g, the numbers f of faces and t of torus faces, and the
+# number c of nonempty affine colour sets; and its refusal of each family tag it does
+# not cover.  A table refines one face per left colour against every face: the module
+# table over the c torus colours, the solomon table over the (c + 1) / 2 finite ones.
+_Row = namedtuple("_Row", "run unit work refuses", defaults=({},))
 _SUITES = {
-    "solomon": functools.partial(_verify_products, "solomon", "x"),
-    "module": functools.partial(_verify_products, "module", "xt"),
-    "psi": _verify_psi,
-    "oracle": _verify_oracle,
-    "lrb": _verify_lrb,
-    "euler": _verify_euler,
-    "counts": _verify_counts,
+    "solomon": _Row(functools.partial(_verify_products, "solomon", "x"), "group products",
+                    lambda g, f, t, c: g * g),
+    "module": _Row(functools.partial(_verify_products, "module", "xt"), "group products",
+                   lambda g, f, t, c: g * g),
+    "psi": _Row(_verify_psi, "face products", lambda g, f, t, c: f * (f + t)),
+    "oracle": _Row(_verify_oracle, "face products", lambda g, f, t, c: f * t,
+                   {"C": "the affine sign-vector oracle covers type A only"}),
+    "lrb": _Row(_verify_lrb, "face products", lambda g, f, t, c: 2 * f * f),
+    "euler": _Row(_verify_euler, "torus faces", lambda g, f, t, c: t),
+    "counts": _Row(_verify_counts, "faces and torus faces", lambda g, f, t, c: max(f, t)),
 }
+_TABLES = {"solomon": _Row(solomon_table, "face products", lambda g, f, t, c: f * (c + 1) // 2),
+           "module": _Row(module_table, "face products", lambda g, f, t, c: f * c)}
+
+
+def _check_work(name: str, row: _Row, family: Family) -> None:
+    """Refuse to start the suite or table `name` if its row's work passes the budget."""
+    check_count(weyl._family(family), lambda family: row.work(
+        family.group_order(), coxfaces.count_faces(family),
+        torusfaces.count_torus_faces(family), 2 ** len(family.affine_indices()) - 1),
+        f"{row.unit} of the {name} for {family}")
 
 
 def verify(suite: str, family: Family, seed: int = 0) -> dict:
-    """Run one suite, or with 'all' every suite that covers the family; the
-    work of each suite it runs is checked before the first one starts."""
-    if suite != "all" and suite not in _SUITES:
+    """Run one suite, or with 'all' every suite whose row does not refuse the
+    family; the work of each suite it runs is checked before the first starts."""
+    if suite not in ("all", *_SUITES):
         raise ValidationError(f"unknown suite {suite!r}")
-    if suite == "oracle" and family.tag != "A":
-        raise ValidationError("the affine sign-vector oracle covers type A only")
-    names = [suite] if suite != "all" else [
-        name for name in _SUITES if not (name == "oracle" and family.tag != "A")]
-    for name in names:
-        _check_work(name, family)
-    reports = [_SUITES[name](family, seed) for name in names]
-    if suite != "all":
-        return reports[0]
-    return {"suite": "all", "family": family.tag, "rank": family.rank,
-            "reports": reports, "pass": all(r["pass"] for r in reports)}
+    tag = weyl._family(family).tag
+    rows = {name: row for name, row in _SUITES.items()
+            if name == suite or suite == "all" and tag not in row.refuses}
+    for name, row in rows.items():
+        if tag in row.refuses:  # before the budget is read
+            raise ValidationError(row.refuses[tag])
+        _check_work(f"{name} suite", row, family)
+    reports = [row.run(family, seed) for row in rows.values()]
+    return reports[0] if suite != "all" else {
+        "suite": "all", "family": tag, "rank": family.rank,
+        "reports": reports, "pass": all(r["pass"] for r in reports)}

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from .errors import ValidationError
-from .weyl import ColorSet, Family, WeylElement, _integer, _same_family, _trusted
+from .weyl import ColorSet, Family, WeylElement, _family, _integer, _same_family, _trusted
 from .coxfaces import (
     Composition,
     _FACES,
@@ -76,7 +76,7 @@ class SpinNecklace:
     labels: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.family.tag != "A":
+        if _family(self.family).tag != "A":
             raise ValidationError("SpinNecklace is a type A object")
         n = self.family.rank
         _check_blocks(self.blocks, 1, n)
@@ -99,7 +99,7 @@ class SpinNecklace:
 def make_spin(family: Family, blocks, labels) -> SpinNecklace:
     """Build a spin necklace from any rotation, canonicalizing to clasp-first."""
     blocks = tuple(tuple(sorted(b)) for b in blocks)
-    labels = tuple(_norm_label(l, family.rank) for l in labels)
+    labels = tuple(_norm_label(l, _family(family).rank) for l in labels)
     k = len(blocks)
     if k != len(labels) or k == 0:
         raise ValidationError("need one label per edge")
@@ -116,7 +116,7 @@ class SymNecklace:
     antipodal: Optional[Block]
 
     def __post_init__(self):
-        if self.family.tag != "C":
+        if _family(self.family).tag != "C":
             raise ValidationError("SymNecklace is a type C object")
         n = self.family.rank
         if 0 not in self.zero_block:

@@ -140,6 +140,25 @@ class WeylElement:
         return -self.values[-i - 1]
 
 
+def _color_indices(family, indices) -> frozenset:
+    """indices, a collection of ints in the family's affine range, as a frozenset:
+    the check of ``ColorSet``.  Each index is checked before the frozenset would
+    merge True into 1."""
+    try:  # a frozenset is read twice as it is; any other collection once, as a tuple
+        items = indices if type(indices) is frozenset else tuple(indices)
+    except TypeError:
+        raise ValidationError(
+            f"color indices {indices!r} are not a collection of integers") from None
+    for i in items:
+        if type(i) is not int:
+            _integer(i, "color index")
+    allowed = _family(family).affine_indices()
+    if items and not allowed.start <= min(items) <= max(items) < allowed.stop:
+        raise ValidationError(f"indices {sorted(set(items))} outside the legal range "
+                              f"{allowed.start}..{allowed.stop - 1}")
+    return frozenset(items)
+
+
 @dataclass(frozen=True)
 class ColorSet:
     """A set of simple-root indices attached to a family.
@@ -152,18 +171,7 @@ class ColorSet:
     indices: frozenset
 
     def __post_init__(self):
-        try:  # each index is checked before the frozenset merges True into 1
-            indices = frozenset([_integer(i, "color index") for i in self.indices])
-        except TypeError:
-            raise ValidationError(
-                f"color indices {self.indices!r} are not a collection of integers") from None
-        object.__setattr__(self, "indices", indices)
-        allowed = _family(self.family).affine_indices()
-        if not all(i in allowed for i in self.indices):
-            raise ValidationError(
-                f"indices {sorted(self.indices)} outside the legal range "
-                f"{allowed.start}..{allowed.stop - 1}"
-            )
+        object.__setattr__(self, "indices", _color_indices(self.family, self.indices))
 
     def sorted(self):
         return sorted(self.indices)

@@ -145,6 +145,9 @@ def test_criterion_6_structural_counts():
 def test_criterion_7_scope():
     # No quantitative claims beyond the small-rank examples exist; the
     # property suites above stand in for the general geometric statements.
-    suites = set(da._SUITES)
-    ok = {"solomon", "module", "psi", "oracle", "lrb", "euler", "counts"} <= suites
+    # Each registry row covers every family tag its row does not refuse.
+    covered = {tag: {name for name, row in da._SUITES.items() if tag not in row.refuses}
+               for tag in "AC"}
+    ok = covered["A"] == {"solomon", "module", "psi", "oracle", "lrb", "euler", "counts"}
+    ok &= covered["C"] == covered["A"] - {"oracle"}
     _line(7, ok, "general-type scope covered by the property suites")

@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import pathlib
+import re
 from collections import Counter
 from operator import itemgetter
 from unittest import mock
@@ -628,6 +630,19 @@ def test_index_kernel_matches_naive_route(case):
     assert _ordered(product) and _ordered(evaluated)
 
 
+@pytest.mark.parametrize("call", [
+    lambda family: da.basis_element("x", [1], family),
+    lambda family: da.evaluate_expansion({frozenset({1}): 1}, "x", family),
+    lambda family: da.evaluate_expansion({}, "x", family),
+    lambda family: da.orbit_sum("sigma", [1], family),
+], ids=["basis_element", "evaluate_expansion", "empty evaluate_expansion", "orbit_sum"])
+def test_index_sets_refuse_a_family_that_is_not_a_family(call):
+    """The first three once leaked AttributeError for a family of None."""
+    for family in (None, "A3"):
+        with pytest.raises(ValidationError, match="is not a Family"):
+            call(family)
+
+
 def test_evaluate_expansion_rejects_illegal_index_sets():
     for fam in KERNEL_FAMILIES:
         with pytest.raises(ValidationError):
@@ -1113,18 +1128,32 @@ def test_face_sums_add_on_codes(monkeypatch, torus):
 
 
 def test_every_suite_and_table_has_its_work():
-    assert set(da._WORK) == set(da._SUITES) | {"solomon table", "module table"}
+    """One registry row per suite and per table: a runner, a unit, a work
+    formula in (g, f, t, c), and a refusal for each family tag it does not cover."""
+    assert list(da._SUITES) == ["solomon", "module", "psi", "oracle", "lrb", "euler", "counts"]
+    assert list(da._TABLES) == ["solomon", "module"]
+    for row in (*da._SUITES.values(), *da._TABLES.values()):
+        assert callable(row.run) and isinstance(row.unit, str)
+        assert type(row.work(24, 75, 104, 15)) is int
+        assert set(row.refuses) <= {"A", "C"}
+        assert all(isinstance(refusal, str) for refusal in row.refuses.values())
 
 
-@pytest.mark.parametrize("name", sorted(da._WORK))
+# Each suite's and table's row, by the name its budget message gives it.
+ROWS = {**{name: (da._SUITES, name) for name in da._SUITES},
+        **{f"{name} table": (da._TABLES, name) for name in da._TABLES}}
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
 def test_work_is_checked_before_any_work(monkeypatch, name):
     """With the budget one below its work, a suite or table stops before it
     enumerates anything, and a cached group does not let it through."""
     da._data(A4).mult  # cached under the default budget
-    unit, work = da._WORK[name]
+    rows, key = ROWS[name]
+    row = rows[key]
     sizes = (A4.group_order(), cf.count_faces(A4), tf.count_torus_faces(A4),
              2 ** len(A4.affine_indices()) - 1)
-    monkeypatch.setenv("STEINTORUS_BUDGET", str(work(*sizes) - 1))
+    monkeypatch.setenv("STEINTORUS_BUDGET", str(row.work(*sizes) - 1))
 
     def refuse(*args):
         raise AssertionError("work started")
@@ -1132,10 +1161,52 @@ def test_work_is_checked_before_any_work(monkeypatch, name):
     for module, walk in ((da, "enumerate_group"), (cf, "enumerate_faces"),
                          (tf, "enumerate_torus_faces")):
         monkeypatch.setattr(module, walk, refuse)
-    run = {"solomon table": da.solomon_table, "module table": da.module_table}.get(
-        name, lambda family: da.verify(name, family))
-    with pytest.raises(BudgetExceededError, match=unit):
+    run = row.run if rows is da._TABLES else lambda family: da.verify(key, family)
+    with pytest.raises(BudgetExceededError, match=row.unit):
         run(A4)
+
+
+# The work of each suite and table from the README's formulas, with |W|, f, t
+# and c = 24, 75, 104 and 15 at A4, and 48, 147, 208 and 15 at C3.  The oracle
+# refuses C3 before it reads the budget.
+WORK = [
+    ("solomon", "group products", 576, 2304),
+    ("module", "group products", 576, 2304),
+    ("psi", "face products", 13425, 52185),
+    ("oracle", "face products", 7800, None),
+    ("lrb", "face products", 11250, 43218),
+    ("euler", "torus faces", 104, 208),
+    ("counts", "faces and torus faces", 104, 208),
+    ("solomon table", "face products", 600, 1176),
+    ("module table", "face products", 1125, 2205),
+]
+
+
+@pytest.mark.parametrize("name, family, unit, work", [
+    pytest.param(name, family, unit, work, id=f"{name}-{family.tag}{family.rank}")
+    for name, unit, *works in WORK for family, work in zip((A4, C3), works) if work])
+def test_each_suite_and_table_reports_its_work(monkeypatch, name, family, unit, work):
+    """A budget of n! lets the exact work be computed and refused; its message
+    names the unit and the count, pinned here without reading the registry."""
+    monkeypatch.setenv("STEINTORUS_BUDGET", str(math.factorial(family.rank)))
+    kind = name.removesuffix(" table")
+    run = TABLES[kind][0] if kind != name else lambda family: da.verify(name, family)
+    what = f"{unit} of the {name}{'' if kind != name else ' suite'} for {family}: {work} "
+    with pytest.raises(BudgetExceededError, match=re.escape(what)):
+        run(family)
+
+
+def test_a_suite_that_does_not_cover_the_family_is_refused_before_the_budget(monkeypatch):
+    monkeypatch.setenv("STEINTORUS_BUDGET", "1")
+    with pytest.raises(ValidationError, match="covers type A only"):
+        da.verify("oracle", C2)
+
+
+def test_verify_all_runs_every_suite_that_covers_the_family_in_order():
+    report = da.verify("all", C3)
+    assert [r["suite"] for r in report["reports"]] == [
+        "solomon", "module", "psi", "lrb", "euler", "counts"]
+    assert report["pass"]
 
 
 # ---------------------------------------------------------------------------
