@@ -18,9 +18,10 @@ side and intertwines the module structures.
 Internally a group element is its index in the lexicographic enumeration of
 the group by one-line values, so the convolution, the basis sums and the rows
 of products work on plain integers; each row after the first is the previous
-one read through one of O(n^2) step rows.  As that order is the order of
-``GroupRingElement.coeffs``, a dense coefficient list read in index order
-gives the canonical ``coeffs`` tuple, built without the check.  Each element's
+one read through one of O(n^2) step rows.  A ring element the program computes
+keeps a list of its coefficients in index order, the order of ``coeffs``, and
+decodes ``coeffs``, unchecked, on first read; ``multiply`` and ``express_in_basis``
+read only that list, which a constructed element derives once.  Each element's
 (affine) descent set is kept as a bit mask.  ``multiply`` counts the pairs
 in U x V with product w, U and V coefficient groups of its factors, as
 |U^-1 w & V|: popcounts along a breadth-first walk of the Cayley graph, or the
@@ -62,7 +63,7 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, and_, itemgetter, lshift, mul, or_, rshift
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, Tuple
 
 from .budget import check_count
 from .errors import (
@@ -158,10 +159,11 @@ class _GroupData:
         return ([index_of[inverse(w).values] for w in self.elements], batches,
                 itemgetter(*map(position.__getitem__, range(len(position)))))
 
-    def element(self, coeffs) -> "GroupRingElement":
-        """The ring element with coefficient coeffs[i] on elements[i]."""
-        return _trusted(GroupRingElement, self.family, tuple(
-            zip(itertools.compress(self.elements, coeffs), filter(None, coeffs))))
+    def element(self, dense) -> "GroupRingElement":
+        """The ring element with coefficient dense[i] on elements[i], kept as dense."""
+        g = _trusted(GroupRingElement, self.family)
+        g.__dict__["_dense"] = dense
+        return g
 
 
 _group_cache: Dict[Family, _GroupData] = {}
@@ -180,27 +182,40 @@ def _data(family: Family) -> _GroupData:
 # group ring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupRingElement:
     """Checked and canonical: every key is an element of the family and every
-    coefficient an int; repeated keys are summed, zeros dropped, keys sorted."""
+    coefficient an int; repeated keys are summed, zeros dropped, keys sorted.  A
+    computed element keeps dense coefficients and decodes ``coeffs`` on first read."""
 
     family: Family
-    coeffs: Tuple[Tuple[WeylElement, int], ...]
+    coeffs: Tuple[Tuple[WeylElement, int], ...]  # read by ==, hash, repr: the property below
 
-    def __post_init__(self):
-        weyl._family(self.family)
+    def __init__(self, family: Family, coeffs):
+        weyl._family(family)
         acc = {}
-        for w, c in self.coeffs:
-            if not isinstance(w, WeylElement) or w.family != self.family:
-                raise FamilyMismatchError(f"{w} is not an element of {self.family}")
+        for w, c in coeffs:
+            if not isinstance(w, WeylElement) or w.family != family:
+                raise FamilyMismatchError(f"{w} is not an element of {family}")
             acc[w] = acc.get(w, 0) + _integer(c)
-        object.__setattr__(self, "coeffs", tuple(sorted(
+        self.__dict__.update(family=family, coeffs=tuple(sorted(
             ((w, c) for w, c in acc.items() if c), key=lambda wc: wc[0].values)))
 
     @staticmethod
     def from_dict(family: Family, mapping) -> "GroupRingElement":
         return GroupRingElement(family, tuple(mapping.items()))
+
+    @functools.cached_property
+    def coeffs(self) -> Tuple[Tuple[WeylElement, int], ...]:
+        dense = self._dense
+        return tuple(zip(itertools.compress(_data(self.family).elements, dense),
+                         filter(None, dense)))
+
+    @functools.cached_property
+    def _dense(self) -> list:
+        data = _data(self.family)
+        at = {data.index_of[w.values]: c for w, c in self.coeffs}
+        return list(map(at.get, range(len(data.elements)), repeat(0)))
 
     def as_dict(self):
         return dict(self.coeffs)
@@ -221,12 +236,11 @@ class GroupRingElement:
         return not self.coeffs
 
 
-def _groups(data: _GroupData, g: GroupRingElement):
+def _groups(g: GroupRingElement):
     """g's element indices grouped by coefficient, as (c, [index, ...])."""
-    index_of = data.index_of
-    groups = {}
-    for w, c in g.coeffs:
-        groups.setdefault(c, []).append(index_of[w.values])
+    groups, dense = {}, g._dense
+    for i, c in zip(itertools.compress(itertools.count(), dense), filter(None, dense)):
+        groups.setdefault(c, []).append(i)
     return list(groups.items())
 
 
@@ -242,9 +256,10 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     below, one pass over a's rows per V adds cu * cv at V's columns."""
     weyl._same_family((a, GroupRingElement), (b, GroupRingElement))
     data = _data(a.family)
-    size, rights, pairs = len(data.elements), _groups(data, b), len(a.coeffs) * len(b.coeffs)
+    size, rights = len(data.elements), _groups(b)
+    pairs = (size - a._dense.count(0)) * (size - b._dense.count(0))
     acc, least = [0] * size, _WALK_FROM * size * len(rights)  # a is grouped only if it may walk
-    if pairs >= least and pairs >= least * len(lefts := _groups(data, a)):
+    if pairs and pairs >= least and pairs >= least * len(lefts := _groups(a)):
         inverse_of, batches, by_index = data.walk
         for cu, us in lefts:
             found = [sum(1 << inverse_of[u] for u in us)]
@@ -257,8 +272,7 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
                 acc = list(map(add, acc, map(mul, map(int.bit_count, map(and_, found, repeat(
                     sum(1 << j for j in js)))), repeat(cu * cv))))
         return data.element(by_index(acc))
-    table, index_of = data.mult, data.index_of
-    rows = [(table[index_of[u.values]], cu) for u, cu in a.coeffs]
+    rows = list(zip(itertools.compress(data.mult, a._dense), filter(None, a._dense)))
     for cv, js in rights:
         # A slice keeps a lone column a tuple; itemgetter(j) returns a scalar.
         pick = itemgetter(*js) if len(js) > 1 else itemgetter(slice(js[0], js[0] + 1))
@@ -280,25 +294,33 @@ def _universe(kind: str, family: Family) -> range:
     return family.finite_indices() if kind in ("x", "y") else family.affine_indices()
 
 
-def _index_set(kind: str, index, family: Family) -> FrozenSet[int]:
-    """index, a collection of ints or a colour set of the family, as a legal
-    index set of the basis kind.  The check of ``ColorSet`` takes the ints, their
-    range and the family; x and y sets lie in the finite range, x~ and y~ sets
-    are nonempty, and y~ of every affine index would be the empty class."""
-    if isinstance(index, ColorSet):
-        if index.family != family:
-            raise FamilyMismatchError(f"a color set of {index.family}, not {family}")
-        index = index.indices
-    # J lies in the affine range, so only the finite kinds' affine index is left.
-    J, legal = weyl._color_indices(family, index), _universe(kind, family)
-    if kind in ("x", "y") and legal.stop in J:
+def _index_sets(kind: str, indexes, family: Family) -> list:
+    """Each index, a collection of ints or a colour set of the family, as a legal
+    index set of the basis kind.  The ints and the range of all sets are checked in
+    one pass, and on a fault by the check of ``ColorSet`` per set, which names it;
+    x and y sets lie in the finite range, x~ and y~ sets are nonempty, and y~ of
+    every affine index would be the empty class."""
+    legal, sets = _universe(kind, weyl._family(family)), []
+    for index in indexes:
+        if isinstance(index, ColorSet):
+            if index.family != family:
+                raise FamilyMismatchError(f"a color set of {index.family}, not {family}")
+            index = index.indices
+        sets.append(index if type(index) is frozenset else weyl._color_indices(family, index))
+    items = [*itertools.chain.from_iterable(sets)]
+    if set(map(type, items)) - {int} or not set(items) <= set(family.affine_indices()):
+        for J in sets:
+            weyl._color_indices(family, J)
+    # Every J lies in the affine range, so only the finite kinds' affine index is left.
+    if kind in ("x", "y") and legal.stop in items:
+        J = next(J for J in sets if legal.stop in J)
         raise ValidationError(f"{kind}-index {sorted(J)} must lie inside "
                               f"the finite range {list(legal)}")
-    if kind in ("xt", "yt") and not J:
+    if kind in ("xt", "yt") and not all(sets):
         raise ValidationError(f"{kind}-index must be a nonempty subset of {list(legal)}")
-    if kind == "yt" and len(J) == len(legal):
+    if kind == "yt" and len(legal) in map(len, sets):
         raise ValidationError("no element has every affine descent; this class sum is empty")
-    return J
+    return sets
 
 
 def _subset_transform(f: list, sign: int) -> list:
@@ -318,7 +340,7 @@ def _class_sum(kind: str, terms, family: Family) -> GroupRingElement:
     """The sum of c * basis_element(kind, J) over the checked pairs (J, c):
     a descent class gets the sum of the c whose J contains (x) or equals (y)
     it; itemgetter reads each element's value at its mask (a tuple: |W| > 1)."""
-    values = [0] * (1 << len(_universe(kind, weyl._family(family))))
+    values = [0] * (1 << len(_universe(kind, family)))
     data = _data(family)
     masks = data.masks[kind]
     for J, c in terms:
@@ -330,7 +352,7 @@ def _class_sum(kind: str, terms, family: Family) -> GroupRingElement:
 
 def basis_element(kind: str, index, family: Family) -> GroupRingElement:
     """x_J, y_J, x~_J (kind 'xt') or y~_J (kind 'yt')."""
-    return _class_sum(kind, [(_index_set(kind, index, family), 1)], family)
+    return _class_sum(kind, zip(_index_sets(kind, [index], family), [1]), family)
 
 
 def express_in_basis(a: GroupRingElement, kind: str):
@@ -348,12 +370,10 @@ def express_in_basis(a: GroupRingElement, kind: str):
     family = a.family
     data = _data(family)
     masks, mask_of, first_of = data.masks[kind], data.mask_of[kind], data.first_of[kind]
-    coeffs = [0] * len(data.elements)
-    for w, c in a.coeffs:
-        coeffs[data.index_of[w.values]] = c
-    firsts = list(itemgetter(*first_of)(coeffs))
-    if firsts != coeffs:
-        i = next(i for i, c in enumerate(coeffs) if c != firsts[i])
+    dense = tuple(a._dense)
+    firsts = itemgetter(*first_of)(dense)
+    if firsts != dense:
+        i = next(i for i, c in enumerate(dense) if c != firsts[i])
         D = next(D for D, m in masks.items() if m == mask_of[i])
         raise NotInSpanError(
             f"not constant on the descent class {sorted(D)}",
@@ -363,15 +383,15 @@ def express_in_basis(a: GroupRingElement, kind: str):
     # the empty sum, so masks has no entry for it.
     values = [0] * (1 << len(_universe(kind, family)))
     for i in set(first_of):
-        values[mask_of[i]] = coeffs[i]
+        values[mask_of[i]] = dense[i]
     _subset_transform(values, -1)
     return {I: values[mask] for I, mask in masks.items() if values[mask]}
 
 
 def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement:
     """The sum of c * basis_element(kind, I, family) over the items (I, c)."""
-    return _class_sum(kind, [(_index_set(kind, I, family), _integer(c))
-                             for I, c in expansion.items()], family)
+    sets = _index_sets(kind, expansion.keys(), family)
+    return _class_sum(kind, zip(sets, [_integer(c) for c in expansion.values()]), family)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +457,7 @@ def orbit_sum(kind: str, index, family: Family) -> FaceSum:
     if kind not in ("sigma", "sigmat"):
         raise ValidationError(f"unknown orbit sum kind {kind!r}")
     torus = kind == "sigmat"
-    color = _trusted(ColorSet, family, _index_set("xt" if torus else "x", index, family))
+    color = _trusted(ColorSet, family, _index_sets("xt" if torus else "x", [index], family)[0])
     walk, code = ((torusfaces.enumerate_torus_faces, torusfaces._necklace_code) if torus
                   else (coxfaces.enumerate_faces, coxfaces._face_code))
     # Each face of the colour comes once, valid and of this family: nothing to check.

@@ -650,6 +650,25 @@ def test_evaluate_expansion_rejects_illegal_index_sets():
     for bad in (frozenset([1.0]), frozenset([True]), 1):  # frozenset([1.0]) once meant {1}
         with pytest.raises(ValidationError):
             da.evaluate_expansion({bad: 1}, "x", A3)
+    # The sets are checked together; a True beside another set's 1 is still a bool.
+    for kind, expansion in (("x", {frozenset({1}): 1, frozenset({True, 2}): 1}),
+                            ("x", {frozenset({1}): 1, frozenset({2, 3}): 1}),
+                            ("xt", {frozenset({1}): 1, frozenset(): 1}),
+                            ("yt", {frozenset({1}): 1, frozenset({1, 2, 3}): 1})):
+        with pytest.raises(ValidationError):
+            da.evaluate_expansion(expansion, kind, A3)
+
+
+def test_evaluate_expansion_checks_before_the_group_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(da, "_group_cache", {})
+    monkeypatch.setattr(da, "enumerate_group", refuse)
+    for expansion in ({frozenset({99}): 1}, {frozenset({1}): 1, frozenset({12}): 1},
+                      {frozenset({1}): 1.5}):
+        with pytest.raises(ValidationError):
+            da.evaluate_expansion(expansion, "x", Family("A", 12))
 
 
 def test_a_colour_set_of_another_family_is_refused_as_an_index_set():
@@ -811,6 +830,87 @@ def test_counted_convolution_edge_cases(fam):
     # (e_0 - e_5) * (e_0 + e_5) cancels to e_0^2 - e_5^2 exactly.
     plus = da.GroupRingElement.from_dict(fam, {elements[0]: 1, elements[5]: 1})
     assert da.multiply(pair, plus) == _naive_multiply(pair, plus)
+
+
+@pytest.mark.parametrize("fam", [Family("A", 5), Family("C", 4)], ids=["A5", "C4"])
+def test_a_zero_factor_does_not_walk(monkeypatch, fam):
+    """multiply(x_I, 0) once walked the Cayley graph once per coefficient group
+    of x_I: 0 pairs passed the threshold, which is 0 for a zero right factor."""
+    def refuse(self):
+        raise AssertionError("the walk was taken")
+
+    monkeypatch.setattr(da._GroupData, "walk", property(refuse))
+    zeros = (da.GroupRingElement.from_dict(fam, {}), da.evaluate_expansion({}, "x", fam))
+    for I in _legal_sets("x", fam):
+        xI = da.basis_element("x", I, fam)
+        for zero in zeros:
+            assert da.multiply(xI, zero).is_zero() and da.multiply(zero, xI).is_zero()
+
+
+def _by_descents(kind, J, fam):
+    """x_J, y_J, x~_J or y~_J through the constructor, from each element's descents."""
+    descents = descent_set if kind in ("x", "y") else affine_descent_set
+    return da.GroupRingElement.from_dict(fam, {
+        w: 1 for w in enumerate_group(fam)
+        if descents(w).indices == J or kind in ("x", "xt") and descents(w).indices <= J})
+
+
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=["A3", "A4", "C2", "C3"])
+def test_computed_and_constructed_elements_agree(fam):
+    """An element the program computes keeps its dense coefficients and decodes
+    coeffs on first read; the constructor keeps coeffs.  Each reading of a fresh
+    computed element equals that of the same element built by the constructor."""
+    e, s = identity(fam), da._generators(fam)[-1]
+    top, full = frozenset(fam.finite_indices()), frozenset(fam.affine_indices())
+    minus = da.GroupRingElement.from_dict(fam, {e: 1, s: -1})
+    plus = da.GroupRingElement.from_dict(fam, {e: 1, s: 1})
+    everything = _by_descents("x", top, fam).as_dict()
+    cases = [  # (a computation, the same element through the constructor)
+        (lambda: da.multiply(minus, plus), {}),  # e - s^2 cancels
+        (lambda: da.evaluate_expansion({}, "x", fam), {}),
+        (lambda: da.multiply(minus, minus), {e: 2, s: -2}),
+        (lambda: da.evaluate_expansion({frozenset(): -3, top: 2}, "x", fam),
+         {**dict.fromkeys(everything, 2), e: -1}),
+        (lambda: da.basis_element("x", [], fam), {e: 1}),
+        *((lambda kind=kind, J=J: da.basis_element(kind, J, fam),
+           _by_descents(kind, J, fam).as_dict())
+          for kind in ("x", "y", "xt", "yt") for J in _legal_sets(kind, fam)),
+        (lambda: da.basis_element("xt", full, fam), everything),
+    ]
+    cases = [(make, da.GroupRingElement.from_dict(fam, mapping)) for make, mapping in cases]
+    readings = (lambda g: g.coeffs, lambda g: g.as_dict(), repr, hash, lambda g: g.is_zero(),
+                lambda g: g + minus, lambda g: minus + g, lambda g: g - minus,
+                lambda g: minus - g, lambda g: g + g, lambda g: g - g)
+    for make, reference in cases:
+        assert make() == reference and reference == make()
+        for read in readings:
+            assert read(make()) == read(reference)
+    computed = [make() for make, _ in cases]
+    for (g, (_, h)), (g2, (_, h2)) in itertools.product(zip(computed, cases), repeat=2):
+        assert (g == g2) == (h.coeffs == h2.coeffs)
+
+
+@pytest.mark.parametrize("fam", [Family("A", 5), C3], ids=["A5", "C3"])
+def test_a_suite_entry_decodes_no_coeffs(monkeypatch, fam):
+    """One solomon and one module entry, on both paths of multiply, read the dense
+    coefficients of the elements they compute and decode no coeffs."""
+    def refuse(self):
+        raise AssertionError("coeffs were decoded")
+
+    finite, affine = list(fam.finite_indices()), list(fam.affine_indices())
+    entries = [("x", finite[:1], finite[1:]), ("xt", finite[-1:], [affine[0], affine[-1]])]
+    monkeypatch.setattr(da.GroupRingElement, "coeffs", property(refuse))
+    results = []
+    for walk_from in PATHS:
+        monkeypatch.setattr(da, "_WALK_FROM", walk_from)
+        for kind, I, J in entries:
+            factors = da.basis_element("x", I, fam), da.basis_element(kind, J, fam)
+            product = da.multiply(*factors)
+            expansion = da.express_in_basis(product, kind)
+            results.append((factors, product, da.evaluate_expansion(expansion, kind, fam)))
+    monkeypatch.undo()
+    for factors, product, evaluated in results:
+        assert evaluated == product == _naive_multiply(*factors)
 
 
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
