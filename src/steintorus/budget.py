@@ -28,9 +28,9 @@ def current_budget() -> int:
     return value
 
 
-def check_count(family, count, what: str) -> None:
-    """Refuse count(family), a count of at least n! where n is the family's
-    rank, if it passes the budget: n! is built one factor at a time, and
+def check_count(family, count, what: str) -> int:
+    """count(family), a count of at least n! where n is the family's rank,
+    refused if it passes the budget: n! is built one factor at a time, and
     count(family) is computed only if n! fits."""
     budget = current_budget()
     bound = 1
@@ -44,3 +44,4 @@ def check_count(family, count, what: str) -> None:
     if bound > budget:
         raise BudgetExceededError(f"{what}: {shown} exceeds the enumeration budget "
                                   f"of {budget} (override with {_ENV_VAR})")
+    return bound

@@ -2,12 +2,14 @@
 
 Subcommands: enumerate, product, act, descent-table, mult-table, verify.  All
 output is deterministic JSON on stdout, byte for byte as from
-`json.dump(..., indent=2)` and written a top-level element at a time.  Exit
-codes: 0 success, 1 verification/validation failure or stdout closed early,
-2 usage or parse error (including a malformed STEINTORUS_BUDGET), 3
-enumeration budget exceeded.  `main` builds the parser once per process and
-reuses it, so a caller must not mutate what `build_parser()` returns; a named
-subcommand's own parser, in the parser's `commands`, reads its arguments.
+`json.dump(..., indent=2)` and written a top-level element at a time, so the
+listings of enumerate and descent-table stream from their walks; a listing's
+count is the closed form, or a first walk of the --color orbit.  Exit codes: 0
+success, 1 verification/validation failure or stdout closed early, 2 usage or
+parse error (including a malformed STEINTORUS_BUDGET), 3 enumeration budget
+exceeded.  `main` builds the parser once per process and reuses it, so a
+caller must not mutate what `build_parser()` returns; a named subcommand's own
+parser, in the parser's `commands`, reads its arguments.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _ascii
 
-from . import coxfaces, descent_algebra, torusfaces, weyl
+from . import budget, coxfaces, descent_algebra, torusfaces, weyl
 from .errors import (
     BudgetExceededError,
     SteintorusError,
@@ -74,17 +77,20 @@ def _dumps(obj, indent):
 
 def _emit(payload):
     """json.dump(payload, stdout, indent=2) and a newline, byte for byte,
-    written a top-level field, and an element of a list in one, at a time."""
+    written a top-level field, and an element of a list or an iterator in
+    one (written as the list of what it yields, drawn as written), at a time."""
     write = sys.stdout.write
     if not (isinstance(payload, dict) and payload):
         write(_dumps(payload, "\n") + "\n")
     else:
         for i, (key, value) in enumerate(payload.items()):
             write(("," if i else "{") + "\n  " + _ascii(key) + ": ")
-            if isinstance(value, list) and value and set(map(type, value)) != {int}:
-                for j, x in enumerate(value):
-                    write(("," if j else "[") + "\n    " + _dumps(x, "\n    "))
-                write("\n  ]")
+            if isinstance(value, (list, Iterator)):
+                sep = "["
+                for x in value:
+                    write(sep + "\n    " + _dumps(x, "\n    "))
+                    sep = ","
+                write("[]" if sep == "[" else "\n  ]")
             else:
                 write(_dumps(value, "\n  "))
         write("\n}\n")
@@ -97,27 +103,21 @@ def _cmd_enumerate(args):
     if args.object == "group":
         if color is not None:
             raise ValidationError("--color applies to faces and torus objects")
-        objects = (w.values for w in weyl.enumerate_group(family))
-        wire = list
+        noun, closed, wire = "group", Family.group_order, lambda w: w.values
+        walk = functools.partial(weyl.enumerate_group, family)
     elif args.object == "faces":
-        objects = coxfaces.enumerate_faces(family, color)
-        wire = coxfaces.to_wire
+        noun, closed, wire = "faces", coxfaces.count_faces, coxfaces.to_wire
+        walk = functools.partial(coxfaces.enumerate_faces, family, color)
     else:  # "torus"; argparse restricts the choices
-        objects = torusfaces.enumerate_torus_faces(family, color)
-        wire = torusfaces.to_wire
-    if args.count:
-        _emit(sum(1 for _ in objects))
-        return 0
-    items = [wire(x) for x in objects]
-    _emit(
-        {
-            "family": family.tag,
-            "rank": family.rank,
-            "object": args.object,
-            "count": len(items),
-            "items": items,
-        }
-    )
+        noun, closed, wire = "torus faces", torusfaces.count_torus_faces, torusfaces.to_wire
+        walk = functools.partial(torusfaces.enumerate_torus_faces, family, color)
+    # A whole family's count is its closed form, behind the walk's own budget
+    # check and message; a colour's orbit is counted by a first walk.
+    count = (budget.check_count(family, closed, f"{noun} of {family}") if color is None
+             else sum(1 for _ in walk()))
+    _emit(count if args.count else {"family": family.tag, "rank": family.rank,
+                                    "object": args.object, "count": count,
+                                    "items": map(wire, walk())})
     return 0
 
 
@@ -140,20 +140,16 @@ def _cmd_act(args):
 def _cmd_descent_table(args):
     family = _family(args)
     finite, affine = family.finite_indices(), family.affine_indices()
-    rows = []
-    for w in weyl.enumerate_group(family):
+
+    def row(w):
         row = {"w": list(w.values), "descents": weyl._descent_list(w, finite)}
         if args.affine:
             row["affine_descents"] = weyl._descent_list(w, affine)
-        rows.append(row)
-    _emit(
-        {
-            "family": family.tag,
-            "rank": family.rank,
-            "affine": bool(args.affine),
-            "rows": rows,
-        }
-    )
+        return row
+    # The walk checks the budget at its first row, after the header is out.
+    budget.check_count(family, Family.group_order, f"group of {family}")
+    _emit({"family": family.tag, "rank": family.rank, "affine": bool(args.affine),
+           "rows": map(row, weyl.enumerate_group(family))})
     return 0
 
 

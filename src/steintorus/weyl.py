@@ -228,14 +228,16 @@ def enumerate_group(family: Family) -> Iterator[WeylElement]:
     """All group elements in lexicographic order of their one-line notation."""
     check_count(_family(family), Family.group_order, f"group of {family}")
     n = family.rank
-    if family.tag == "A":
-        for values in itertools.permutations(range(1, n + 1)):
-            yield _trusted(WeylElement, family, values)
-        return
-    signed = sorted(
-        (tuple(s * p for s, p in zip(signs, perm)))
-        for perm in itertools.permutations(range(1, n + 1))
-        for signs in itertools.product((-1, 1), repeat=n)
-    )
-    for values in signed:
+    for values in itertools.permutations(range(1, n + 1)) if family.tag == "A" else _signed(n):
         yield _trusted(WeylElement, family, values)
+
+
+def _signed(n: int) -> Iterator[Tuple[int, ...]]:
+    """Signed permutations of 1..n in lexicographic order, holding only those
+    of 1..n-1: each first value, then those renamed in order to the letters left."""
+    shorter = list(_signed(n - 1)) if n > 1 else [()]
+    for first in (*range(-n, 0), *range(1, n + 1)):
+        left = [a for a in range(1, n + 1) if a != abs(first)]
+        rename = [0, *left, *(-a for a in reversed(left))]  # rename[-k] == -rename[k]
+        for rest in shorter:
+            yield (first, *map(rename.__getitem__, rest))

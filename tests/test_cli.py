@@ -7,10 +7,10 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 import steintorus
-from steintorus import cli, descent_algebra, weyl
+from steintorus import cli, coxfaces, descent_algebra, weyl
 from steintorus.cli import main
 from steintorus.weyl import Family
 
@@ -70,14 +70,47 @@ def test_enumerate_deterministic(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("family,rank", [("A", 4), ("C", 3)])
-@pytest.mark.parametrize("obj", ["faces", "torus", "group"])
-def test_enumerate_count_matches_full_output(capsys, family, rank, obj):
+# Without --color the count is a closed form and the items a walk, so both
+# the listing's count and --count are held to the number of items listed.
+@pytest.mark.parametrize("family,rank", [("A", n) for n in range(2, 6)]
+                         + [("C", n) for n in range(1, 4)])
+@pytest.mark.parametrize("obj,coloured", [("faces", False), ("torus", False), ("group", False),
+                                          ("faces", True), ("torus", True)],
+                         ids=["faces", "torus", "group", "faces-coloured", "torus-coloured"])
+def test_enumerate_count_matches_full_output(capsys, family, rank, obj, coloured):
     args = ("enumerate", "--family", family, "--rank", str(rank), "--object", obj)
-    _, full, _ = run(capsys, *args)
+    if coloured:  # the group takes no colour
+        args += ("--color", "[1]" if family == "A" else "[0]")
+    code, full, _ = run(capsys, *args)
+    assert code == 0
+    payload = json.loads(full)
+    assert payload["count"] == len(payload["items"]) > 0
     code, count, _ = run(capsys, *args, "--count")
     assert code == 0
-    assert count == f"{json.loads(full)['count']}\n"
+    assert count == f"{len(payload['items'])}\n"
+
+
+# The walk is watched: by the time it hands over its k-th item, the k items
+# before it are already on stdout, so no listing is held before it is written.
+@pytest.mark.parametrize("argv, module, walk, length", [
+    (("enumerate", "--family", "A", "--rank", "5", "--object", "faces"),
+     coxfaces, "enumerate_faces", 541),
+    (("descent-table", "--family", "A", "--rank", "5"), weyl, "enumerate_group", 120),
+], ids=["enumerate", "descent-table"])
+def test_listings_write_each_item_before_the_next_is_walked(monkeypatch, argv, module,
+                                                           walk, length):
+    out, real, written = io.StringIO(), getattr(module, walk), []
+
+    def watched(*args):
+        for x in real(*args):
+            written.append(out.getvalue().count("\n    {"))
+            yield x
+
+    monkeypatch.setattr(module, walk, watched)
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    assert written == list(range(length))
+    assert out.getvalue().count("\n    {") == length
 
 
 def test_parser_is_built_once():
@@ -653,12 +686,20 @@ _json_value = hst.recursive(
 )
 
 
+# A top-level field may also be given as an iterator, as the listings give
+# theirs: each dict's list fields are fed again as iterators, empty or not.
 @settings(max_examples=100, deadline=None)
 @given(_json_value | hst.dictionaries(hst.text(max_size=6),
                                       _json_value | hst.lists(_json_value, max_size=4),
                                       max_size=4))
+@example({"empty": [], "items": [{"a": [1, 2]}, 3], "count": 2})
+@example({"rows": [], "tail": [[]]})
 def test_output_is_json_dump_with_indent_two(value):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli._emit(value)
-    assert out.getvalue() == json.dumps(value, indent=2) + "\n"
+    payloads = [value]
+    if isinstance(value, dict):
+        payloads.append({k: iter(v) if isinstance(v, list) else v for k, v in value.items()})
+    for payload in payloads:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(payload)
+        assert out.getvalue() == json.dumps(value, indent=2) + "\n"

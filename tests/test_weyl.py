@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as hst
 
@@ -57,6 +59,18 @@ def test_group_orders():
     assert Family("A", 4).group_order() == 24
     assert Family("C", 3).group_order() == 48
     assert len(list(enumerate_group(Family("C", 2)))) == 8
+
+
+@pytest.mark.parametrize("tag, rank", [("A", n) for n in range(2, 6)]
+                         + [("C", n) for n in range(1, 6)])
+def test_group_is_every_signed_permutation_in_lexicographic_order(tag, rank):
+    """Type C's walk holds only the shorter rank's values, yet it yields the
+    sorted list of every signed permutation, as a sort of all of them would."""
+    signs = [(1,)] * rank if tag == "A" else [(-1, 1)] * rank
+    expected = sorted(tuple(s * p for s, p in zip(sign, perm))
+                      for perm in itertools.permutations(range(1, rank + 1))
+                      for sign in itertools.product(*signs))
+    assert [w.values for w in enumerate_group(Family(tag, rank))] == expected
 
 
 def test_descents_type_a():
