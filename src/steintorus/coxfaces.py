@@ -19,7 +19,8 @@ block of p with two or more elements: it compares q[x] with q[y] only for
 x and y in one block of p.  So ``_refine_all``, many left codes against
 many right codes, calls the one kernel once per distinct order on p's blocks;
 that order reads p only through them, so ``_refine_sums`` tallies weighted
-right codes by it once per set of left blocks in a call.
+right codes by it once per set of left blocks in a call, from their comparison
+columns, which a caller may keep with the right codes and pass in again.
 Validation stays at the boundary (the public constructors,
 ``SymComposition.from_full`` and ``from_wire``); kernel and enumerator
 output is valid by construction and built by ``weyl._trusted`` unchecked.
@@ -33,7 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import gt, itemgetter, lt, sub
+from operator import add, ge, gt, itemgetter
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .budget import check_count, current_budget
@@ -152,26 +153,28 @@ def _refine(p, q, anchor: Optional[int] = None):
     With an anchor index, the count starts so that the anchor's piece comes
     first."""
     size = len(p)
-    keys = [a * (size + 1) + b for a, b in zip(p, q)]  # codes are <= size
+    keys = list(map(add, map((size + 1).__mul__, p), q))  # codes are <= size
     ordered = sorted(keys)
     counts = map(bisect_right, itertools.repeat(ordered), keys)
     start = max(p) if anchor is None else -bisect_left(ordered, keys[anchor])
     shift = start % size
-    if not shift:
-        return tuple(counts)
-    # ring[c] is shift + c taken mod size into 1..size.
-    ring = (0, *range(shift + 1, size + 1), *range(1, shift + 1))
-    return tuple(map(ring.__getitem__, counts))
+    return tuple(map(_ring(size, shift), counts) if shift else counts)
+
+
+@functools.cache
+def _ring(size: int, shift: int):
+    """ring(c) is shift + c taken mod size into 1..size."""
+    return (0, *range(shift + 1, size + 1), *range(1, shift + 1)).__getitem__
 
 
 def _key_columns(p, qs, columns):
-    """Per pair (x, y) within a block of p, sign(q[x] - q[y]) over qs, kept in
-    columns; zip(*cols) yields each q's key.  A chamber has one constant column."""
+    """Per pair (x, y) within a block of p, sign(q[x] - q[y]) + 1 over qs, kept in
+    columns as bytes; zip(*cols) yields each q's key.  A chamber has one constant column."""
     pairs = [(x, y) for x, y in itertools.combinations(range(len(p)), 2) if p[x] == p[y]]
     for x, y in pairs:
         if (x, y) not in columns:
             X, Y = list(map(itemgetter(x), qs)), list(map(itemgetter(y), qs))
-            columns[x, y] = list(map(sub, map(gt, X, Y), map(lt, X, Y)))
+            columns[x, y] = bytes(map(add, map(gt, X, Y), map(ge, X, Y)))
     return [columns[pair] for pair in pairs] or [[0] * len(qs)]
 
 
@@ -196,11 +199,13 @@ def _tally(cols, qs, weights):
     return [(totals[key], q) for key, q in reps.items()]
 
 
-def _refine_sums(ps, qs: dict, anchor: Optional[int] = None):
+def _refine_sums(ps, qs: dict, anchor: Optional[int] = None, columns: Optional[dict] = None):
     """Yield, per left code p, {_refine(p, q, anchor): total weight of the qs
     of that result}, qs being {code: weight}: the qs are tallied once per set
-    of p's blocks (named by first positions) in a call, a kernel call per key."""
-    weights, columns, tallies = list(qs.values()), {}, {}
+    of p's blocks (named by first positions) in a call, a kernel call per key;
+    columns, kept with the same qs across calls, holds their ``_key_columns``."""
+    weights, tallies = list(qs.values()), {}
+    columns = {} if columns is None else columns
     for p in ps:
         if (tally := tallies.get(blocks := tuple(map(p.index, p)))) is None:
             tally = tallies[blocks] = _tally(_key_columns(p, qs, columns), qs, weights)

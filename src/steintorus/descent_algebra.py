@@ -40,16 +40,18 @@ right code in one call of ``coxfaces._refine_sums``, which tallies the right
 coefficients by their order on a left code's blocks of two or more elements,
 once per set of such blocks, and runs the one kernel once per distinct order;
 it adds each result's total times the left coefficient into the codes it returns.
-``_face_table`` refines one face per colour; ``is_invariant``
-permutes codes; ``psi`` reads each code's group element once per family and
-keeps it, built without the group; the ``lrb`` and ``oracle`` suites index their
-products by ``_table``.  So none of them builds a face.  The public
-constructors of sums check their keys and int coefficients and make them
-canonical; internal results skip that check.  Each suite and table is one
-row of ``_SUITES`` or ``_TABLES``: its runner, its work (a unit and a count)
-and the families it refuses.  ``verify`` and the tables check the work against
-the budget before any work, so no suite holds budget code, and neither
-``verify`` nor the CLI names a suite.
+The right factor keeps the comparison columns the tallies read, a function of
+its codes.  ``_face_table`` refines one face per colour; ``is_invariant``
+permutes codes by each generator's moves, built once per code length; ``psi``
+keeps per family each code's int key, ordered as its element's one-line values,
+and each key's element, built without the group, so it sums and sorts ints; the
+``lrb`` and ``oracle`` suites index their products by ``_table``.  So none of
+them builds a face.  The public constructors of sums check their keys and int
+coefficients and make them canonical; internal results skip that check.  Each
+suite and table is one row of ``_SUITES`` or ``_TABLES``: its runner, its work
+(a unit and a count) and the families it refuses.  ``verify`` and the tables
+check the work against the budget before any work, so no suite holds budget
+code, and neither ``verify`` nor the CLI names a suite.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, and_, itemgetter, lshift, mul, or_, rshift
+from operator import add, and_, eq, itemgetter, lshift, mul, or_, rshift
 from typing import Dict, Tuple
 
 from .budget import check_count
@@ -167,7 +169,7 @@ class _GroupData:
 
 
 _group_cache: Dict[Family, _GroupData] = {}
-# Per family, psi's {face or necklace code: (one-line values, element)}.
+# Per family, psi's {face or necklace code: int key of its element} and {key: element}.
 _element_cache: Dict[Family, dict] = {}
 
 
@@ -351,8 +353,14 @@ def _class_sum(kind: str, terms, family: Family) -> GroupRingElement:
 
 
 def basis_element(kind: str, index, family: Family) -> GroupRingElement:
-    """x_J, y_J, x~_J (kind 'xt') or y~_J (kind 'yt')."""
-    return _class_sum(kind, zip(_index_sets(kind, [index], family), [1]), family)
+    """x_J, y_J, x~_J (kind 'xt') or y~_J (kind 'yt'): 1 on the classes of J's
+    submasks (x, x~), walked as sub = (sub - 1) & mask, or of J alone (y, y~)."""
+    (J,), data = _index_sets(kind, [index], family), _data(family)
+    values, mask = [0] * (1 << len(_universe(kind, family))), data.masks[kind][J]
+    values[mask], sub = 1, mask
+    while sub and kind in ("x", "xt"):
+        values[sub := (sub - 1) & mask] = 1
+    return data.element(itemgetter(*data.mask_of[kind])(values))
 
 
 def express_in_basis(a: GroupRingElement, kind: str):
@@ -434,6 +442,11 @@ class FaceSum:
         return tuple(sorted(((build(self.family, r), c) for r, c in self._codes.items()),
                             key=itemgetter(0)))
 
+    @functools.cached_property
+    def _columns(self) -> dict:
+        """Its codes' comparison columns as a right factor, filled as products read them."""
+        return {}
+
     def __hash__(self):
         return hash((self.family, self.torus, frozenset(self._codes.items())))
 
@@ -471,7 +484,8 @@ def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
         raise ValidationError("the right factor must be a finite face sum")
     anchor = torusfaces._anchor(s.family) if s.torus else None
     acc = {}
-    for cp, sums in zip(s._codes.values(), coxfaces._refine_sums(s._codes, t._codes, anchor)):
+    rows = coxfaces._refine_sums(s._codes, t._codes, anchor, t._columns)
+    for cp, sums in zip(s._codes.values(), rows):
         for r, w in sums.items():
             acc[r] = acc.get(r, 0) + cp * w
     return _trusted(FaceSum, s.family, s.torus, {r: c for r, c in acc.items() if c})
@@ -489,32 +503,34 @@ def _generators(family: Family):
     return gens
 
 
+@functools.cache
+def _moves(family: Family, size: int) -> tuple:
+    """Per simple generator, its permutation of codes of the given length:
+    entry i of the image reads entry moves[i], its image of the code 0, 1, 2, ..."""
+    return tuple(itemgetter(*coxfaces._moved(range(size), g)) for g in _generators(family))
+
+
 def is_invariant(s: FaceSum) -> bool:
-    """True iff every simple generator maps s to itself.  A group element
-    acts on codes by permuting their entries: entry i of the image reads
-    entry moves[i], where moves is its image of the code 0, 1, 2, ..."""
+    """True iff every simple generator maps s to itself, that is, moves each code
+    to a code of s with the same coefficient: the moves are one to one."""
     codes = s._codes
-    if not codes:
-        return True
-    size = len(next(iter(codes)))
-    for g in _generators(s.family):
-        moves = itemgetter(*coxfaces._moved(range(size), g))
-        if dict(zip(map(moves, codes), codes.values())) != codes:
-            return False
-    return True
+    return not codes or all(all(map(eq, map(codes.get, map(moves, codes)), codes.values()))
+                            for moves in _moves(s.family, len(next(iter(codes)))))
 
 
 def _psi_unchecked(s: FaceSum) -> GroupRingElement:
-    family, acc, elements = s.family, {}, {}
-    memo = _element_cache.setdefault(family, {})
+    """Per code, an int that orders elements as their one-line values do (digits
+    x + n in base 2n + 1), and per int its element, read once per family and kept."""
+    family, acc, n = s.family, {}, s.family.rank
+    memo, elements = _element_cache.setdefault(family, ({}, {}))
     for r, c in s._codes.items():
-        if (vw := memo.get(r)) is None:  # a code met first: read it once
+        if (k := memo.get(r)) is None:  # a code met first: read it once
             v = coxfaces._w_of_code(family, r)
-            vw = memo[r] = v, _trusted(WeylElement, family, v)
-        acc[v] = acc.get(v := vw[0], 0) + c
-        elements[v] = vw[1]
+            k = memo[r] = functools.reduce(lambda a, x: a * (2 * n + 1) + x + n, v, 0)
+            elements[k] = _trusted(WeylElement, family, v)
+        acc[k] = acc.get(k, 0) + c
     return _trusted(GroupRingElement, family, tuple(
-        (elements[v], c) for v, c in sorted(acc.items()) if c))
+        (elements[k], c) for k, c in sorted(acc.items()) if c))
 
 
 def psi(s: FaceSum) -> GroupRingElement:

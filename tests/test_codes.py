@@ -393,6 +393,45 @@ def test_is_invariant_fails_without_one_face(family):
             assert not da.is_invariant(da.FaceSum.from_dict(family, orbit.torus, rest))
 
 
+def simple_generators(family):
+    """s_0 = (-1, 2, ..., n) in type C, then s_i swapping i and i + 1."""
+    n = family.rank
+    gens = [WeylElement(family, (-1, *range(2, n + 1)))] if family.tag == "C" else []
+    for i in range(1, n):
+        values = list(range(1, n + 1))
+        values[i - 1 : i + 1] = i + 1, i
+        gens.append(WeylElement(family, tuple(values)))
+    return gens
+
+
+@pytest.mark.parametrize("family", [Family("A", 3), Family("C", 2)], ids=["A3", "C2"])
+@pytest.mark.parametrize("torus", [False, True], ids=["face", "necklace"])
+def test_is_invariant_checks_each_simple_generator(family, torus):
+    """The orbit sum of a chamber (a maximal necklace) under the parabolic
+    subgroup of every generator but s_i is invariant under all of them but
+    not under s_i, so is_invariant must check s_i to refuse it; under every
+    generator it is its colour's orbit sum, which is invariant."""
+    act, color_set = (tf.act, tf.color_set) if torus else (cf.act, cf.color_set)
+    X = next(Y for Y in left_objects(family, torus) if len(color_set(Y).indices) == (
+        len(family.affine_indices()) if torus else len(family.finite_indices())))
+    gens = simple_generators(family)
+
+    def orbit_sum(generators):
+        seen, todo = {X}, [X]
+        while todo:
+            Y = todo.pop()
+            new = {act(g, Y) for g in generators} - seen
+            seen |= new
+            todo.extend(new)
+        return da.FaceSum.from_dict(family, torus, dict.fromkeys(seen, 1))
+
+    full = orbit_sum(gens)
+    assert full == da.orbit_sum("sigmat" if torus else "sigma", color_set(X), family)
+    assert da.is_invariant(full)
+    for i in range(len(gens)):
+        assert not da.is_invariant(orbit_sum(gens[:i] + gens[i + 1 :]))
+
+
 # ---------------------------------------------------------------------------
 # canonical group elements, read straight off the blocks
 

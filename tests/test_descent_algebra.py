@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pathlib
+import random
 import re
 from collections import Counter
 from operator import itemgetter
@@ -44,6 +45,18 @@ def test_basis_element_supports():
     assert all(c == 1 for _, c in x.coeffs)
     y = da.basis_element("y", [2], A3)
     assert {w.values for w, c in y.coeffs} == {(1, 3, 2), (2, 3, 1)}
+
+
+@pytest.mark.parametrize("fam", [Family("A", n) for n in range(2, 6)]
+                         + [Family("C", n) for n in range(1, 5)], ids=lambda f: f"{f.tag}{f.rank}")
+def test_basis_element_matches_its_one_term_expansion(fam):
+    """Each basis element, built from its own index set's masks, equals the
+    one-term expansion, which runs the subset transform, for every legal J."""
+    for kind in ("x", "y", "xt", "yt"):
+        universe = fam.finite_indices() if kind in ("x", "y") else fam.affine_indices()
+        for J in da._subsets(universe, nonempty=kind in ("xt", "yt")):
+            if kind != "yt" or len(J) < len(universe):
+                assert da.basis_element(kind, J, fam) == da.evaluate_expansion({J: 1}, kind, fam)
 
 
 def test_basis_index_validation():
@@ -751,6 +764,30 @@ def test_face_sum_products_tally_once_per_block_set(monkeypatch, fam):
             assert calls == len(set(map(_block_set, s._codes)))
     assert sum(len(set(map(_block_set, s._codes))) for s, _ in products) < sum(
         len(s._codes) for s, _ in products)
+
+
+@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
+def test_kept_columns_depend_on_the_right_factor_alone(fam):
+    """One right factor, whose codes come in the order of a product, kept and
+    used again against every sigma_J and sigma~_J in shuffled order, gives the
+    products that a fresh equal copy of it gives (its codes in face order) and
+    that the double loop over the faces gives."""
+    from test_codes import naive_action, naive_product
+
+    faces = list(cf.enumerate_faces(fam))
+    u = da.FaceSum.from_dict(fam, False, {faces[-1]: 2, faces[len(faces) // 2]: -1, faces[1]: 3})
+    t = da.face_sum_product(u, da.orbit_sum("sigma", [2], fam))
+    assert list(t._codes) != list(da.FaceSum.from_dict(fam, False, t.as_dict())._codes)
+    lefts = [*da._orbit_sums(fam, False).values(), *da._orbit_sums(fam, True).values()]
+    random.Random(3).shuffle(lefts)
+    for s in lefts:
+        op, acc = naive_action if s.torus else naive_product, {}
+        for X, cx in s.coeffs:
+            for G, cg in t.coeffs:
+                acc[op(X, G)] = acc.get(op(X, G), 0) + cx * cg
+        fresh = da.FaceSum.from_dict(fam, False, t.as_dict())
+        assert da.face_sum_product(s, t) == da.face_sum_product(s, fresh) == da.FaceSum.from_dict(
+            fam, s.torus, acc)
 
 
 def test_face_sum_repr_shows_faces():
