@@ -113,8 +113,8 @@ def _act(V: CompactSignVector, gsigns) -> CompactSignVector:
         for (k, s), g in zip(V.entries, gsigns)))
 
 
-def _reconstruct_coords(V: CompactSignVector):
-    """(coords, c): a point coords[i] / c, i in 1..n, whose vector is V.
+def project(V: CompactSignVector) -> SpinNecklace:
+    """The necklace of a point coords[i] / c, i in 1..n, whose vector is V.
 
     Each element hangs off the least element it shares a '0' entry with,
     at that entry's level.  The others, the roots, are one per block: root
@@ -142,12 +142,6 @@ def _reconstruct_coords(V: CompactSignVector):
         coords[b] = L[b] * c + q
     if _vector_from_coords(n, coords, c).entries != V.entries:
         raise NotRealizableError("no point configuration matches the vector")
-    return coords, c
-
-
-def project(V: CompactSignVector) -> SpinNecklace:
-    n = V.n
-    coords, c = _reconstruct_coords(V)
     blocks = [[] for _ in range(c)]
     for i in range(1, n + 1):
         blocks[coords[i] % c].append(i)

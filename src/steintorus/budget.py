@@ -16,9 +16,7 @@ _ENV_VAR = "STEINTORUS_BUDGET"
 
 
 def current_budget() -> int:
-    raw = os.environ.get(_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
+    raw = os.environ.get(_ENV_VAR, str(DEFAULT_BUDGET))
     try:
         value = int(raw)
     except ValueError:

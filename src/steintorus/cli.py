@@ -9,7 +9,10 @@ success, 1 verification/validation failure or stdout closed early, 2 usage or
 parse error (including a malformed STEINTORUS_BUDGET), 3 enumeration budget
 exceeded.  `main` builds the parser once per process and reuses it, so a
 caller must not mutate what `build_parser()` returns; a named subcommand's own
-parser, in the parser's `commands`, reads its arguments.
+parser, in the parser's `commands`, reads its arguments, unless `_direct` reads
+them first: that parser's flags spelled out, each value the next token.  Help,
+--flag=value, abbreviations, '--', a value starting with '-' and every argument
+error go to argparse.
 """
 
 from __future__ import annotations
@@ -46,19 +49,6 @@ def _load_json_arg(text: str):
         # ValueError covers JSONDecodeError and integers past Python's digit
         # limit; RecursionError covers arrays nested too deep.
         raise UsageError(f"invalid JSON: {exc}") from None
-
-
-def _family(args) -> Family:
-    return Family(args.family, args.rank)
-
-
-def _color(args, family):
-    if args.color is None:
-        return None
-    indices = _load_json_arg(args.color)
-    if not coxfaces._is_ints(indices):
-        raise UsageError("--color must be a JSON list of integers")
-    return ColorSet(family, frozenset(indices))
 
 
 def _dumps(obj, indent):
@@ -98,8 +88,12 @@ def _emit(payload):
 
 
 def _cmd_enumerate(args):
-    family = _family(args)
-    color = _color(args, family)
+    family, color = Family(args.family, args.rank), None
+    if args.color is not None:
+        indices = _load_json_arg(args.color)
+        if not coxfaces._is_ints(indices):
+            raise UsageError("--color must be a JSON list of integers")
+        color = ColorSet(family, frozenset(indices))
     if args.object == "group":
         if color is not None:
             raise ValidationError("--color applies to faces and torus objects")
@@ -122,7 +116,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_product(args):
-    family = _family(args)
+    family = Family(args.family, args.rank)
     left = coxfaces.from_wire(family, _load_json_arg(args.left))
     right = coxfaces.from_wire(family, _load_json_arg(args.right))
     _emit(coxfaces.to_wire(coxfaces.tits_product(left, right)))
@@ -130,7 +124,7 @@ def _cmd_product(args):
 
 
 def _cmd_act(args):
-    family = _family(args)
+    family = Family(args.family, args.rank)
     necklace = torusfaces.from_wire(family, _load_json_arg(args.torus))
     face = coxfaces.from_wire(family, _load_json_arg(args.face))
     _emit(torusfaces.to_wire(torusfaces.module_action(necklace, face)))
@@ -138,7 +132,7 @@ def _cmd_act(args):
 
 
 def _cmd_descent_table(args):
-    family = _family(args)
+    family = Family(args.family, args.rank)
     finite, affine = family.finite_indices(), family.affine_indices()
 
     def row(w):
@@ -154,13 +148,12 @@ def _cmd_descent_table(args):
 
 
 def _cmd_mult_table(args):
-    _emit(descent_algebra._TABLES[args.kind].run(_family(args)))
+    _emit(descent_algebra._TABLES[args.kind].run(Family(args.family, args.rank)))
     return 0
 
 
 def _cmd_verify(args):
-    family = _family(args)
-    report = descent_algebra.verify(args.suite, family, seed=args.seed)
+    report = descent_algebra.verify(args.suite, Family(args.family, args.rank), seed=args.seed)
     _emit(report)
     return 0 if report["pass"] else 1
 
@@ -225,6 +218,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _direct(own, rest):
+    """own.parse_args(rest) when each token of rest is one of own's flags, spelled
+    out and not --help: a switch alone, any other flag followed by its value, which
+    does not start with '-' and passes the flag's type and choices; and every
+    required flag is given.  Else None, and argparse answers."""
+    args = argparse.Namespace(**own._defaults | {
+        a.dest: a.default for a in own._actions if a.default is not argparse.SUPPRESS})
+    seen, tokens = set(), iter(rest)
+    for token in tokens:
+        a = own._option_string_actions.get(token)
+        if a is None or isinstance(a, argparse._HelpAction):
+            return None
+        value = a.const  # a store_true switch's True
+        if a.nargs != 0:
+            try:
+                value = (a.type or str)(text := next(tokens, "-"))
+            except ValueError:
+                return None
+            if text.startswith("-") or a.choices is not None and value not in a.choices:
+                return None
+        setattr(args, a.dest, value)
+        seen.add(a)
+    return None if any(a.required and a not in seen for a in own._actions) else args
+
+
 def _fail(kind: str, exc: Exception, code: int) -> int:
     # One stderr line, also for a message quoting an argument or a path
     # that holds a newline.
@@ -235,9 +253,11 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     try:
         argv, parser = sys.argv[1:] if argv is None else list(argv), build_parser()
-        # A named subcommand's own parser reads the rest, as the top-level one would.
+        # The direct reader answers a well-formed call; else a named subcommand's
+        # own parser reads the rest, as the top-level one would.
         own = parser.commands.get(argv[0]) if argv else None
-        args = own.parse_args(argv[1:]) if own else parser.parse_args(argv)
+        args = ((_direct(own, argv[1:]) or own.parse_args(argv[1:])) if own
+                else parser.parse_args(argv))
         return args.run(args)
     except SystemExit as exc:  # raised only by --help, after the help
         return exc.code

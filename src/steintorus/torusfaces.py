@@ -230,12 +230,6 @@ def act(w: WeylElement, N):
     return _from_code(N.family, _moved(_necklace_code(N), w))
 
 
-def is_maximal(N) -> bool:
-    """Every block of the cycle has one element: no two share a code value."""
-    code = _necklace_code(N)
-    return len(set(code)) == len(code)
-
-
 def count_torus_faces(family: Family) -> int:
     """Closed form.  Type A: a cyclic order on the blocks of a set partition
     (the block A of 1, then an ordered partition of the rest) and one of n

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as hst
 import steintorus
 from steintorus import cli, coxfaces, descent_algebra, weyl
 from steintorus.cli import main
+from steintorus.errors import UsageError
 from steintorus.weyl import Family
 
 UNIT_A3 = '{"blocks":[[1,2,3]]}'
@@ -21,7 +23,9 @@ UNIT_C2 = '{"blocks":[[-2,-1,0,1,2]]}'
 @contextlib.contextmanager
 def top_level_only():
     """main with its direct route off: every argv goes through the top-level
-    parser, which hands a subcommand's arguments to that subcommand's parser."""
+    parser, which hands a subcommand's arguments to that subcommand's parser.
+    The direct reader `cli._direct` is off too, as main tries it only on the
+    direct route, so every call is answered by argparse alone."""
     parser = cli.build_parser()
     commands, parser.commands = parser.commands, {}
     try:
@@ -182,6 +186,109 @@ def test_subcommand_parser_gives_the_top_level_namespace():
                   "--right", UNIT_A3]):
         args = parser.commands[argv[0]].parse_args(argv[1:])
         assert args == parser.parse_args(argv) and args.subcommand == argv[0]
+
+
+# Each flag's values, None for a switch: well-formed ones, and empty ones,
+# ones with a leading space, non-ASCII digits, ones outside the choices and
+# ones starting with '-'.
+_INTS = ["3", "0", "12", "-1", " 3", "\u0663", "", "x", "3.0"]
+_TEXTS = ["[1]", UNIT_A3, "", " -x", "-x", "-1e+16", "@/nonexistent/input.json", "\u00e9"]
+_FLAG_VALUES = {
+    "--family": ["A", "C", "Z", "a", ""], "--rank": _INTS, "--seed": _INTS,
+    "--object": ["faces", "torus", "group", "face", ""], "--kind": ["solomon", "module", "lrb"],
+    "--suite": ["all", "psi", "counts", "bogus"], "--color": _TEXTS, "--left": _TEXTS,
+    "--right": _TEXTS, "--torus": _TEXTS, "--face": _TEXTS, "--count": None, "--affine": None,
+}
+_COMMAND_FLAGS = {
+    "enumerate": ["--object", "--color", "--count"], "product": ["--left", "--right"],
+    "act": ["--torus", "--face"], "descent-table": ["--affine"], "mult-table": ["--kind"],
+    "verify": ["--seed", "--suite"],
+}
+
+
+@hst.composite
+def _spelled_out(draw):
+    """(subcommand, the rest of argv): its flags in any order, each value a
+    token of its own, a flag left out one time in ten or repeated, and now and
+    then a help flag, an abbreviation, '--' or another stray token anywhere."""
+    sub = draw(hst.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = ["--family", "--rank", *_COMMAND_FLAGS[sub]]
+    chosen = [f for f in flags if draw(hst.integers(0, 9))]
+    chosen += draw(hst.lists(hst.sampled_from(flags), max_size=2))
+    rest = []
+    for flag in draw(hst.permutations(chosen)):
+        values = _FLAG_VALUES[flag]
+        rest += [flag] if values is None else [flag, draw(hst.sampled_from(values))]
+    if draw(hst.integers(0, 3)) == 0:
+        rest.insert(draw(hst.integers(0, len(rest))), draw(hst.sampled_from(
+            ["-h", "--help", "--fam", "--", "x", "--rank=3", "-", "--bogus"])))
+    return sub, rest
+
+
+@settings(max_examples=400, deadline=None)
+@given(_spelled_out())
+@example(("verify", ["--family", "Z", "--rank", "3", "--suite", "psi"]))
+@example(("verify", ["--family", "A", "--rank", "3"]))
+@example(("product", ["--family", "A", "--rank", "3", "--left", "-x", "--right", UNIT_A3]))
+@example(("descent-table", ["--rank", "3", "--family", "A", "--affine", "--rank", "2"]))
+@example(("descent-table", ["--family", "A", "--rank", "3", "--help"]))
+def test_direct_reader_equals_argparse(case):
+    """Wherever the direct reader gives a namespace, the subcommand's parser
+    gives the same one; wherever that parser refuses the call (exit 2) or
+    prints the help, the reader gives None."""
+    sub, rest = case
+    own = cli.build_parser().commands[sub]
+    direct = cli._direct(own, list(rest))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            parsed = own.parse_args(list(rest))
+    except (UsageError, SystemExit):
+        parsed = None
+    assert direct is None or direct == parsed
+
+
+def _calls(tag, face, other, necklace):
+    fam = ("--family", tag, "--rank", "3" if tag == "A" else "2")
+    return [
+        ("product", *fam, "--left", face, "--right", other),
+        ("act", *fam, "--torus", necklace, "--face", other),
+        ("enumerate", *fam, "--object", "torus", "--count"),
+        ("enumerate", *fam, "--object", "faces", "--count", "--color", "[1]"),
+        ("descent-table", *fam), ("descent-table", *fam, "--affine"),
+        ("verify", *fam, "--suite", "counts", "--seed", "3"),
+        ("mult-table", *fam, "--kind", "module"),
+    ]
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_well_formed_calls_skip_argparse(monkeypatch, capsys):
+    """Every call kind of the cli-calls benchmark, and verify and mult-table,
+    spelled out at A3 and C2, prints what argparse's answer prints without
+    argparse parsing a word; help, --flag=value and abbreviations reach it."""
+    calls = (_calls("A", UNIT_A3, '{"blocks":[[2],[1,3]]}',
+                    '{"blocks":[[1,3],[2]],"labels":[2,3]}')
+             + _calls("C", '{"blocks":[[-2],[-1,0,1],[2]]}', '{"blocks":[[-1],[-2,0,2],[1]]}',
+                      '{"zero_block":[0],"clockwise":[[1],[-2]],"antipodal":null}'))
+    expected = {}
+    with top_level_only():
+        for argv in calls:
+            expected[argv] = main(list(argv)), capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for argv in calls:
+        assert (main(list(argv)), capsys.readouterr().out) == expected[argv]
+        assert expected[argv][0] == 0
+    for argv in (["verify", "--help"],
+                 ["verify", "--family", "A", "--rank=3", "--suite", "counts"],
+                 ["verify", "--fam", "A", "--rank", "3", "--suite", "counts"]):
+        with pytest.raises(_Reached):
+            main(argv)
 
 
 # The table (about 160 kB) and the faces (about 970 kB) outgrow the pipe
