@@ -17,10 +17,10 @@ The one kernel ``_refine`` serves the Tits product and the torus module
 action.  Its result reads q only through its order, with ties, on each
 block of p with two or more elements: it compares q[x] with q[y] only for
 x and y in one block of p.  So ``_refine_all``, many left codes against
-many right codes, calls the one kernel once per distinct order on p's blocks;
-that order reads p only through them, so ``_refine_sums`` tallies weighted
-right codes by it once per set of left blocks in a call, from their comparison
-columns, which a caller may keep with the right codes and pass in again.
+many right codes, calls the one kernel once per distinct order on p's blocks.
+``_refine_sums`` adds weighted products with no kernel call: it tallies the
+right codes by that order once per set of left blocks, into offsets that give
+each left code with those blocks its results; the right codes keep the tallies.
 Validation stays at the boundary (the public constructors,
 ``SymComposition.from_full`` and ``from_wire``); kernel and enumerator
 output is valid by construction and built by ``weyl._trusted`` unchecked.
@@ -34,7 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, ge, gt, itemgetter
+from operator import add, ge, getitem, gt, itemgetter, sub
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .budget import check_count, current_budget
@@ -158,13 +158,13 @@ def _refine(p, q, anchor: Optional[int] = None):
     counts = map(bisect_right, itertools.repeat(ordered), keys)
     start = max(p) if anchor is None else -bisect_left(ordered, keys[anchor])
     shift = start % size
-    return tuple(map(_ring(size, shift), counts) if shift else counts)
+    return tuple(map(_ring(size, shift).__getitem__, counts) if shift else counts)
 
 
 @functools.cache
-def _ring(size: int, shift: int):
-    """ring(c) is shift + c taken mod size into 1..size."""
-    return (0, *range(shift + 1, size + 1), *range(1, shift + 1)).__getitem__
+def _ring(size: int, shift: int) -> Tuple[int, ...]:
+    """ring[c] is shift + c taken mod size into 1..size, for c in 1..size."""
+    return (0, *range(shift % size + 1, size + 1), *range(1, shift % size + 1))
 
 
 def _key_columns(p, qs, columns):
@@ -191,25 +191,42 @@ def _refine_all(ps, qs, anchor: Optional[int] = None):
         yield list(map(results.__getitem__, zip(*cols)))
 
 
-def _tally(cols, qs, weights):
-    """[(total weight, last q)] per distinct key of the qs, keys read off cols."""
+def _tally(p, blocks, qs: dict, anchor: Optional[int], kept: dict):
+    """Keep in kept, and return, (weights, offsets) per distinct key of the qs on p's
+    blocks, named by first positions: a key's total weight, and d rotated by -lt."""
+    cols = _key_columns(p, qs, kept)
     reps, totals = dict(zip(zip(*cols), qs)), Counter()
-    for (key, w), m in Counter(zip(zip(*cols), weights)).items():
+    for (key, w), m in Counter(zip(zip(*cols), qs.values())).items():
         totals[key] += w * m
-    return [(totals[key], q) for key, q in reps.items()]
+    size, offsets = len(p), []
+    before = list(map(bisect_left, itertools.repeat(sorted(blocks)), blocks))
+    for q in reps.values():  # as in _refine, blocks standing for p
+        keys = list(map(add, map((size + 1).__mul__, blocks), q))
+        ordered = sorted(keys)
+        lt = 0 if anchor is None else bisect_left(ordered, keys[anchor]) - before[anchor]
+        d = map(sub, map(bisect_right, itertools.repeat(ordered), keys), before)
+        e = (bytes if size < 256 else tuple)(map(_ring(size, -lt).__getitem__, d))
+        offsets.append(kept.setdefault(e, e))  # one offsets object per value
+    return kept.setdefault((anchor, blocks), (list(map(totals.__getitem__, reps)), offsets))
 
 
-def _refine_sums(ps, qs: dict, anchor: Optional[int] = None, columns: Optional[dict] = None):
-    """Yield, per left code p, {_refine(p, q, anchor): total weight of the qs
-    of that result}, qs being {code: weight}: the qs are tallied once per set
-    of p's blocks (named by first positions) in a call, a kernel call per key;
-    columns, kept with the same qs across calls, holds their ``_key_columns``."""
-    weights, tallies = list(qs.values()), {}
-    columns = {} if columns is None else columns
-    for p in ps:
-        if (tally := tallies.get(blocks := tuple(map(p.index, p)))) is None:
-            tally = tallies[blocks] = _tally(_key_columns(p, qs, columns), qs, weights)
-        yield {_refine(p, q, anchor): w for w, q in tally}
+def _refine_sums(ps: dict, qs: dict, anchor: Optional[int] = None, kept: Optional[dict] = None):
+    """{_refine(p, q, anchor): sum of cp * cq over its pairs}, ps and qs {code: coefficient}.
+    _refine(p, q, anchor) is base + d rotated by start - lt: base[x] counts p's elements in
+    blocks before x's, d[x] those of x's block in pieces up to x's; start is max(p), or
+    -base[anchor] and lt the anchor's block-mates in earlier pieces.  d and lt read only
+    p's blocks, so the qs are tallied once per (anchor, blocks) into kept, which a caller
+    keeps with them; it holds the tallies by that key, columns by pair, offsets by value."""
+    kept, acc = {} if kept is None else kept, {}
+    for p, cp in ps.items():
+        blocks = tuple(map(p.index, p))
+        weights, offsets = kept.get((anchor, blocks)) or _tally(p, blocks, qs, anchor, kept)
+        base, size = list(map(bisect_left, itertools.repeat(sorted(p)), p)), len(p)
+        start = max(p) if anchor is None else -base[anchor]
+        rings = list(map(_ring, itertools.repeat(size), map(start.__add__, base)))
+        for r, w in zip([tuple(map(getitem, rings, e)) for e in offsets], weights):
+            acc[r] = acc.get(r, 0) + cp * w
+    return acc
 
 
 def _face_code(F: Composition) -> Tuple[int, ...]:

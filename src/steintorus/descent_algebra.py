@@ -19,9 +19,9 @@ Internally a group element is its index in the lexicographic enumeration of
 the group by one-line values, so the convolution, the basis sums and the rows
 of products work on plain integers; each row after the first is the previous
 one read through one of O(n^2) step rows.  A ring element the program computes
-keeps a list of its coefficients in index order, the order of ``coeffs``, and
+keeps a tuple of its coefficients in index order, the order of ``coeffs``, and
 decodes ``coeffs``, unchecked, on first read; ``multiply`` and ``express_in_basis``
-read only that list, which a constructed element derives once.  Each element's
+read only that tuple, which a constructed element derives once.  Each element's
 (affine) descent set is kept as a bit mask.  ``multiply`` counts the pairs
 in U x V with product w, U and V coefficient groups of its factors, as
 |U^-1 w & V|: popcounts along a breadth-first walk of the Cayley graph, or the
@@ -38,20 +38,20 @@ A face sum's state is its {position code: coefficient} dict (see
 first read.  ``face_sum_product`` refines every left code against every
 right code in one call of ``coxfaces._refine_sums``, which tallies the right
 coefficients by their order on a left code's blocks of two or more elements,
-once per set of such blocks, and runs the one kernel once per distinct order;
-it adds each result's total times the left coefficient into the codes it returns.
-The right factor keeps the comparison columns the tallies read, a function of
-its codes.  ``_face_table`` refines one face per colour; ``is_invariant``
-permutes codes by each generator's moves, built once per code length; ``psi``
-keeps per family each code's int key, ordered as its element's one-line values,
-and each key's element, built without the group, so it sums and sorts ints; the
-``lrb`` and ``oracle`` suites index their products by ``_table``.  So none of
-them builds a face.  The public constructors of sums check their keys and int
-coefficients and make them canonical; internal results skip that check.  Each
-suite and table is one row of ``_SUITES`` or ``_TABLES``: its runner, its work
-(a unit and a count) and the families it refuses.  ``verify`` and the tables
-check the work against the budget before any work, so no suite holds budget
-code, and neither ``verify`` nor the CLI names a suite.
+once per set of such blocks, into offsets that give each result from the left
+code's block starts, with no kernel call, and adds each result's total times the
+left coefficient into the codes returned.  The right factor keeps the tallies
+across products, a function of its codes.  ``_face_table`` refines one face per
+colour; ``is_invariant`` permutes codes by each generator's moves, built once per
+code length; ``psi`` keeps per family each code's int key, ordered as its
+element's one-line values, and each key's element, built without the group, so
+it sums and sorts ints; the ``lrb`` and ``oracle`` suites index their products
+by ``_table``.  So none of them builds a face.  The public constructors of sums
+check their keys and int coefficients and make them canonical; internal results
+skip that check.  Each suite and table is one row of ``_SUITES`` or ``_TABLES``:
+its runner, its work (a unit and a count) and the families it refuses.
+``verify`` and the tables check the work against the budget before any work, so
+no suite holds budget code, and neither ``verify`` nor the CLI names a suite.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class _GroupData:
                 itemgetter(*map(position.__getitem__, range(len(position)))))
 
     def element(self, dense) -> "GroupRingElement":
-        """The ring element with coefficient dense[i] on elements[i], kept as dense."""
+        """The ring element with coefficient dense[i] on elements[i], dense a tuple."""
         g = _trusted(GroupRingElement, self.family)
         g.__dict__["_dense"] = dense
         return g
@@ -214,10 +214,10 @@ class GroupRingElement:
                          filter(None, dense)))
 
     @functools.cached_property
-    def _dense(self) -> list:
+    def _dense(self) -> tuple:
         data = _data(self.family)
         at = {data.index_of[w.values]: c for w, c in self.coeffs}
-        return list(map(at.get, range(len(data.elements)), repeat(0)))
+        return tuple(map(at.get, range(len(data.elements)), repeat(0)))
 
     def as_dict(self):
         return dict(self.coeffs)
@@ -282,7 +282,7 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
             c = cu * cv
             for k in pick(row):
                 acc[k] += c
-    return data.element(acc)
+    return data.element(tuple(acc))
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +338,6 @@ def _subset_transform(f: list, sign: int) -> list:
     return f
 
 
-def _class_sum(kind: str, terms, family: Family) -> GroupRingElement:
-    """The sum of c * basis_element(kind, J) over the checked pairs (J, c):
-    a descent class gets the sum of the c whose J contains (x) or equals (y)
-    it; itemgetter reads each element's value at its mask (a tuple: |W| > 1)."""
-    values = [0] * (1 << len(_universe(kind, family)))
-    data = _data(family)
-    masks = data.masks[kind]
-    for J, c in terms:
-        values[masks[J]] += c
-    if kind in ("x", "xt"):
-        _subset_transform(values, 1)
-    return data.element(itemgetter(*data.mask_of[kind])(values))
-
-
 def basis_element(kind: str, index, family: Family) -> GroupRingElement:
     """x_J, y_J, x~_J (kind 'xt') or y~_J (kind 'yt'): 1 on the classes of J's
     submasks (x, x~), walked as sub = (sub - 1) & mask, or of J alone (y, y~)."""
@@ -375,13 +361,11 @@ def express_in_basis(a: GroupRingElement, kind: str):
     if kind not in ("x", "xt"):
         raise ValidationError("expansions are over kind 'x' or 'xt'")
     weyl._same_family((a, GroupRingElement))
-    family = a.family
-    data = _data(family)
+    data = _data(a.family)
     masks, mask_of, first_of = data.masks[kind], data.mask_of[kind], data.first_of[kind]
-    dense = tuple(a._dense)
-    firsts = itemgetter(*first_of)(dense)
-    if firsts != dense:
-        i = next(i for i, c in enumerate(dense) if c != firsts[i])
+    firsts = itemgetter(*first_of)(a._dense)
+    if firsts != a._dense:
+        i = next(i for i, c in enumerate(a._dense) if c != firsts[i])
         D = next(D for D, m in masks.items() if m == mask_of[i])
         raise NotInSpanError(
             f"not constant on the descent class {sorted(D)}",
@@ -389,17 +373,25 @@ def express_in_basis(a: GroupRingElement, kind: str):
         )
     # Moebius inversion over the classes above I; x~ over the empty set is
     # the empty sum, so masks has no entry for it.
-    values = [0] * (1 << len(_universe(kind, family)))
+    values = [0] * (1 << len(_universe(kind, a.family)))
     for i in set(first_of):
-        values[mask_of[i]] = dense[i]
+        values[mask_of[i]] = a._dense[i]
     _subset_transform(values, -1)
     return {I: values[mask] for I, mask in masks.items() if values[mask]}
 
 
 def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement:
-    """The sum of c * basis_element(kind, I, family) over the items (I, c)."""
+    """The sum of c * basis_element(kind, I, family) over the items (I, c): a
+    descent class gets the sum of the c whose I contains (x) or equals (y) it;
+    itemgetter reads each element's value at its mask (a tuple: |W| > 1)."""
     sets = _index_sets(kind, expansion.keys(), family)
-    return _class_sum(kind, zip(sets, [_integer(c) for c in expansion.values()]), family)
+    terms = list(zip(sets, map(_integer, expansion.values())))  # before the group is built
+    values, data = [0] * (1 << len(_universe(kind, family))), _data(family)
+    for J, c in terms:
+        values[data.masks[kind][J]] += c
+    if kind in ("x", "xt"):
+        _subset_transform(values, 1)
+    return data.element(itemgetter(*data.mask_of[kind])(values))
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +435,8 @@ class FaceSum:
                             key=itemgetter(0)))
 
     @functools.cached_property
-    def _columns(self) -> dict:
-        """Its codes' comparison columns as a right factor, filled as products read them."""
+    def _tallies(self) -> dict:
+        """Its tallies as a right factor (see ``coxfaces._refine_sums``), filled on use."""
         return {}
 
     def __hash__(self):
@@ -483,11 +475,7 @@ def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
     anchor = torusfaces._anchor(s.family) if s.torus else None
-    acc = {}
-    rows = coxfaces._refine_sums(s._codes, t._codes, anchor, t._columns)
-    for cp, sums in zip(s._codes.values(), rows):
-        for r, w in sums.items():
-            acc[r] = acc.get(r, 0) + cp * w
+    acc = coxfaces._refine_sums(s._codes, t._codes, anchor, t._tallies)
     return _trusted(FaceSum, s.family, s.torus, {r: c for r, c in acc.items() if c})
 
 
@@ -586,11 +574,10 @@ def _face_table(kind: str, family: Family) -> dict:
     for I, sigma_I in sigma.items():
         rows = coxfaces._refine_all(firsts, sigma_I._codes, anchor)
         for (J, s_J), row in zip(lefts.items(), rows):
-            orbit = s_J._codes
             hits = Counter(map(color_of.__getitem__, row))
             expansion = {}
             for K, h in hits.items():
-                expansion[K], rest = divmod(len(orbit) * h, len(lefts[K]._codes))
+                expansion[K], rest = divmod(len(s_J._codes) * h, len(lefts[K]._codes))
                 if rest:
                     raise ValidationError(
                         f"orbit {sorted(K)} is not hit a whole number of times "
@@ -665,8 +652,8 @@ def _verify_psi(family: Family, seed=0):
                 fail(identities[0], J, J)
             for K, sK in sigma.items():
                 product = face_sum_product(sJ, sK)
-                if not (is_invariant(product) and _psi_unchecked(product)._dense
-                        == list(multiply(x[K], xJ)._dense)):  # multiply may keep a tuple
+                if not (is_invariant(product)
+                        and _psi_unchecked(product)._dense == multiply(x[K], xJ)._dense):
                     fail(identities[1], *((J, K) if kind == "x" else (K, J)))
     return _report("psi", family, checks, failures)
 
@@ -740,18 +727,15 @@ def _verify_euler(family: Family, seed=0):
 def _verify_counts(family: Family, seed=0):
     checks, failures = 0, []
     data = _data(family)
-    order = family.group_order()
     sigma, sigmat = _orbit_sums(family, False), _orbit_sums(family, True)
     finite = frozenset(family.finite_indices())
-    chambers = sigma[finite]._codes
-    checks += 1
-    if len(chambers) != order:
-        failures.append({"check": "chamber count", "got": len(chambers)})
     maximal = [r for r in sigmat[frozenset(family.affine_indices())]._codes
                if len(set(r)) == len(r)]  # no two letters share a block
-    checks += 1
-    if len(maximal) != order:
-        failures.append({"check": "maximal torus faces", "got": len(maximal)})
+    for check, got in (("chamber count", len(sigma[finite]._codes)),
+                       ("maximal torus faces", len(maximal))):
+        checks += 1
+        if got != family.group_order():
+            failures.append({"check": check, "got": got})
     # The faces of colour J map one to one onto the elements with (affine)
     # descent set inside J; codes give one-line values without a face.
     for kind, sums, side in (("x", sigma, "finite"), ("xt", sigmat, "affine")):

@@ -207,8 +207,7 @@ def module_action(N, G: Composition):
     block cycle.  A type A piece's outgoing label is the clasp's incoming
     label plus the sizes of the pieces up to it (mod n)."""
     _same_family((N, _NECKLACES), (G, _FACES))
-    code = _refine(_necklace_code(N), _face_code(G), _anchor(N.family))
-    return _from_code(N.family, code)
+    return _from_code(N.family, _refine(_necklace_code(N), _face_code(G), _anchor(N.family)))
 
 
 def w_of_torus_face(N) -> WeylElement:

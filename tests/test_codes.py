@@ -10,7 +10,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 from steintorus.errors import ValidationError
 from steintorus.weyl import Family, WeylElement
@@ -296,16 +296,14 @@ def test_batch_refinement_matches_one_pair_at_a_time(family, torus):
 
 
 def assert_sums_match(ps, qs, anchor):
-    """Per left code, the weight of each result over the pairs one at a time,
+    """The weight of each result, cp * cq summed over the pairs one at a time,
     zero totals kept."""
-    expected = []
-    for p in ps:
-        acc = {}
-        for q, w in qs.items():
+    expected = {}
+    for p, cp in ps.items():
+        for q, cq in qs.items():
             r = cf._refine(p, q, anchor)
-            acc[r] = acc.get(r, 0) + w
-        expected.append(acc)
-    assert list(cf._refine_sums(ps, qs, anchor)) == expected
+            expected[r] = expected.get(r, 0) + cp * cq
+    assert cf._refine_sums(ps, qs, anchor) == expected
 
 
 @pytest.mark.parametrize("family", [Family("A", n) for n in (2, 3, 4)]
@@ -313,8 +311,8 @@ def assert_sums_match(ps, qs, anchor):
                          ids=lambda f: f"{f.tag}{f.rank}")
 @pytest.mark.parametrize("torus", [False, True], ids=["face", "necklace"])
 def test_refined_sums_match_one_pair_at_a_time(family, torus):
-    """Shuffled left codes, some repeated, against every face code with
-    seeded weights of both signs; then against the face codes reversed with
+    """Shuffled left codes with seeded weights of both signs against every
+    face code with seeded weights; then against the face codes reversed with
     other weights that sum to zero, so every chamber's total is zero and a
     call that reused another call's tallies would differ; then no right
     codes, and no left codes."""
@@ -322,17 +320,33 @@ def test_refined_sums_match_one_pair_at_a_time(family, torus):
     anchor = tf._anchor(family) if torus else None
     rng = random.Random(f"{family.tag}{family.rank}{torus}")
     faces = [cf._face_code(G) for G in cf.enumerate_faces(family)]
-    ps = [code(X) for X in left_objects(family, torus)]
-    ps += ps[::3]
-    rng.shuffle(ps)
+    lefts = [code(X) for X in left_objects(family, torus)]
+    rng.shuffle(lefts)
+    ps = {p: rng.randint(1, 3) * (-1) ** i for i, p in enumerate(lefts)}
     weights = {q: rng.randint(1, 3) * (-1) ** i for i, q in enumerate(faces)}
     assert_sums_match(ps, weights, anchor)
     cancelling = {q: rng.randint(1, 3) * (-1) ** i for i, q in enumerate(faces[:0:-1])}
     cancelling[faces[0]] = -sum(cancelling.values())
     assert sum(cancelling.values()) == 0
     assert_sums_match(ps, cancelling, anchor)
-    assert list(cf._refine_sums(ps, {}, anchor)) == [{}] * len(ps)
-    assert list(cf._refine_sums([], weights, anchor)) == []
+    assert cf._refine_sums(ps, {}, anchor) == {}
+    assert cf._refine_sums({}, weights, anchor) == {}
+
+
+@pytest.mark.parametrize("family", [Family("A", 256), Family("C", 128)], ids=["A256", "C128"])
+@pytest.mark.parametrize("torus", [False, True], ids=["face", "necklace"])
+@settings(max_examples=1)
+@given(data=hst.data())
+def test_refined_sums_past_a_byte(family, torus, data):
+    """From 256 positions an offset no longer fits in bytes; the sums still
+    match the pairs one at a time."""
+    code = tf._necklace_code if torus else cf._face_code
+    lefts = data.draw(hst.lists(objects(family, torus), min_size=1, max_size=2))
+    faces = data.draw(hst.lists(objects(family, False), min_size=1, max_size=2))
+    assert len(code(lefts[0])) >= 256
+    ps = {code(X): 2 - i for i, X in enumerate(lefts)}
+    assert_sums_match(ps, {cf._face_code(G): 1 + i for i, G in enumerate(faces)},
+                      tf._anchor(family) if torus else None)
 
 
 @given(hst.sampled_from([Family("A", 5), Family("C", 4)]).flatmap(

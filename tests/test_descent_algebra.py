@@ -701,39 +701,17 @@ def test_a_colour_set_of_another_family_is_refused_as_an_index_set():
 
 
 # ---------------------------------------------------------------------------
-# face-sum products: one kernel call per distinct result, every coefficient
+# face-sum products: no kernel call, one tally per block set, kept with the right factor
 
 
-@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
-def test_face_sum_products_refine_once_per_distinct_result(monkeypatch, fam):
-    """sigma_J * sigma_K and sigma~_K * sigma_J, for every colour pair, and
-    every orbit sum times a right factor whose coefficients take seven values,
-    call the kernel once per distinct result of each left code, so once per
-    chamber however many coefficients; a call per distinct trace of the right
-    codes on the left code's blocks is more."""
+def _products(fam):
+    """sigma_J * sigma_K and sigma~_K * sigma_J for every colour pair, and every
+    orbit sum times a right factor whose coefficients take seven values."""
     sigma, sigmat = da._orbit_sums(fam, False), da._orbit_sums(fam, True)
     faces = list(cf.enumerate_faces(fam))
     rights = [*sigma.values(), da.FaceSum.from_dict(
         fam, False, dict(zip(faces, itertools.cycle([1, -1, 2, -2, 3, -3, 4]))))]
-    products = ([(s, t, None) for s in sigma.values() for t in rights]
-                + [(s, t, tf._anchor(fam)) for s in sigmat.values() for t in rights])
-    refine, calls = cf._refine, 0
-    expected = sum(len({refine(p, q, anchor) for q in t._codes})
-                   for s, t, anchor in products for p in s._codes)
-    traces = sum(len({tuple(q[x] for x in range(len(p)) if p.count(p[x]) > 1)
-                      for q in t._codes})
-                 for s, t, _ in products for p in s._codes)
-    assert expected < traces
-
-    def counted(p, q, anchor=None):
-        nonlocal calls
-        calls += 1
-        return refine(p, q, anchor)
-
-    monkeypatch.setattr(cf, "_refine", counted)
-    for s, t, _ in products:
-        da.face_sum_product(s, t)
-    assert calls == expected
+    return [(s, t) for s in [*sigma.values(), *sigmat.values()] for t in rights]
 
 
 def _block_set(p):
@@ -742,32 +720,54 @@ def _block_set(p):
                      for v in set(p) if p.count(v) > 1)
 
 
-@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
-def test_face_sum_products_tally_once_per_block_set(monkeypatch, fam):
-    """Each product tallies the right codes once per distinct set of blocks of
-    two or more elements among its left codes, fewer times than it has left
-    codes, and again in the next call: a call keeps no other call's tallies."""
-    sigma, sigmat = da._orbit_sums(fam, False), da._orbit_sums(fam, True)
-    products = [(s, t) for s in [*sigma.values(), *sigmat.values()] for t in sigma.values()]
-    tally, calls = cf._tally, 0
+def _double_loop(s, t):
+    """The codes of s * t, the kernel's result summed over every pair of codes."""
+    anchor, acc = tf._anchor(s.family) if s.torus else None, {}
+    for p, cp in s._codes.items():
+        for q, cq in t._codes.items():
+            r = cf._refine(p, q, anchor)
+            acc[r] = acc.get(r, 0) + cp * cq
+    return {r: c for r, c in acc.items() if c}
 
-    def counted(cols, qs, weights):
-        nonlocal calls
-        calls += 1
-        return tally(cols, qs, weights)
+
+@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
+def test_face_sum_products_call_no_kernel(monkeypatch, fam):
+    """Every product of ``_products`` equals the double loop, and reads its
+    results off the right factor's tallies with no kernel call."""
+    products = _products(fam)
+    expected = [_double_loop(s, t) for s, t in products]
+
+    def refuse(p, q, anchor=None):
+        raise AssertionError("a face-sum product called the kernel")
+
+    monkeypatch.setattr(cf, "_refine", refuse)
+    assert [da.face_sum_product(s, t)._codes for s, t in products] == expected
+
+
+@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
+def test_right_factor_tallies_once_per_block_set(monkeypatch, fam):
+    """Over a right factor's life its codes are tallied exactly once per anchor and
+    set of left blocks that its products meet, fewer times than they have left
+    codes; a second pass over the same products tallies nothing."""
+    products = _products(fam)
+    tally, built = cf._tally, Counter()
+
+    def counted(p, blocks, qs, anchor, kept):
+        built[id(kept), anchor, _block_set(p)] += 1
+        return tally(p, blocks, qs, anchor, kept)
 
     monkeypatch.setattr(cf, "_tally", counted)
+    met = Counter({(id(t._tallies), tf._anchor(fam) if s.torus else None, _block_set(p)): 1
+                   for s, t in products for p in s._codes})
     for _ in range(2):
         for s, t in products:
-            calls = 0
             da.face_sum_product(s, t)
-            assert calls == len(set(map(_block_set, s._codes)))
-    assert sum(len(set(map(_block_set, s._codes))) for s, _ in products) < sum(
-        len(s._codes) for s, _ in products)
+        assert built == met
+    assert len(met) < sum(len(s._codes) for s, _ in products)
 
 
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
-def test_kept_columns_depend_on_the_right_factor_alone(fam):
+def test_kept_tallies_depend_on_the_right_factor_alone(fam):
     """One right factor, whose codes come in the order of a product, kept and
     used again against every sigma_J and sigma~_J in shuffled order, gives the
     products that a fresh equal copy of it gives (its codes in face order) and
@@ -788,6 +788,45 @@ def test_kept_columns_depend_on_the_right_factor_alone(fam):
         fresh = da.FaceSum.from_dict(fam, False, t.as_dict())
         assert da.face_sum_product(s, t) == da.face_sum_product(s, fresh) == da.FaceSum.from_dict(
             fam, s.torus, acc)
+
+
+@pytest.mark.parametrize("fam", [C2, C3], ids=["C2", "C3"])
+@pytest.mark.parametrize("necklaces_first", [False, True], ids=["faces-first", "necklaces-first"])
+def test_one_right_factor_serves_faces_and_necklaces(fam, necklaces_first):
+    """One right factor against every sigma_J (faces, no anchor) and then every
+    sigma~_J (necklaces, anchored), or in the reverse order, gives the double
+    loop's product each time: a tally kept for one anchor serves only that one."""
+    faces = list(cf.enumerate_faces(fam))
+    t = da.FaceSum.from_dict(fam, False, {G: 1 + i % 3 for i, G in enumerate(faces)})
+    passes = [da._orbit_sums(fam, False).values(), da._orbit_sums(fam, True).values()]
+    for s in itertools.chain(*(passes[::-1] if necklaces_first else passes)):
+        assert da.face_sum_product(s, t)._codes == _double_loop(s, t)
+
+
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+def test_offsets_are_interned_per_right_factor(monkeypatch, fam):
+    """A right factor holds each distinct offsets value once, however many of its
+    tallies hold it; two equal right factors share no offsets object, so a
+    factor's offsets are freed with it, not held by a table across factors."""
+    tally, built = cf._tally, {}
+
+    def recording(p, blocks, qs, anchor, kept):
+        weights, offsets = tally(p, blocks, qs, anchor, kept)
+        built.setdefault(id(kept), []).extend(offsets)
+        return weights, offsets
+
+    monkeypatch.setattr(cf, "_tally", recording)
+    first = da.orbit_sum("sigma", fam.finite_indices(), fam)  # the chambers
+    rights = [first, da.FaceSum.from_dict(fam, False, first.as_dict())]
+    lefts = [*da._orbit_sums(fam, False).values(), *da._orbit_sums(fam, True).values()]
+    for t in rights:
+        for s in lefts:
+            da.face_sum_product(s, t)
+    held = [built[id(t._tallies)] for t in rights]
+    for offsets in held:
+        assert len(offsets) > len(set(offsets)) == len(set(map(id, offsets)))
+    assert set(held[0]) == set(held[1])
+    assert not set(map(id, held[0])) & set(map(id, held[1]))
 
 
 def test_face_sum_repr_shows_faces():
@@ -925,6 +964,28 @@ def test_computed_and_constructed_elements_agree(fam):
     computed = [make() for make, _ in cases]
     for (g, (_, h)), (g2, (_, h2)) in itertools.product(zip(computed, cases), repeat=2):
         assert (g == g2) == (h.coeffs == h2.coeffs)
+
+
+@pytest.mark.parametrize("fam", KERNEL_FAMILIES, ids=["A3", "A4", "C2", "C3"])
+def test_dense_coefficients_have_one_type(fam):
+    """Equal elements keep equal dense coefficients, of one type, by every route:
+    the walk and the rows of multiply, a basis element, an expansion evaluated,
+    psi of a face-sum product and the constructor; the psi suite compares them."""
+    finite = list(fam.finite_indices())
+    I, J = finite[:1], finite[1:]
+    xI, xJ, e = da.basis_element("x", I, fam), da.basis_element("x", J, fam), identity(fam)
+    one = da.GroupRingElement.from_dict(fam, {e: 1})
+    for route in PATHS:
+        with mock.patch.object(da, "_WALK_FROM", route):
+            products, units = da.multiply(xI, xJ), da.multiply(one, xJ)
+        sigma = da._orbit_sums(fam, False)
+        for equal in ([products, da.psi(da.face_sum_product(sigma[frozenset(J)],
+                                                              sigma[frozenset(I)])),
+                       da.evaluate_expansion(da.express_in_basis(products, "x"), "x", fam),
+                       da.GroupRingElement.from_dict(fam, products.as_dict())],
+                      [units, xJ, da.GroupRingElement.from_dict(fam, xJ.as_dict())]):
+            assert {type(g._dense) for g in equal} == {tuple}
+            assert all(g._dense == equal[0]._dense for g in equal)
 
 
 @pytest.mark.parametrize("fam", [Family("A", 5), C3], ids=["A5", "C3"])
