@@ -16,8 +16,9 @@ the concatenated full blocks: its block position, relabelled monotonically.
 The one kernel ``_refine`` serves the Tits product and the torus module
 action.  Its result reads q only through its order, with ties, on each
 block of p with two or more elements: it compares q[x] with q[y] only for
-x and y in one block of p.  So ``_refine_all``, many left codes against
-many right codes, calls the one kernel once per distinct order on p's blocks.
+x and y in one block of p.  ``_keys`` reads that order off one packed int per q,
+so ``_refine_all``, many left codes against many right codes, calls the one
+kernel once per distinct order on p's blocks.
 ``_refine_sums`` adds weighted products with no kernel call: it tallies the
 right codes by that order once per set of left blocks, into offsets that give
 each left code with those blocks its results; the right codes keep the tallies.
@@ -34,7 +35,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, ge, getitem, gt, itemgetter, sub
+from operator import add, getitem, sub
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .budget import check_count, current_budget
@@ -167,36 +168,33 @@ def _ring(size: int, shift: int) -> Tuple[int, ...]:
     return (0, *range(shift % size + 1, size + 1), *range(1, shift % size + 1))
 
 
-def _key_columns(p, qs, columns):
-    """Per pair (x, y) within a block of p, sign(q[x] - q[y]) + 1 over qs, kept in
-    columns as bytes; zip(*cols) yields each q's key.  A chamber has one constant column."""
-    pairs = [(x, y) for x, y in itertools.combinations(range(len(p)), 2) if p[x] == p[y]]
-    for x, y in pairs:
-        if (x, y) not in columns:
-            X, Y = list(map(itemgetter(x), qs)), list(map(itemgetter(y), qs))
-            columns[x, y] = bytes(map(add, map(gt, X, Y), map(ge, X, Y)))
-    return [columns[pair] for pair in pairs] or [[0] * len(qs)]
+def _keys(p, qs, kept):
+    """Each q's key, its order with ties on p's blocks: the qs packed once into kept[None],
+    2 bits (q[x] > q[y]) + (q[x] >= q[y]) per pair x < y, masked to p's within-block pairs."""
+    pairs = list(enumerate(itertools.combinations(range(len(p)), 2)))
+    if None not in kept:
+        kept[None] = [sum((q[x] > q[y]) + (q[x] >= q[y]) << 2 * i for i, (x, y) in pairs)
+                      for q in qs]
+    return map(sum(3 << 2 * i for i, (x, y) in pairs if p[x] == p[y]).__and__, kept[None])
 
 
 def _refine_all(ps, qs, anchor: Optional[int] = None):
     """Yield, per left code p, [_refine(p, q, anchor) for q in qs], with one
     kernel call per distinct key of q (its order on p's blocks of two or more
     elements), on the last q of that key: any q of a key gives its result."""
-    qs, columns = list(qs), {}
+    kept = {}
     for p in ps:
-        cols = _key_columns(p, qs, columns)
-        # Keys are zipped twice, not listed: len(qs) freed key tuples would stay
-        # in CPython's tuple free lists.
-        results = {key: _refine(p, q, anchor) for key, q in dict(zip(zip(*cols), qs)).items()}
-        yield list(map(results.__getitem__, zip(*cols)))
+        keys = list(_keys(p, qs, kept))
+        results = {key: _refine(p, q, anchor) for key, q in dict(zip(keys, qs)).items()}
+        yield list(map(results.__getitem__, keys))
 
 
 def _tally(p, blocks, qs: dict, anchor: Optional[int], kept: dict):
     """Keep in kept, and return, (weights, offsets) per distinct key of the qs on p's
     blocks, named by first positions: a key's total weight, and d rotated by -lt."""
-    cols = _key_columns(p, qs, kept)
-    reps, totals = dict(zip(zip(*cols), qs)), Counter()
-    for (key, w), m in Counter(zip(zip(*cols), qs.values())).items():
+    orders = list(_keys(p, qs, kept))
+    reps, totals = dict(zip(orders, qs)), Counter()
+    for (key, w), m in Counter(zip(orders, qs.values())).items():
         totals[key] += w * m
     size, offsets = len(p), []
     before = list(map(bisect_left, itertools.repeat(sorted(blocks)), blocks))
@@ -216,7 +214,7 @@ def _refine_sums(ps: dict, qs: dict, anchor: Optional[int] = None, kept: Optiona
     blocks before x's, d[x] those of x's block in pieces up to x's; start is max(p), or
     -base[anchor] and lt the anchor's block-mates in earlier pieces.  d and lt read only
     p's blocks, so the qs are tallied once per (anchor, blocks) into kept, which a caller
-    keeps with them; it holds the tallies by that key, columns by pair, offsets by value."""
+    keeps with them; it holds the tallies by that key, the packed qs by None, offsets by value."""
     kept, acc = {} if kept is None else kept, {}
     for p, cp in ps.items():
         blocks = tuple(map(p.index, p))

@@ -42,8 +42,9 @@ once per set of such blocks, into offsets that give each result from the left
 code's block starts, with no kernel call, and adds each result's total times the
 left coefficient into the codes returned.  The right factor keeps the tallies
 across products, a function of its codes.  ``_face_table`` refines one face per
-colour; ``is_invariant`` permutes codes by each generator's moves, built once per
-code length; ``psi`` keeps per family each code's int key, ordered as its
+colour against every face in one pass, and counts each result's colour per
+sigma_I; ``is_invariant`` permutes codes by each generator's moves, built once
+per code length; ``psi`` keeps per family each code's int key, ordered as its
 element's one-line values, and each key's element, built without the group, so
 it sums and sorts ints; the ``lrb`` and ``oracle`` suites index their products
 by ``_table``.  So none of them builds a face.  The public constructors of sums
@@ -568,25 +569,19 @@ def _face_table(kind: str, family: Family) -> dict:
     sigma = _orbit_sums(family, False)
     lefts = _orbit_sums(family, True) if torus else sigma
     color_of = {r: K for K, orbit in lefts.items() for r in orbit._codes}
+    faces = {q: I for I, sigma_I in sigma.items() for q in sigma_I._codes}
     anchor = torusfaces._anchor(family) if torus else None
-    entries = []
+    expansions = {(I, J): {} for I in sigma for J in lefts}
     firsts = [next(iter(s_J._codes)) for s_J in lefts.values()]
-    for I, sigma_I in sigma.items():
-        rows = coxfaces._refine_all(firsts, sigma_I._codes, anchor)
-        for (J, s_J), row in zip(lefts.items(), rows):
-            hits = Counter(map(color_of.__getitem__, row))
-            expansion = {}
-            for K, h in hits.items():
-                expansion[K], rest = divmod(len(s_J._codes) * h, len(lefts[K]._codes))
-                if rest:
-                    raise ValidationError(
-                        f"orbit {sorted(K)} is not hit a whole number of times "
-                        f"in entry ({sorted(I)}, {sorted(J)})"
-                    )
-            entries.append({"I": sorted(I), "J": sorted(J),
-                            "coeffs": _keyed(expansion)})
+    for (J, s_J), row in zip(lefts.items(), coxfaces._refine_all(firsts, faces, anchor)):
+        for (I, K), h in Counter(zip(faces.values(), map(color_of.__getitem__, row))).items():
+            expansions[I, J][K], rest = divmod(len(s_J._codes) * h, len(lefts[K]._codes))
+            if rest:
+                raise ValidationError(f"orbit {sorted(K)} is not hit a whole number of times "
+                                      f"in entry ({sorted(I)}, {sorted(J)})")
     return {"kind": kind, "family": family.tag, "rank": family.rank,
-            "entries": entries}
+            "entries": [{"I": sorted(I), "J": sorted(J), "coeffs": _keyed(expansion)}
+                        for (I, J), expansion in expansions.items()]}
 
 
 def solomon_table(family: Family) -> dict:

@@ -349,6 +349,37 @@ def test_refined_sums_past_a_byte(family, torus, data):
                       tf._anchor(family) if torus else None)
 
 
+def assert_keys_are_orders(ps, qs):
+    """Per left code p, two right codes share a key exactly when their orders, ties
+    included, agree on every pair x < y within one of p's blocks; one kept dict
+    serves every p, as it does in a batch.  Returns the last p's keys."""
+    kept = {}
+    for p in ps:
+        pairs = [(x, y) for x, y in itertools.combinations(range(len(p)), 2) if p[x] == p[y]]
+        orders = [tuple((q[x] > q[y]) - (q[x] < q[y]) for x, y in pairs) for q in qs]
+        keys = list(cf._keys(p, qs, kept))
+        assert len(set(keys)) == len(set(orders)) == len(set(zip(keys, orders))), p
+    return keys
+
+
+@pytest.mark.parametrize("family", [Family("A", 4), Family("C", 3)], ids=["A4", "C3"])
+def test_keys_are_orders_on_the_left_blocks(family):
+    """Every face and necklace code against every face code."""
+    qs = [cf._face_code(G) for G in cf.enumerate_faces(family)]
+    ps = [cf._face_code(F) for F in cf.enumerate_faces(family)]
+    assert_keys_are_orders(ps + [tf._necklace_code(N) for N in left_objects(family, True)], qs)
+
+
+def test_keys_are_orders_past_64_bits():
+    """At C4 a code's 36 pairs pack into 72 bits: sampled face and necklace codes,
+    the one-block face's last, against every face code."""
+    family, rng = Family("C", 4), random.Random(4)
+    qs = [cf._face_code(G) for G in cf.enumerate_faces(family)]
+    ps = rng.sample(qs, 20) + [tf._necklace_code(N) for N in rng.sample(
+        left_objects(family, True), 20)] + [cf._face_code(cf.unit_face(family))]
+    assert max(assert_keys_are_orders(ps, qs)).bit_length() > 64
+
+
 @given(hst.sampled_from([Family("A", 5), Family("C", 4)]).flatmap(
     lambda family: hst.booleans().flatmap(lambda torus: hst.tuples(
         hst.just(family), hst.just(torus), hst.lists(objects(family, torus), max_size=6),

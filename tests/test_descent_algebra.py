@@ -31,6 +31,7 @@ from steintorus import affine_oracle as ao
 from steintorus import coxfaces as cf
 from steintorus import descent_algebra as da
 from steintorus import torusfaces as tf
+from steintorus.cli import main
 
 A3 = Family("A", 3)
 C2 = Family("C", 2)
@@ -1170,6 +1171,51 @@ def test_module_table_matches_all_pairs(kind, fam):
     """One face per colour, scaled by the orbit sizes, gives the
     coefficients of the product over every pair of faces."""
     assert TABLES[kind][0](fam)["entries"] == _all_pairs_entries(kind, fam)
+
+
+@pytest.mark.parametrize("kind, fam, calls", [("module", A4, 383), ("solomon", C3, 196)],
+                         ids=["module-A4", "solomon-C3"])
+def test_tables_refine_each_first_code_once_per_order(monkeypatch, kind, fam, calls):
+    """One pass refines each left colour's first code against every face code, so the
+    kernel runs once per distinct order, ties included, of the face codes on that code's
+    blocks: 383 and 196 calls, where a pass per sigma_I made 680 and 377."""
+    faces = [cf._face_code(G) for G in cf.enumerate_faces(fam)]
+    expected = {}
+    for s_J in da._orbit_sums(fam, kind == "module").values():
+        p = next(iter(s_J._codes))
+        pairs = [(x, y) for x, y in itertools.combinations(range(len(p)), 2) if p[x] == p[y]]
+        expected[p] = len({tuple((q[x] > q[y]) - (q[x] < q[y]) for x, y in pairs)
+                           for q in faces})
+    refine, made = cf._refine, Counter()
+
+    def counted(p, q, anchor=None):
+        made[p] += 1
+        return refine(p, q, anchor)
+
+    monkeypatch.setattr(cf, "_refine", counted)
+    TABLES[kind][0](fam)
+    assert made == expected and sum(made.values()) == calls
+
+
+@pytest.mark.parametrize("kind", ["solomon", "module"])
+def test_a_table_refuses_an_orbit_hit_a_fractional_number_of_times(monkeypatch, capsys, kind):
+    """A kernel whose first result lands in the largest left orbit breaks transitivity
+    within a colour: the table raises, and `mult-table` exits 1 with one stderr line."""
+    lefts = da._orbit_sums(A3, kind == "module")
+    stray = next(iter(max(lefts.values(), key=lambda s: len(s._codes))._codes))
+    refine_all = cf._refine_all
+
+    def broken(ps, qs, anchor=None):
+        rows = refine_all(ps, qs, anchor)
+        yield [stray] + next(rows)[1:]
+        yield from rows
+
+    monkeypatch.setattr(cf, "_refine_all", broken)
+    with pytest.raises(ValidationError, match="not hit a whole number of times"):
+        TABLES[kind][0](A3)
+    assert main(["mult-table", "--family", "A", "--rank", "3", "--kind", kind]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("validation error") and err.count("\n") == 1
 
 
 def test_solomon_table_builds_no_group(monkeypatch):
