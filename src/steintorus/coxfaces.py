@@ -17,11 +17,11 @@ The one kernel ``_refine`` serves the Tits product and the torus module
 action.  Its result reads q only through its order, with ties, on each
 block of p with two or more elements: it compares q[x] with q[y] only for
 x and y in one block of p.  ``_keys`` reads that order off one packed int per q,
-so ``_refine_all``, many left codes against many right codes, calls the one
-kernel once per distinct order on p's blocks.
-``_refine_sums`` adds weighted products with no kernel call: it tallies the
-right codes by that order once per set of left blocks, into offsets that give
-each left code with those blocks its results; the right codes keep the tallies.
+so ``_by_key``, one left code against many right codes, calls the one
+kernel once per distinct order on p's blocks; every batched caller goes through it.
+``_refine_sums`` adds weighted products with no kernel call per left code: it
+tallies the right codes by that order once per set of left blocks, through ``_by_key``,
+into offsets that give each left code with those blocks its results; the right codes keep them.
 Validation stays at the boundary (the public constructors,
 ``SymComposition.from_full`` and ``from_wire``); kernel and enumerator
 output is valid by construction and built by ``weyl._trusted`` unchecked.
@@ -35,7 +35,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, getitem, sub
+from operator import add, getitem
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .budget import check_count, current_budget
@@ -178,47 +178,43 @@ def _keys(p, qs, kept):
     return map(sum(3 << 2 * i for i, (x, y) in pairs if p[x] == p[y]).__and__, kept[None])
 
 
-def _refine_all(ps, qs, anchor: Optional[int] = None):
-    """Yield, per left code p, [_refine(p, q, anchor) for q in qs], with one
-    kernel call per distinct key of q (its order on p's blocks of two or more
-    elements), on the last q of that key: any q of a key gives its result."""
-    kept = {}
-    for p in ps:
-        keys = list(_keys(p, qs, kept))
-        results = {key: _refine(p, q, anchor) for key, q in dict(zip(keys, qs)).items()}
-        yield list(map(results.__getitem__, keys))
+def _by_key(p, qs, anchor: Optional[int], kept):
+    """Each q's key (see ``_keys``), and per distinct key _refine(p, q, anchor) for the
+    last q of that key: any q of a key gives its result."""
+    keys = list(_keys(p, qs, kept))
+    return keys, {key: _refine(p, q, anchor) for key, q in dict(zip(keys, qs)).items()}
 
 
-def _tally(p, blocks, qs: dict, anchor: Optional[int], kept: dict):
-    """Keep in kept, and return, (weights, offsets) per distinct key of the qs on p's
-    blocks, named by first positions: a key's total weight, and d rotated by -lt."""
-    orders = list(_keys(p, qs, kept))
-    reps, totals = dict(zip(orders, qs)), Counter()
-    for (key, w), m in Counter(zip(orders, qs.values())).items():
+def _tally(blocks, qs: dict, anchor: Optional[int], kept: dict):
+    """Keep in kept, and return, (weights, offsets) per distinct key of the qs on p's blocks,
+    named by first positions: a key's total weight, and d rotated by -lt (see _refine_sums),
+    r - before + before[anchor] mod len(p), r refining p0, p's blocks by least element."""
+    first = sorted(blocks)
+    before = list(map(bisect_left, itertools.repeat(first), blocks))
+    p0 = tuple(map(bisect_right, itertools.repeat(first), blocks))
+    keys, results = _by_key(p0, qs, anchor, kept)
+    totals, size, offsets = Counter(), len(blocks), []
+    for (key, w), m in Counter(zip(keys, qs.values())).items():
         totals[key] += w * m
-    size, offsets = len(p), []
-    before = list(map(bisect_left, itertools.repeat(sorted(blocks)), blocks))
-    for q in reps.values():  # as in _refine, blocks standing for p
-        keys = list(map(add, map((size + 1).__mul__, blocks), q))
-        ordered = sorted(keys)
-        lt = 0 if anchor is None else bisect_left(ordered, keys[anchor]) - before[anchor]
-        d = map(sub, map(bisect_right, itertools.repeat(ordered), keys), before)
-        e = (bytes if size < 256 else tuple)(map(_ring(size, -lt).__getitem__, d))
+    c0 = 0 if anchor is None else before[anchor]
+    rings = list(map(_ring, itertools.repeat(size), map(c0.__sub__, before)))
+    for r in results.values():
+        e = (bytes if size < 256 else tuple)(map(getitem, rings, r))
         offsets.append(kept.setdefault(e, e))  # one offsets object per value
-    return kept.setdefault((anchor, blocks), (list(map(totals.__getitem__, reps)), offsets))
+    return kept.setdefault((anchor, blocks), (list(map(totals.__getitem__, results)), offsets))
 
 
-def _refine_sums(ps: dict, qs: dict, anchor: Optional[int] = None, kept: Optional[dict] = None):
+def _refine_sums(ps: dict, qs: dict, anchor: Optional[int], kept: dict):
     """{_refine(p, q, anchor): sum of cp * cq over its pairs}, ps and qs {code: coefficient}.
     _refine(p, q, anchor) is base + d rotated by start - lt: base[x] counts p's elements in
     blocks before x's, d[x] those of x's block in pieces up to x's; start is max(p), or
     -base[anchor] and lt the anchor's block-mates in earlier pieces.  d and lt read only
-    p's blocks, so the qs are tallied once per (anchor, blocks) into kept, which a caller
-    keeps with them; it holds the tallies by that key, the packed qs by None, offsets by value."""
-    kept, acc = {} if kept is None else kept, {}
+    p's blocks, so ``_tally`` runs once per (anchor, blocks) into kept, which a caller keeps
+    with the qs; it holds the tallies by that key, the packed qs by None, offsets by value."""
+    acc = {}
     for p, cp in ps.items():
         blocks = tuple(map(p.index, p))
-        weights, offsets = kept.get((anchor, blocks)) or _tally(p, blocks, qs, anchor, kept)
+        weights, offsets = kept.get((anchor, blocks)) or _tally(blocks, qs, anchor, kept)
         base, size = list(map(bisect_left, itertools.repeat(sorted(p)), p)), len(p)
         start = max(p) if anchor is None else -base[anchor]
         rings = list(map(_ring, itertools.repeat(size), map(start.__add__, base)))

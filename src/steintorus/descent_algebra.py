@@ -38,12 +38,12 @@ A face sum's state is its {position code: coefficient} dict (see
 first read.  ``face_sum_product`` refines every left code against every
 right code in one call of ``coxfaces._refine_sums``, which tallies the right
 coefficients by their order on a left code's blocks of two or more elements,
-once per set of such blocks, into offsets that give each result from the left
-code's block starts, with no kernel call, and adds each result's total times the
-left coefficient into the codes returned.  The right factor keeps the tallies
+once per set of such blocks and with one kernel call per order, into offsets that
+give each result from the left code's block starts, and adds each result's total
+times the left coefficient into the codes returned.  The right factor keeps the tallies
 across products, a function of its codes.  ``_face_table`` refines one face per
-colour against every face in one pass, and counts each result's colour per
-sigma_I; ``is_invariant`` permutes codes by each generator's moves, built once
+colour against every face, once per order, and counts the colour of each order's
+result per sigma_I; ``is_invariant`` permutes codes by each generator's moves, built once
 per code length; ``psi`` keeps per family each code's int key, ordered as its
 element's one-line values, and each key's element, built without the group, so
 it sums and sorts ints; the ``lrb`` and ``oracle`` suites index their products
@@ -571,10 +571,11 @@ def _face_table(kind: str, family: Family) -> dict:
     color_of = {r: K for K, orbit in lefts.items() for r in orbit._codes}
     faces = {q: I for I, sigma_I in sigma.items() for q in sigma_I._codes}
     anchor = torusfaces._anchor(family) if torus else None
-    expansions = {(I, J): {} for I in sigma for J in lefts}
-    firsts = [next(iter(s_J._codes)) for s_J in lefts.values()]
-    for (J, s_J), row in zip(lefts.items(), coxfaces._refine_all(firsts, faces, anchor)):
-        for (I, K), h in Counter(zip(faces.values(), map(color_of.__getitem__, row))).items():
+    expansions, kept = {(I, J): {} for I in sigma for J in lefts}, {}
+    for J, s_J in lefts.items():
+        keys, results = coxfaces._by_key(next(iter(s_J._codes)), faces, anchor, kept)
+        colour = {key: color_of[r] for key, r in results.items()}
+        for (I, K), h in Counter(zip(faces.values(), map(colour.__getitem__, keys))).items():
             expansions[I, J][K], rest = divmod(len(s_J._codes) * h, len(lefts[K]._codes))
             if rest:
                 raise ValidationError(f"orbit {sorted(K)} is not hit a whole number of times "
@@ -656,9 +657,10 @@ def _verify_psi(family: Family, seed=0):
 def _table(lefts, rights, anchor=None):
     """Per left code, the indices in lefts of its products with every right
     code; a product outside lefts, which only a kernel defect makes, is None."""
-    index_of = {p: i for i, p in enumerate(lefts)}
-    for row in coxfaces._refine_all(lefts, rights, anchor):
-        yield list(map(index_of.get, row))
+    index_of, kept = {p: i for i, p in enumerate(lefts)}, {}
+    for p in lefts:
+        keys, results = coxfaces._by_key(p, rights, anchor, kept)
+        yield list(map({key: index_of.get(r) for key, r in results.items()}.__getitem__, keys))
 
 
 def _verify_lrb(family: Family, seed=0):

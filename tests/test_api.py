@@ -6,6 +6,7 @@ through ``weyl._family``, and leak nothing."""
 import inspect
 import itertools
 import operator
+import re
 
 import pytest
 
@@ -15,10 +16,13 @@ from steintorus import coxfaces as cf
 from steintorus import descent_algebra as da
 from steintorus import torusfaces as tf
 from steintorus import weyl
+from steintorus.cli import main
 from steintorus.errors import FamilyMismatchError, SteintorusError, ValidationError
 from steintorus.weyl import ColorSet, Family, WeylElement, identity
 
 A3 = Family("A", 3)
+A4 = Family("A", 4)
+C2 = Family("C", 2)
 
 
 def objects(family):
@@ -146,3 +150,59 @@ def test_objects_take_the_first_objects_family_even_when_it_is_none():
     nowhere = weyl._trusted(da.GroupRingElement, None, ())
     with pytest.raises(FamilyMismatchError):
         da.multiply(nowhere, RING)
+
+
+VECTOR = SAMPLES["compact sign vector"]
+
+# Each refusal of the public API with the message it raises; an argv list is a CLI
+# call, which exits 1 with that message.
+REFUSALS = {
+    "face sum + necklace sum": (lambda: SUM + da.orbit_sum("sigmat", [1], A3),
+                                "a sum of faces and a sum of necklaces do not add"),
+    "torus right factor": (lambda: da.face_sum_product(SUM, da.orbit_sum("sigmat", [1], A3)),
+                           "the right factor must be a finite face sum"),
+    "basis kind": (lambda: da.basis_element("z", [1], A3), "unknown basis kind 'z'"),
+    "orbit sum kind": (lambda: da.orbit_sum("tau", [1], A3), "unknown orbit sum kind 'tau'"),
+    "SetComposition of C": (lambda: cf.SetComposition(C2, ((-2, -1, 0, 1, 2),)),
+                            "SetComposition is a type A object"),
+    "SymComposition of A": (lambda: cf.SymComposition(A3, (0,), ()),
+                            "SymComposition is a type C object"),
+    "SpinNecklace of C": (lambda: tf.SpinNecklace(C2, ((1,),), (1,)),
+                          "SpinNecklace is a type A object"),
+    "SymNecklace of A": (lambda: tf.SymNecklace(A3, (0,), (), None),
+                         "SymNecklace is a type C object"),
+    "zero block not its own negation": (lambda: cf.SymComposition(C2, (-1, 0), ((1,), (2,))),
+                                        "the central block must equal its own negation"),
+    "unsorted block": (lambda: cf.SetComposition(A3, ((2, 1), (3,))),
+                       "each block must be nonempty and sorted ascending"),
+    "SpinNecklace labels": (lambda: tf.SpinNecklace(A3, ((1, 2, 3),), (3, 3)),
+                            "one label per edge required"),
+    "make_spin labels": (lambda: tf.make_spin(A3, [(1, 2, 3)], [3, 1]),
+                         "need one label per edge"),
+    "empty tail": (lambda: tf.SplitNecklace(A3, ((1, 2, 3),), ()),
+                   "an empty tail is stored as None"),
+    "finite sign": (lambda: cf.FiniteSignVector(A3, ("x",) * 3), "signs must be in {-,0,+}"),
+    "finite sign count": (lambda: cf.FiniteSignVector(A3, ("+",) * 2),
+                          "wrong number of sign entries"),
+    "compact entry count": (lambda: ao.CompactSignVector(3, ((0, "+"),)),
+                            "one entry per pair i<j required"),
+    "compact sign": (lambda: ao.CompactSignVector(2, ((0, "-"),)), "signs must be '0' or '+'"),
+    "translate rank": (lambda: ao.translate(VECTOR, ao.CorootVector((1, -1))), "rank mismatch"),
+    "oracle_act family": (lambda: ao.oracle_act(VECTOR, cf.unit_face(A4)),
+                          "rank/family mismatch"),
+    "necklace wire non-object": (lambda: tf.from_wire(A3, [1]),
+                                 "necklace wire form must be an object"),
+    "group by colour": (["enumerate", "--family", "A", "--rank", "3", "--object", "group",
+                         "--color", "[1]"], "--color applies to faces and torus objects"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_each_refusal_raises_its_own_error(capsys, call, message):
+    if isinstance(call, list):
+        assert main(call) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and message in err
+        return
+    with pytest.raises(SteintorusError, match=re.escape(message)):
+        call()

@@ -266,10 +266,18 @@ def left_objects(family, torus):
     return list(walk(family))
 
 
+def batch(ps, qs, anchor):
+    """Per left code, its row read off ``_by_key``, one kept dict serving every left code."""
+    kept, rows = {}, []
+    for p in ps:
+        keys, results = cf._by_key(p, qs, anchor, kept)
+        rows.append(list(map(results.__getitem__, keys)))
+    return rows
+
+
 def assert_batch_matches(ps, qs, anchor):
-    """All left codes in one call give, per left code, its one-at-a-time row."""
-    assert list(cf._refine_all(ps, qs, anchor)) == [
-        [cf._refine(p, q, anchor) for q in qs] for p in ps]
+    """All left codes against one kept dict give, per left code, its one-at-a-time row."""
+    assert batch(ps, qs, anchor) == [[cf._refine(p, q, anchor) for q in qs] for p in ps]
 
 
 @pytest.mark.parametrize("family", [Family("A", n) for n in (2, 3, 4)]
@@ -277,9 +285,9 @@ def assert_batch_matches(ps, qs, anchor):
                          ids=lambda f: f"{f.tag}{f.rank}")
 @pytest.mark.parametrize("torus", [False, True], ids=["face", "necklace"])
 def test_batch_refinement_matches_one_pair_at_a_time(family, torus):
-    """Every left code against all face codes in one call; then shuffled
-    left codes, some repeated, against the face codes reversed, so a call
-    that reused another call's comparisons would differ; then no right codes,
+    """Every left code against all face codes in one batch; then shuffled
+    left codes, some repeated, against the face codes reversed, so a batch
+    that reused another batch's comparisons would differ; then no right codes,
     and no left codes.  Chamber and one-block left codes are among them."""
     code = tf._necklace_code if torus else cf._face_code
     anchor = tf._anchor(family) if torus else None
@@ -291,8 +299,8 @@ def test_batch_refinement_matches_one_pair_at_a_time(family, torus):
     mixed = ps + ps[::3]
     random.Random(len(ps)).shuffle(mixed)
     assert_batch_matches(mixed, qs[::-1], anchor)
-    assert list(cf._refine_all(ps, [], anchor)) == [[]] * len(ps)
-    assert list(cf._refine_all([], qs, anchor)) == []
+    assert batch(ps, [], anchor) == [[]] * len(ps)
+    assert batch([], qs, anchor) == []
 
 
 def assert_sums_match(ps, qs, anchor):
@@ -303,7 +311,7 @@ def assert_sums_match(ps, qs, anchor):
         for q, cq in qs.items():
             r = cf._refine(p, q, anchor)
             expected[r] = expected.get(r, 0) + cp * cq
-    assert cf._refine_sums(ps, qs, anchor) == expected
+    assert cf._refine_sums(ps, qs, anchor, {}) == expected
 
 
 @pytest.mark.parametrize("family", [Family("A", n) for n in (2, 3, 4)]
@@ -329,8 +337,8 @@ def test_refined_sums_match_one_pair_at_a_time(family, torus):
     cancelling[faces[0]] = -sum(cancelling.values())
     assert sum(cancelling.values()) == 0
     assert_sums_match(ps, cancelling, anchor)
-    assert cf._refine_sums(ps, {}, anchor) == {}
-    assert cf._refine_sums({}, weights, anchor) == {}
+    assert cf._refine_sums(ps, {}, anchor, {}) == {}
+    assert cf._refine_sums({}, weights, anchor, {}) == {}
 
 
 @pytest.mark.parametrize("family", [Family("A", 256), Family("C", 128)], ids=["A256", "C128"])

@@ -427,7 +427,7 @@ def test_lrb_catches_a_broken_kernel(monkeypatch, fam):
     # A product that returns its right factor keeps idempotence and
     # associativity, and breaks every other law.
     passing = da.verify("lrb", fam)
-    monkeypatch.setattr(cf, "_refine_all", lambda ps, qs, anchor=None: (list(qs) for p in ps))
+    monkeypatch.setattr(cf, "_by_key", lambda p, qs, anchor, kept: (list(qs), {q: q for q in qs}))
     report = da.verify("lrb", fam)
     assert not report["pass"]
     assert {f["law"] for f in report["failures"]} == {
@@ -474,8 +474,7 @@ def test_oracle_reports_every_failure(monkeypatch):
         for G in cf.enumerate_faces(A3)
     )
     assert expected > 6
-    monkeypatch.setattr(cf, "_refine_all",
-                        lambda ps, qs, anchor=None: ([p] * len(qs) for p in ps))
+    monkeypatch.setattr(cf, "_by_key", lambda p, qs, anchor, kept: ([0] * len(qs), {0: p}))
     report = da.verify("oracle", A3)
     failures = [f for f in report["failures"] if f["check"] == "action equivalence"]
     assert len(failures) == expected
@@ -520,8 +519,8 @@ def test_a_product_that_is_no_face_fails_the_laws_that_read_it(monkeypatch):
     makes, is reported as failures with witnesses, not raised."""
     faces, necklaces = list(cf.enumerate_faces(A3)), list(tf.enumerate_torus_faces(A3))
     passing = [da.verify(suite, A3)["checks"] for suite in ("lrb", "oracle")]
-    monkeypatch.setattr(cf, "_refine_all",
-                        lambda ps, qs, anchor=None: ([p + (0,)] * len(qs) for p in ps))
+    monkeypatch.setattr(cf, "_by_key",
+                        lambda p, qs, anchor, kept: ([0] * len(qs), {0: p + (0,)}))
     lrb, oracle = da.verify("lrb", A3), da.verify("oracle", A3)
     laws = Counter(f["law"] for f in lrb["failures"])
     assert set(laws) == {"idempotent", "unit", "chamber absorption", "xyx=xy",
@@ -563,6 +562,133 @@ def test_oracle_side_drives_the_verdict(monkeypatch):
     report = da.verify("oracle", A3)
     assert {f["check"] for f in report["failures"]} == {"action equivalence"}
     assert report["checks"] == passing["checks"]
+
+
+@pytest.mark.parametrize("fam, failed", [(A3, 8), (C2, 28)], ids=["A3", "C2"])
+def test_psi_catches_a_broken_kernel(monkeypatch, fam, failed):
+    """Face-sum products reach the one kernel: a kernel that reverses every result with
+    more than two distinct values fails the psi suite, which the tables and the CLI share."""
+    passing, refine = da.verify("psi", fam), cf._refine
+
+    def reversed_kernel(p, q, anchor=None):
+        r = refine(p, q, anchor)
+        return r[::-1] if len(set(r)) > 2 else r
+
+    monkeypatch.setattr(cf, "_refine", reversed_kernel)
+    report = da.verify("psi", fam)
+    assert passing["pass"] and len(report["failures"]) == failed
+    assert report["checks"] == passing["checks"]
+
+
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+def test_psi_reports_a_wrong_image_of_an_orbit_sum(monkeypatch, fam):
+    """An element map wrong on the one-block face alone: psi(sigma_J) is not x_J at the
+    empty J, whose one face that is."""
+    unit, w_of_code = cf._face_code(cf.unit_face(fam)), cf._w_of_code
+    monkeypatch.setattr(da, "_element_cache", {})
+    monkeypatch.setattr(cf, "_w_of_code", lambda family, code: (
+        w_of_code(family, code)[::-1] if code == unit else w_of_code(family, code)))
+    report = da.verify("psi", fam)
+    assert {"identity": "psi(sigma_J) = x_J", "I": [], "J": []} in report["failures"]
+
+
+def _replacing_one_face(monkeypatch, torus, J, by=()):
+    """Orbit sums whose colour-J sum (of torus faces if torus) has its first face
+    replaced by the faces in ``by``, by none unless given."""
+    orbit_sums = da._orbit_sums
+
+    def replaced(family, t):
+        sums = orbit_sums(family, t)
+        if t == torus:
+            sums[J] = da.FaceSum(family, t, tuple((F, 1) for F in by) + sums[J].coeffs[1:])
+        return sums
+
+    monkeypatch.setattr(da, "_orbit_sums", replaced)
+
+
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+@pytest.mark.parametrize("torus, check", [(False, "chamber count"),
+                                          (True, "maximal torus faces")],
+                         ids=["chambers", "maximal"])
+def test_counts_reports_a_missing_chamber_or_maximal_torus_face(monkeypatch, fam, torus,
+                                                                check):
+    _replacing_one_face(monkeypatch, torus,
+                        frozenset(fam.affine_indices() if torus else fam.finite_indices()))
+    report = da.verify("counts", fam)
+    assert {"check": check, "got": fam.group_order() - 1} in report["failures"]
+
+
+def test_counts_reports_an_orbit_of_the_wrong_size(monkeypatch):
+    _replacing_one_face(monkeypatch, False, frozenset({1}))
+    report = da.verify("counts", A3)
+    assert report["failures"] == [{"check": "finite descent bijection", "J": [1]},
+                                  {"check": "orbit size", "J": [1]}]
+
+
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+def test_counts_reports_a_broken_descent_bijection(monkeypatch, fam):
+    """sigma_{1} with its first face swapped for the last chamber, whose element has a
+    descent outside {1}: the orbit keeps its size, and only the finite bijection fails."""
+    last_chamber = max(cf.enumerate_faces(fam, ColorSet(fam, fam.finite_indices())))
+    _replacing_one_face(monkeypatch, False, frozenset({1}), by=[last_chamber])
+    report = da.verify("counts", fam)
+    assert report["failures"] == [{"check": "finite descent bijection", "J": [1]}]
+
+
+def _oracle_failures(monkeypatch, name, broken):
+    monkeypatch.setattr(ao, name, broken)
+    report = da.verify("oracle", A3)
+    assert report["checks"] == 1049
+    return Counter(f["check"] for f in report["failures"]), report["failures"]
+
+
+def _necklace_not_sampled_first():
+    """A necklace of A3 that the oracle's seeded sample does not draw first."""
+    necklaces = list(tf.enumerate_torus_faces(A3))
+    first = random.Random(0).choice(necklaces)
+    return next(N for N in necklaces if N != first and N != necklaces[0]), necklaces[0]
+
+
+def test_oracle_reports_a_lift_that_projects_elsewhere(monkeypatch):
+    N0, N1 = _necklace_not_sampled_first()
+    lift = ao.lift
+    checks, failures = _oracle_failures(
+        monkeypatch, "lift", lambda N: lift(N1) if N == N0 else lift(N))
+    assert {"check": "project(lift(N)) = N", "N": str(N0)} in failures
+    assert checks["project(lift(N)) = N"] == 1
+
+
+def test_oracle_reports_a_lift_off_its_canonical_place(monkeypatch):
+    """A lift of one necklace moved by a coroot the first time it is asked, so that
+    ``_locate`` measures it against the canonical lift: only the location fails."""
+    N0, _ = _necklace_not_sampled_first()
+    lift, moved = ao.lift, []
+
+    def drifting(N):
+        if N == N0 and not moved:
+            moved.append(N)
+            return ao.translate(lift(N), ao.CorootVector((1, 0, -1)))
+        return lift(N)
+
+    checks, failures = _oracle_failures(monkeypatch, "lift", drifting)
+    assert failures == [{"check": "locate canonical lift", "N": str(N0)}]
+
+
+def test_oracle_reports_a_translation_that_does_not_commute_with_the_action(monkeypatch):
+    """A translation that moves canonical lifts only: the action of a face takes most
+    lifts off the canonical ones, so translating before and after it differ."""
+    lifts = {ao.lift(N) for N in tf.enumerate_torus_faces(A3)}
+    translate = ao.translate
+    checks, _ = _oracle_failures(
+        monkeypatch, "translate", lambda V, mu: translate(V, mu) if V in lifts else V)
+    assert set(checks) == {"translation equivariance"}
+
+
+def test_oracle_reports_a_translation_that_moves_nothing(monkeypatch):
+    """A translation that is a no-op commutes with the action but is located at 0:
+    each of the 18 nonzero coroot vectors fails once."""
+    checks, _ = _oracle_failures(monkeypatch, "translate", lambda V, mu: V)
+    assert checks == {"locate translate": 18}
 
 
 def test_verify_all():
@@ -702,7 +828,8 @@ def test_a_colour_set_of_another_family_is_refused_as_an_index_set():
 
 
 # ---------------------------------------------------------------------------
-# face-sum products: no kernel call, one tally per block set, kept with the right factor
+# face-sum products: the kernel only in tallies, one tally per block set, kept with the
+# right factor
 
 
 def _products(fam):
@@ -731,18 +858,44 @@ def _double_loop(s, t):
     return {r: c for r, c in acc.items() if c}
 
 
+def _order(q, blocks):
+    """Code q's order, ties included, on each pair of positions within one of the blocks."""
+    return tuple((q[x] > q[y]) - (q[x] < q[y])
+                 for b in blocks for x, y in itertools.combinations(sorted(b), 2))
+
+
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
-def test_face_sum_products_call_no_kernel(monkeypatch, fam):
-    """Every product of ``_products`` equals the double loop, and reads its
-    results off the right factor's tallies with no kernel call."""
+def test_face_sum_products_call_the_kernel_only_to_tally(monkeypatch, fam):
+    """Every product of ``_products`` equals the double loop.  Products call the kernel
+    only while tallying, once per (right factor, anchor, block set, distinct order of
+    the right codes on those blocks); a second pass over the same products calls it not
+    at all."""
     products = _products(fam)
     expected = [_double_loop(s, t) for s, t in products]
+    tally, refine, tallying, made = cf._tally, cf._refine, [], Counter()
 
-    def refuse(p, q, anchor=None):
-        raise AssertionError("a face-sum product called the kernel")
+    def counted_tally(blocks, qs, anchor, kept):
+        tallying.append(id(kept))
+        try:
+            return tally(blocks, qs, anchor, kept)
+        finally:
+            tallying.pop()
 
-    monkeypatch.setattr(cf, "_refine", refuse)
-    assert [da.face_sum_product(s, t)._codes for s, t in products] == expected
+    def counted_refine(p, q, anchor=None):
+        assert tallying, "a face-sum product called the kernel outside a tally"
+        made[tallying[-1], anchor, _block_set(p)] += 1
+        return refine(p, q, anchor)
+
+    monkeypatch.setattr(cf, "_tally", counted_tally)
+    monkeypatch.setattr(cf, "_refine", counted_refine)
+    met = Counter()
+    for s, t in products:
+        for blocks in map(_block_set, s._codes):
+            met[id(t._tallies), tf._anchor(fam) if s.torus else None, blocks] = len(
+                {_order(q, blocks) for q in t._codes})
+    for _ in range(2):
+        assert [da.face_sum_product(s, t)._codes for s, t in products] == expected
+        assert made == met
 
 
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
@@ -753,9 +906,9 @@ def test_right_factor_tallies_once_per_block_set(monkeypatch, fam):
     products = _products(fam)
     tally, built = cf._tally, Counter()
 
-    def counted(p, blocks, qs, anchor, kept):
-        built[id(kept), anchor, _block_set(p)] += 1
-        return tally(p, blocks, qs, anchor, kept)
+    def counted(blocks, qs, anchor, kept):
+        built[id(kept), anchor, _block_set(blocks)] += 1
+        return tally(blocks, qs, anchor, kept)
 
     monkeypatch.setattr(cf, "_tally", counted)
     met = Counter({(id(t._tallies), tf._anchor(fam) if s.torus else None, _block_set(p)): 1
@@ -811,8 +964,8 @@ def test_offsets_are_interned_per_right_factor(monkeypatch, fam):
     factor's offsets are freed with it, not held by a table across factors."""
     tally, built = cf._tally, {}
 
-    def recording(p, blocks, qs, anchor, kept):
-        weights, offsets = tally(p, blocks, qs, anchor, kept)
+    def recording(blocks, qs, anchor, kept):
+        weights, offsets = tally(blocks, qs, anchor, kept)
         built.setdefault(id(kept), []).extend(offsets)
         return weights, offsets
 
@@ -1154,8 +1307,10 @@ def _all_pairs_entries(kind, fam):
         right = sigma[I]._codes
         for J in da._subsets(fam.affine_indices() if torus else fam.finite_indices(),
                              nonempty=torus):
-            counts = Counter(r for row in cf._refine_all(lefts[J]._codes, right, anchor)
-                             for r in row)
+            counts, kept = Counter(), {}
+            for p in lefts[J]._codes:
+                keys, results = cf._by_key(p, right, anchor, kept)
+                counts.update(map(results.__getitem__, keys))
             expansion = {}
             for K, orbit in lefts.items():
                 values = {counts[r] for r in orbit._codes}
@@ -1203,14 +1358,16 @@ def test_a_table_refuses_an_orbit_hit_a_fractional_number_of_times(monkeypatch, 
     within a colour: the table raises, and `mult-table` exits 1 with one stderr line."""
     lefts = da._orbit_sums(A3, kind == "module")
     stray = next(iter(max(lefts.values(), key=lambda s: len(s._codes))._codes))
-    refine_all = cf._refine_all
+    by_key = cf._by_key
 
-    def broken(ps, qs, anchor=None):
-        rows = refine_all(ps, qs, anchor)
-        yield [stray] + next(rows)[1:]
-        yield from rows
+    def broken(p, qs, anchor, kept):
+        first = not kept  # a table's first call finds its kept dict empty
+        keys, results = by_key(p, qs, anchor, kept)
+        if first:
+            keys[0], results["stray"] = "stray", stray
+        return keys, results
 
-    monkeypatch.setattr(cf, "_refine_all", broken)
+    monkeypatch.setattr(cf, "_by_key", broken)
     with pytest.raises(ValidationError, match="not hit a whole number of times"):
         TABLES[kind][0](A3)
     assert main(["mult-table", "--family", "A", "--rank", "3", "--kind", kind]) == 1
