@@ -21,7 +21,8 @@ so ``_by_key``, one left code against many right codes, calls the one
 kernel once per distinct order on p's blocks; every batched caller goes through it.
 ``_refine_sums`` adds weighted products with no kernel call per left code: it
 tallies the right codes by that order once per set of left blocks, through ``_by_key``,
-into offsets that give each left code with those blocks its results; the right codes keep them.
+into offsets that give each left code with those blocks its results.  Each factor keeps
+its own part: the right codes keep the tallies, each left code its frame of block starts.
 Validation stays at the boundary (the public constructors,
 ``SymComposition.from_full`` and ``from_wire``); kernel and enumerator
 output is valid by construction and built by ``weyl._trusted`` unchecked.
@@ -204,20 +205,24 @@ def _tally(blocks, qs: dict, anchor: Optional[int], kept: dict):
     return kept.setdefault((anchor, blocks), (list(map(totals.__getitem__, results)), offsets))
 
 
-def _refine_sums(ps: dict, qs: dict, anchor: Optional[int], kept: dict):
+def _refine_sums(ps: dict, qs: dict, anchor: Optional[int], kept: dict, frames: dict):
     """{_refine(p, q, anchor): sum of cp * cq over its pairs}, ps and qs {code: coefficient}.
     _refine(p, q, anchor) is base + d rotated by start - lt: base[x] counts p's elements in
     blocks before x's, d[x] those of x's block in pieces up to x's; start is max(p), or
     -base[anchor] and lt the anchor's block-mates in earlier pieces.  d and lt read only
     p's blocks, so ``_tally`` runs once per (anchor, blocks) into kept, which a caller keeps
-    with the qs; it holds the tallies by that key, the packed qs by None, offsets by value."""
+    with the qs; it holds the tallies by that key, the packed qs by None, offsets by value.
+    Each factor keeps its own part: frames, kept with the ps for one anchor, holds per p
+    its frame, the tally key (anchor, blocks) and the rings of its block starts."""
     acc = {}
     for p, cp in ps.items():
-        blocks = tuple(map(p.index, p))
-        weights, offsets = kept.get((anchor, blocks)) or _tally(blocks, qs, anchor, kept)
-        base, size = list(map(bisect_left, itertools.repeat(sorted(p)), p)), len(p)
-        start = max(p) if anchor is None else -base[anchor]
-        rings = list(map(_ring, itertools.repeat(size), map(start.__add__, base)))
+        if (frame := frames.get(p)) is None:  # p met first: its frame, built once
+            base, size = list(map(bisect_left, itertools.repeat(sorted(p)), p)), len(p)
+            start = max(p) if anchor is None else -base[anchor]
+            frame = frames[p] = ((anchor, tuple(map(p.index, p))), list(
+                map(_ring, itertools.repeat(size), map(start.__add__, base))))
+        key, rings = frame
+        weights, offsets = kept.get(key) or _tally(key[1], qs, anchor, kept)
         for r, w in zip([tuple(map(getitem, rings, e)) for e in offsets], weights):
             acc[r] = acc.get(r, 0) + cp * w
     return acc

@@ -40,8 +40,8 @@ right code in one call of ``coxfaces._refine_sums``, which tallies the right
 coefficients by their order on a left code's blocks of two or more elements,
 once per set of such blocks and with one kernel call per order, into offsets that
 give each result from the left code's block starts, and adds each result's total
-times the left coefficient into the codes returned.  The right factor keeps the tallies
-across products, a function of its codes.  ``_face_table`` refines one face per
+times the left coefficient into the codes returned.  Each factor keeps its part across
+products: the right its tallies, the left its codes' frames.  ``_face_table`` refines one face per
 colour against every face, once per order, and counts the colour of each order's
 result per sigma_I; ``is_invariant`` permutes codes by each generator's moves, built once
 per code length; ``psi`` keeps per family each code's int key, ordered as its
@@ -435,10 +435,10 @@ class FaceSum:
         return tuple(sorted(((build(self.family, r), c) for r, c in self._codes.items()),
                             key=itemgetter(0)))
 
-    @functools.cached_property
-    def _tallies(self) -> dict:
-        """Its tallies as a right factor (see ``coxfaces._refine_sums``), filled on use."""
-        return {}
+    # Kept apart and filled on use (see coxfaces._refine_sums): its tallies as a right
+    # factor, and its codes' frames as a left factor.
+    _tallies = functools.cached_property(lambda self: {})
+    _frames = functools.cached_property(lambda self: {})
 
     def __hash__(self):
         return hash((self.family, self.torus, frozenset(self._codes.items())))
@@ -476,8 +476,10 @@ def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
     anchor = torusfaces._anchor(s.family) if s.torus else None
-    acc = coxfaces._refine_sums(s._codes, t._codes, anchor, t._tallies)
-    return _trusted(FaceSum, s.family, s.torus, {r: c for r, c in acc.items() if c})
+    acc = coxfaces._refine_sums(s._codes, t._codes, anchor, t._tallies, s._frames)
+    if 0 in acc.values():  # a coefficient cancelled
+        acc = {r: c for r, c in acc.items() if c}
+    return _trusted(FaceSum, s.family, s.torus, acc)
 
 
 def _generators(family: Family):
@@ -765,14 +767,17 @@ def _verify_oracle(family: Family, seed=0):
     necklaces = list(torusfaces.enumerate_torus_faces(family))
     faces = list(coxfaces.enumerate_faces(family))
     signs = [coxfaces.sign_vector(G).signs for G in faces]
-    lifted = [(N, oracle.lift(N)) for N in necklaces]
+    lifted, n = [(N, oracle.lift(N)) for N in necklaces], family.rank
     for N, V in lifted:
         checks += 1
         if project(V) != N:
             failures.append({"check": "project(lift(N)) = N", "N": str(N)})
         mu, w = oracle._locate(V, project(V))
         checks += 1
-        if any(mu.coords) or w != torusfaces.w_of_torus_face(N):
+        blocks = torusfaces.split(N).blocks  # read apart from lift: block p at p, the tail at m
+        at = [next((p for p, b in enumerate(blocks) if x in b), len(blocks)) for x in range(n + 1)]
+        if (any(mu.coords) or w != torusfaces.w_of_torus_face(N)
+                or V != oracle._vector_from_coords(n, at, len(blocks))):
             failures.append({"check": "locate canonical lift", "N": str(N)})
     rows = _table([torusfaces._necklace_code(N) for N in necklaces],
                   [coxfaces._face_code(G) for G in faces], torusfaces._anchor(family))
@@ -784,7 +789,6 @@ def _verify_oracle(family: Family, seed=0):
                     {"check": "action equivalence", "N": str(N), "G": str(G)}
                 )
     # Translation equivariance over small coroot vectors, sampled pairs.
-    n = family.rank
     mus = [
         oracle.CorootVector(coords)
         for coords in itertools.product(range(-2, 3), repeat=n)

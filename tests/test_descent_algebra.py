@@ -674,6 +674,16 @@ def test_oracle_reports_a_lift_off_its_canonical_place(monkeypatch):
     assert failures == [{"check": "locate canonical lift", "N": str(N0)}]
 
 
+def test_oracle_reports_every_lift_moved_by_one_coroot(monkeypatch):
+    """A lift moved by the same coroot translate on every call still projects to its
+    necklace and locates at 0 against itself; only the comparison with the point read
+    off the split necklace sees it, once per necklace."""
+    lift = ao.lift
+    checks, _ = _oracle_failures(
+        monkeypatch, "lift", lambda N: ao.translate(lift(N), ao.CorootVector((1, 0, -1))))
+    assert checks == {"locate canonical lift": len(list(tf.enumerate_torus_faces(A3)))}
+
+
 def test_oracle_reports_a_translation_that_does_not_commute_with_the_action(monkeypatch):
     """A translation that moves canonical lifts only: the action of a face takes most
     lifts off the canonical ones, so translating before and after it differ."""
@@ -981,6 +991,112 @@ def test_offsets_are_interned_per_right_factor(monkeypatch, fam):
         assert len(offsets) > len(set(offsets)) == len(set(map(id, offsets)))
     assert set(held[0]) == set(held[1])
     assert not set(map(id, held[0])) & set(map(id, held[1]))
+
+
+def _fresh(s):
+    """An equal copy of the face sum s, with none of its kept dicts."""
+    return da.FaceSum.from_dict(s.family, s.torus, s.as_dict())
+
+
+@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
+def test_left_factor_builds_each_frame_once(monkeypatch, fam):
+    """Against right factors whose tallies are warm, a fresh left factor builds each
+    code's frame once, one ring per position, across all of them, and nothing on a
+    second pass: its frames stay the same objects, one per code.  Its warm original
+    shares none of them."""
+    sigma = da._orbit_sums(fam, False)
+    lefts = [*sigma.values(), *da._orbit_sums(fam, True).values()]
+    for s in lefts:
+        for t in sigma.values():
+            da.face_sum_product(s, t)
+    ring, calls = cf._ring, []
+    monkeypatch.setattr(cf, "_ring", lambda size, shift: calls.append(size) or ring(size, shift))
+    copies = list(map(_fresh, lefts))
+    for second in (False, True):
+        for s in copies:
+            held = dict(s.__dict__.get("_frames", {}))
+            calls.clear()
+            for t in sigma.values():
+                da.face_sum_product(s, t)
+            assert len(calls) == (0 if second else sum(map(len, s._codes)))
+            assert s._frames.keys() == s._codes.keys()
+            assert all(s._frames[p] is frame for p, frame in held.items())
+    for s, copy in zip(lefts, copies):
+        assert s._frames is not copy._frames
+        assert not set(map(id, s._frames.values())) & set(map(id, copy._frames.values()))
+
+
+@pytest.mark.parametrize("fam", [A3, A4, C2, C3], ids=["A3", "A4", "C2", "C3"])
+def test_warm_frames_give_the_products_of_fresh_copies(fam):
+    """Every s_J * sigma_K, finite side then module side, twice over the same sums (so
+    each sigma_K serves both anchors, as left and as right factor, and every frame and
+    tally is warm the second time), equals the product of fresh equal copies of both."""
+    sigma = da._orbit_sums(fam, False)
+    products = [(s, t) for s in [*sigma.values(), *da._orbit_sums(fam, True).values()]
+                for t in sigma.values()]
+    for _ in range(2):
+        for s, t in products:
+            assert da.face_sum_product(s, t) == da.face_sum_product(_fresh(s), _fresh(t))
+
+
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+def test_a_right_factor_used_as_a_left_one_keeps_its_dicts_apart(fam):
+    """A sum used first as a right factor holds tallies and no frames; used then as a
+    left factor it adds one frame per code to a dict of its own, leaves its tallies as
+    they were, and gives the double loop's products."""
+    sigma = da._orbit_sums(fam, False)
+    t = da.orbit_sum("sigma", [1], fam)
+    for s in [*sigma.values(), *da._orbit_sums(fam, True).values()]:
+        da.face_sum_product(s, t)
+    tallies = dict(t._tallies)
+    assert tallies and "_frames" not in vars(t)
+    for u in sigma.values():
+        assert da.face_sum_product(t, u)._codes == _double_loop(t, u)
+    assert t._tallies == tallies and all(t._tallies[k] is v for k, v in tallies.items())
+    assert t._frames is not t._tallies and t._frames.keys() == t._codes.keys()
+
+
+@pytest.mark.parametrize("fam", [Family("C", 1), C2], ids=["C1", "C2"])
+def test_a_necklace_sum_and_a_face_sum_of_one_code_keep_their_frames_apart(fam):
+    """Type C face and necklace codes share the one-block code.  A face sum and a
+    necklace sum of it, used in turn as left factors against every sigma_K, each give
+    the double loop's products, and each frame carries its own anchor."""
+    shared = ({cf._face_code(F) for F in cf.enumerate_faces(fam)}
+              & {tf._necklace_code(N) for N in tf.enumerate_torus_faces(fam)})
+    assert shared
+    for code in shared:
+        face = da.FaceSum.from_dict(fam, False, {cf._from_code(fam, code): 2})
+        necklace = da.FaceSum.from_dict(fam, True, {tf._from_code(fam, code): 3})
+        for t in da._orbit_sums(fam, False).values():
+            for s in (face, necklace, face):
+                assert da.face_sum_product(s, t)._codes == _double_loop(s, t)
+        blocks = tuple(map(code.index, code))
+        assert face._frames[code][0] == (None, blocks)
+        assert necklace._frames[code][0] == (tf._anchor(fam), blocks)
+
+
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+@pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
+def test_cancelling_products_keep_no_zero(fam, torus):
+    """Seeded signs on every face (or necklace) times the first chamber minus the last:
+    some results cancel, none is kept with a zero coefficient, and the product is the
+    sum of the products taken one pair at a time."""
+    objects = list(tf.enumerate_torus_faces(fam) if torus else cf.enumerate_faces(fam))
+    rng = random.Random(f"{fam.tag}{fam.rank}{torus}")
+    s = da.FaceSum.from_dict(fam, torus, {X: rng.choice((-1, 1)) for X in objects})
+    chambers = list(cf.enumerate_faces(fam, ColorSet(fam, fam.finite_indices())))
+    t = da.FaceSum.from_dict(fam, False, {chambers[0]: 1, chambers[-1]: -1})
+    anchor = tf._anchor(fam) if torus else None
+    assert 0 in cf._refine_sums(s._codes, t._codes, anchor, {}, {}).values()
+    product = da.face_sum_product(s, t)
+    assert product._codes and 0 not in product._codes.values()
+    pairwise = da.FaceSum.from_dict(fam, torus, {})
+    for X, cx in s.coeffs:
+        for G, cg in t.coeffs:
+            one = da.face_sum_product(da.FaceSum.from_dict(fam, torus, {X: cx}),
+                                      da.FaceSum.from_dict(fam, False, {G: cg}))
+            pairwise = pairwise + one
+    assert product == pairwise
 
 
 def test_face_sum_repr_shows_faces():
