@@ -19,10 +19,10 @@ block of p with two or more elements: it compares q[x] with q[y] only for
 x and y in one block of p.  ``_keys`` reads that order off one packed int per q,
 so ``_by_key``, one left code against many right codes, calls the one
 kernel once per distinct order on p's blocks; every batched caller goes through it.
-``_refine_sums`` adds weighted products with no kernel call per left code: it
-tallies the right codes by that order once per set of left blocks, through ``_by_key``,
-into offsets that give each left code with those blocks its results.  Each factor keeps
-its own part: the right codes keep the tallies, each left code its frame of block starts.
+``_refine_sums`` adds weighted products with no kernel call per left code: it tallies
+the right codes by that order once per set of left blocks, through ``_by_key``, into
+the refinements of those blocks taken by least element, kept with the right codes; each
+left code reads its results off them through its frame, built once a process.
 Validation stays at the boundary (the public constructors,
 ``SymComposition.from_full`` and ``from_wire``); kernel and enumerator
 output is valid by construction and built by ``weyl._trusted`` unchecked.
@@ -44,6 +44,7 @@ from .errors import BudgetExceededError, FamilyMismatchError, ValidationError
 from .weyl import ColorSet, Family, WeylElement, _family, _same_family, _trusted
 
 Block = Tuple[int, ...]
+_frames: dict = {}  # per anchor, {left code: its frame}, built once a process (_refine_sums)
 
 
 def _check_blocks(blocks, lo: int, n: int) -> None:
@@ -187,43 +188,40 @@ def _by_key(p, qs, anchor: Optional[int], kept):
 
 
 def _tally(blocks, qs: dict, anchor: Optional[int], kept: dict):
-    """Keep in kept, and return, (weights, offsets) per distinct key of the qs on p's blocks,
-    named by first positions: a key's total weight, and d rotated by -lt (see _refine_sums),
-    r - before + before[anchor] mod len(p), r refining p0, p's blocks by least element."""
-    first = sorted(blocks)
-    before = list(map(bisect_left, itertools.repeat(first), blocks))
-    p0 = tuple(map(bisect_right, itertools.repeat(first), blocks))
+    """Keep in kept, and return, (weights, results) per distinct key of the qs on p's blocks,
+    named by first positions: a key's total weight, and _refine(p0, q, anchor) unrotated,
+    p0 p's blocks ordered by least element, one object per value (see ``_refine_sums``)."""
+    p0 = tuple(map(bisect_right, itertools.repeat(sorted(blocks)), blocks))
     keys, results = _by_key(p0, qs, anchor, kept)
-    totals, size, offsets = Counter(), len(blocks), []
+    totals, cast = Counter(), bytes if len(blocks) < 256 else tuple
     for (key, w), m in Counter(zip(keys, qs.values())).items():
         totals[key] += w * m
-    c0 = 0 if anchor is None else before[anchor]
-    rings = list(map(_ring, itertools.repeat(size), map(c0.__sub__, before)))
-    for r in results.values():
-        e = (bytes if size < 256 else tuple)(map(getitem, rings, r))
-        offsets.append(kept.setdefault(e, e))  # one offsets object per value
-    return kept.setdefault((anchor, blocks), (list(map(totals.__getitem__, results)), offsets))
+    return kept.setdefault((anchor, blocks), (list(map(totals.__getitem__, results)), [
+        kept.setdefault(r, r) for r in map(cast, results.values())]))  # one per value
 
 
-def _refine_sums(ps: dict, qs: dict, anchor: Optional[int], kept: dict, frames: dict):
+def _refine_sums(ps: dict, qs: dict, anchor: Optional[int], kept: dict):
     """{_refine(p, q, anchor): sum of cp * cq over its pairs}, ps and qs {code: coefficient}.
     _refine(p, q, anchor) is base + d rotated by start - lt: base[x] counts p's elements in
     blocks before x's, d[x] those of x's block in pieces up to x's; start is max(p), or
     -base[anchor] and lt the anchor's block-mates in earlier pieces.  d and lt read only
     p's blocks, so ``_tally`` runs once per (anchor, blocks) into kept, which a caller keeps
-    with the qs; it holds the tallies by that key, the packed qs by None, offsets by value.
-    Each factor keeps its own part: frames, kept with the ps for one anchor, holds per p
-    its frame, the tally key (anchor, blocks) and the rings of its block starts."""
-    acc = {}
+    with the qs; it holds the tallies by that key, the packed qs by None, results by value.
+    A result r refines p0, with before[x] elements in blocks before x's, so x's entry is
+    r[x] rotated by start + base[x] - before[x], start now max(p) or before[anchor] -
+    base[anchor]; p's frame in _frames[anchor] holds the tally key and these rings."""
+    acc, frames = {}, _frames.setdefault(anchor, {})
     for p, cp in ps.items():
         if (frame := frames.get(p)) is None:  # p met first: its frame, built once
-            base, size = list(map(bisect_left, itertools.repeat(sorted(p)), p)), len(p)
-            start = max(p) if anchor is None else -base[anchor]
-            frame = frames[p] = ((anchor, tuple(map(p.index, p))), list(
-                map(_ring, itertools.repeat(size), map(start.__add__, base))))
+            blocks = tuple(map(p.index, p))
+            base = list(map(bisect_left, itertools.repeat(sorted(p)), p))
+            before = list(map(bisect_left, itertools.repeat(sorted(blocks)), blocks))
+            start = max(p) if anchor is None else before[anchor] - base[anchor]
+            frame = frames[p] = ((anchor, blocks), [
+                _ring(len(p), start + b - e) for b, e in zip(base, before)])
         key, rings = frame
-        weights, offsets = kept.get(key) or _tally(key[1], qs, anchor, kept)
-        for r, w in zip([tuple(map(getitem, rings, e)) for e in offsets], weights):
+        weights, results = kept.get(key) or _tally(key[1], qs, anchor, kept)
+        for r, w in zip([tuple(map(getitem, rings, e)) for e in results], weights):
             acc[r] = acc.get(r, 0) + cp * w
     return acc
 
@@ -305,7 +303,7 @@ def tits_product(F: Composition, G: Composition) -> Composition:
 
 def unit_face(family: Family) -> Composition:
     """The one-block composition: unit of the Tits product."""
-    n = family.rank
+    n = _family(family).rank
     return _from_full(family, (tuple(range(1 if family.tag == "A" else -n, n + 1)),))
 
 
@@ -392,7 +390,7 @@ def _fubini(n: int) -> List[int]:
 def count_faces(family: Family) -> int:
     """Type A: F(n).  Type C: the s positive elements of the zero block, then
     a signed ordered partition of the other n - s."""
-    n = family.rank
+    n = _family(family).rank
     F = _fubini(n)
     if family.tag == "A":
         return F[n]
@@ -432,7 +430,7 @@ def enumerate_faces(
     """All faces, or the W-orbit of the given color set, once each and built
     unchecked.  The color's block sizes are a type A face's blocks, or a type
     C zero block's count of positive elements, then the right half's blocks."""
-    sizes = _block_sizes(family, color)
+    sizes = _block_sizes(_family(family), color)
     if color is not None and family.affine_index in color:
         raise ValidationError("finite color sets exclude the affine index")
     _check_walk(family, sizes, count_faces)

@@ -38,10 +38,10 @@ A face sum's state is its {position code: coefficient} dict (see
 first read.  ``face_sum_product`` refines every left code against every
 right code in one call of ``coxfaces._refine_sums``, which tallies the right
 coefficients by their order on a left code's blocks of two or more elements,
-once per set of such blocks and with one kernel call per order, into offsets that
-give each result from the left code's block starts, and adds each result's total
-times the left coefficient into the codes returned.  Each factor keeps its part across
-products: the right its tallies, the left its codes' frames.  ``_face_table`` refines one face per
+once per set of such blocks and with one kernel call per order, into results that
+each left code rotates once, position by position, and adds each result's total
+times the left coefficient into the codes returned.  The right factor keeps its
+tallies; a code's rotations are built once a process.  ``_face_table`` refines one face per
 colour against every face, once per order, and counts the colour of each order's
 result per sigma_I; ``is_invariant`` permutes codes by each generator's moves, built once
 per code length; ``psi`` keeps per family each code's int key, ordered as its
@@ -113,15 +113,15 @@ class _GroupData:
                 self.masks[kind], self.mask_of[kind] = masks, mask_of
                 self.first_of[kind] = first_of
 
-    def rows(self):
-        """Per element w in index order, the tuple of the index of w * v for each
-        v in index order.  As w * v = prev * (d * v), prev the element before w (the
-        identity before the first) and d = prev^-1 * w, w's row is prev's read at
-        d's row; each distinct d's row, O(n^2) in all, is read directly once a call:
-        itemgetter(0, *v) reads 0, d(v_1), ..., d(v_n) off image, image[x] = d(x)."""
+    def rows(self, start):
+        """Per element w in index order, start (one entry per element) read through w's
+        row: the tuple of start[index of w * v], each v in index order.  As w * v =
+        prev * (d * v), prev the element before w (the identity before the first) and
+        d = prev^-1 * w, w's row is prev's read at d's row; each distinct d's row, O(n^2)
+        in all, is read directly once a call, itemgetter(0, *v) reading it off d's image."""
         at = {(0,) + w.values: i for i, w in enumerate(self.elements)}
         getters = [itemgetter(0, *w.values) for w in self.elements]
-        row, prev, steps = range(len(self.elements)), weyl.identity(self.family), {}
+        row, prev, steps = start, weyl.identity(self.family), {}
         for w in self.elements:
             d = tuple(map(weyl.inverse(prev), w.values))
             if d not in steps:
@@ -135,7 +135,7 @@ class _GroupData:
         """mult[i][j] is the index of elements[i] * elements[j], built once."""
         check_count(self.family, lambda family: family.group_order() ** 2,
                     f"multiplication table of {self.family}")
-        return list(self.rows())
+        return list(self.rows(range(len(self.elements))))
 
     @functools.cached_property
     def walk(self):
@@ -435,10 +435,8 @@ class FaceSum:
         return tuple(sorted(((build(self.family, r), c) for r, c in self._codes.items()),
                             key=itemgetter(0)))
 
-    # Kept apart and filled on use (see coxfaces._refine_sums): its tallies as a right
-    # factor, and its codes' frames as a left factor.
+    # Its tallies as a right factor, filled on use (see coxfaces._refine_sums).
     _tallies = functools.cached_property(lambda self: {})
-    _frames = functools.cached_property(lambda self: {})
 
     def __hash__(self):
         return hash((self.family, self.torus, frozenset(self._codes.items())))
@@ -476,7 +474,7 @@ def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
     anchor = torusfaces._anchor(s.family) if s.torus else None
-    acc = coxfaces._refine_sums(s._codes, t._codes, anchor, t._tallies, s._frames)
+    acc = coxfaces._refine_sums(s._codes, t._codes, anchor, t._tallies)
     if 0 in acc.values():  # a coefficient cancelled
         acc = {r: c for r, c in acc.items() if c}
     return _trusted(FaceSum, s.family, s.torus, acc)
@@ -611,13 +609,12 @@ def _verify_products(suite: str, kind: str, family: Family, seed=0):
     iff each w's histogram of (Des(w v), D(v^-1)) over all v, at (A, B) w's
     coefficient in y_A * y_B or y_A * y~_B, is its class's first one's."""
     data, width = _data(family), len(_universe(kind, family))
-    des = [m << width for m in data.mask_of["x"]]
     d = data.mask_of[kind]
     d_inverse = [d[data.index_of[inverse(w).values]] for w in data.elements]
     named = {k: {m: sorted(J) for J, m in data.masks[k].items()} for k in ("x", kind)}
     firsts, failures = {}, []
-    for i, row in enumerate(data.rows()):
-        h = Counter(map(or_, map(des.__getitem__, row), d_inverse))
+    for i, row in enumerate(data.rows([m << width for m in data.mask_of["x"]])):
+        h = Counter(map(or_, row, d_inverse))
         first, h_first = firsts.setdefault(d[i], (i, h))
         if not dict.__eq__(h, h_first):  # no zero counts, so a plain dict compare
             key = min(k for k in h.keys() | h_first.keys() if h[k] != h_first[k])

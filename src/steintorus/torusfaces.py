@@ -236,7 +236,7 @@ def count_torus_faces(family: Family) -> int:
     Type C: s and t positive elements in the zero and antipodal blocks, then
     a signed ordered partition of the other r elements,
     sum C(n, s) * C(n - s, t) * 2^r * F(r)."""
-    n = family.rank
+    n = _family(family).rank
     F = _fubini(n)
     if family.tag == "A":
         return sum(a * math.comb(n, a) * F[n - a] for a in range(1, n + 1))
@@ -254,7 +254,7 @@ def enumerate_torus_faces(
     unchecked.  The color's block sizes are a type A necklace's blocks, the
     clasp without its tail, then the tail; or a type C zero block's count of
     positive elements, the clockwise blocks, then the antipodal block's."""
-    sizes = _block_sizes(family, color)
+    sizes = _block_sizes(_family(family), color)
     if color is not None and not color.indices:
         raise ValidationError("torus color sets are nonempty")
     _check_walk(family, sizes, count_torus_faces, torus=True)

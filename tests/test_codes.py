@@ -311,7 +311,7 @@ def assert_sums_match(ps, qs, anchor):
         for q, cq in qs.items():
             r = cf._refine(p, q, anchor)
             expected[r] = expected.get(r, 0) + cp * cq
-    assert cf._refine_sums(ps, qs, anchor, {}, {}) == expected
+    assert cf._refine_sums(ps, qs, anchor, {}) == expected
 
 
 @pytest.mark.parametrize("family", [Family("A", n) for n in (2, 3, 4)]
@@ -337,8 +337,8 @@ def test_refined_sums_match_one_pair_at_a_time(family, torus):
     cancelling[faces[0]] = -sum(cancelling.values())
     assert sum(cancelling.values()) == 0
     assert_sums_match(ps, cancelling, anchor)
-    assert cf._refine_sums(ps, {}, anchor, {}, {}) == {}
-    assert cf._refine_sums({}, weights, anchor, {}, {}) == {}
+    assert cf._refine_sums(ps, {}, anchor, {}) == {}
+    assert cf._refine_sums({}, weights, anchor, {}) == {}
 
 
 @pytest.mark.parametrize("family", [Family("A", 256), Family("C", 128)], ids=["A256", "C128"])
@@ -346,7 +346,7 @@ def test_refined_sums_match_one_pair_at_a_time(family, torus):
 @settings(max_examples=1)
 @given(data=hst.data())
 def test_refined_sums_past_a_byte(family, torus, data):
-    """From 256 positions an offset no longer fits in bytes; the sums still
+    """From 256 positions a tallied result no longer fits in bytes; the sums still
     match the pairs one at a time."""
     code = tf._necklace_code if torus else cf._face_code
     lefts = data.draw(hst.lists(objects(family, torus), min_size=1, max_size=2))

@@ -336,10 +336,10 @@ def _histogram_failures(fam, kind, compose, invert):
     return failures
 
 
-def _reversed_rows(data):
-    """The products v u where rows gives u v."""
+def _reversed_rows(data, start):
+    """start read at the products v u where rows gives it read at u v."""
     for u in data.elements:
-        yield [data.index_of[_compose(v, u).values] for v in data.elements]
+        yield [start[data.index_of[_compose(v, u).values]] for v in data.elements]
 
 
 ROW_FAMILIES = [Family(tag, n) for tag, ns in (("A", range(2, 6)), ("C", range(1, 5)))
@@ -349,13 +349,17 @@ ROW_FAMILIES = [Family(tag, n) for tag, ns in (("A", range(2, 6)), ("C", range(1
 @pytest.mark.parametrize("fam", ROW_FAMILIES, ids=lambda f: f"{f.tag}{f.rank}")
 def test_rows_are_the_direct_products(fam):
     """Each row, read off the previous one through a step row, is the row of
-    products w v composed directly, in index order; mult lists the rows."""
+    products w v composed directly, in index order; mult lists the rows.  Any
+    other sequence over the elements is read through the same rows."""
     data = da._GroupData(fam)
     index_of = data.index_of
     expected = [[index_of[tuple(map(w, v.values))] for v in data.elements]
                 for w in data.elements]
-    assert [list(row) for row in data.rows()] == expected
-    assert data.mult == list(data.rows())
+    assert [list(row) for row in data.rows(range(len(data.elements)))] == expected
+    assert data.mult == list(data.rows(range(len(data.elements))))
+    labels = [f"{w.values}" for w in data.elements]
+    assert [list(row) for row in data.rows(labels)] == [
+        [labels[i] for i in row] for row in expected]
 
 
 @pytest.mark.parametrize("fam", [Family("A", 6), Family("C", 4), Family("C", 5)],
@@ -376,7 +380,7 @@ def test_rows_read_few_rows_directly(monkeypatch, fam):
 
     monkeypatch.setattr(da, "itemgetter", counted)
     order = fam.group_order()
-    assert sum(1 for _ in da._GroupData(fam).rows()) == order
+    assert sum(1 for _ in da._GroupData(fam).rows(range(order))) == order
     assert calls[fam.rank + 1] <= (1 + fam.rank ** 2) * order
     assert calls[order] == order
 
@@ -969,15 +973,15 @@ def test_one_right_factor_serves_faces_and_necklaces(fam, necklaces_first):
 
 @pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
 def test_offsets_are_interned_per_right_factor(monkeypatch, fam):
-    """A right factor holds each distinct offsets value once, however many of its
-    tallies hold it; two equal right factors share no offsets object, so a
-    factor's offsets are freed with it, not held by a table across factors."""
+    """A right factor holds each distinct tallied result once, however many of its
+    tallies hold it; two equal right factors share no result object, so a
+    factor's results are freed with it, not held by a table across factors."""
     tally, built = cf._tally, {}
 
     def recording(blocks, qs, anchor, kept):
-        weights, offsets = tally(blocks, qs, anchor, kept)
-        built.setdefault(id(kept), []).extend(offsets)
-        return weights, offsets
+        weights, results = tally(blocks, qs, anchor, kept)
+        built.setdefault(id(kept), []).extend(results)
+        return weights, results
 
     monkeypatch.setattr(cf, "_tally", recording)
     first = da.orbit_sum("sigma", fam.finite_indices(), fam)  # the chambers
@@ -987,8 +991,8 @@ def test_offsets_are_interned_per_right_factor(monkeypatch, fam):
         for s in lefts:
             da.face_sum_product(s, t)
     held = [built[id(t._tallies)] for t in rights]
-    for offsets in held:
-        assert len(offsets) > len(set(offsets)) == len(set(map(id, offsets)))
+    for results in held:
+        assert len(results) > len(set(results)) == len(set(map(id, results)))
     assert set(held[0]) == set(held[1])
     assert not set(map(id, held[0])) & set(map(id, held[1]))
 
@@ -998,32 +1002,64 @@ def _fresh(s):
     return da.FaceSum.from_dict(s.family, s.torus, s.as_dict())
 
 
+def _count_rings(monkeypatch):
+    """A list that records the size of every ``_ring`` call from now on."""
+    ring, calls = cf._ring, []
+    monkeypatch.setattr(cf, "_ring", lambda size, shift: calls.append(size) or ring(size, shift))
+    return calls
+
+
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
 def test_left_factor_builds_each_frame_once(monkeypatch, fam):
-    """Against right factors whose tallies are warm, a fresh left factor builds each
-    code's frame once, one ring per position, across all of them, and nothing on a
-    second pass: its frames stay the same objects, one per code.  Its warm original
-    shares none of them."""
+    """Against right factors whose tallies are warm, with no frame built yet, each left
+    factor builds the frames of its codes that no earlier one built for its anchor, one
+    ring per position, in that anchor's dict (type A faces and necklaces share anchor
+    None and codes); a second pass over the same sums, and a pass over fresh equal
+    copies of them, build nothing: each frame stays the same object."""
     sigma = da._orbit_sums(fam, False)
     lefts = [*sigma.values(), *da._orbit_sums(fam, True).values()]
     for s in lefts:
         for t in sigma.values():
             da.face_sum_product(s, t)
-    ring, calls = cf._ring, []
-    monkeypatch.setattr(cf, "_ring", lambda size, shift: calls.append(size) or ring(size, shift))
-    copies = list(map(_fresh, lefts))
-    for second in (False, True):
-        for s in copies:
-            held = dict(s.__dict__.get("_frames", {}))
+    monkeypatch.setattr(cf, "_frames", {})
+    calls, held = _count_rings(monkeypatch), {}
+    for i, sums in enumerate([lefts, lefts, list(map(_fresh, lefts))]):
+        for s in sums:
+            anchor = tf._anchor(fam) if s.torus else None
+            new = [p for p in s._codes if (anchor, p) not in held]
             calls.clear()
             for t in sigma.values():
                 da.face_sum_product(s, t)
-            assert len(calls) == (0 if second else sum(map(len, s._codes)))
-            assert s._frames.keys() == s._codes.keys()
-            assert all(s._frames[p] is frame for p, frame in held.items())
-    for s, copy in zip(lefts, copies):
-        assert s._frames is not copy._frames
-        assert not set(map(id, s._frames.values())) & set(map(id, copy._frames.values()))
+            assert len(calls) == sum(map(len, new)) and not (i and new)
+            frames = cf._frames[anchor]
+            assert all(frames[p] is held.setdefault((anchor, p), frames[p]) for p in s._codes)
+    assert cf._frames.keys() == {None, tf._anchor(fam)}
+    assert sum(map(len, cf._frames.values())) == len(held)
+    assert len(held) == len({(tf._anchor(fam) if s.torus else None, p)
+                             for s in lefts for p in s._codes})
+
+
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+@pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
+def test_two_sums_of_one_code_build_its_frame_once(monkeypatch, fam, torus):
+    """Two distinct left sums that hold one code, one after the other against right
+    factors whose tallies are warm: the first builds each of its codes' frames, one
+    ring per position; the second builds none, and both give the double loop's products."""
+    sigma = da._orbit_sums(fam, False)
+    s = list(da._orbit_sums(fam, torus).values())[-1]
+    u = da.FaceSum.from_dict(fam, torus, {s.coeffs[0][0]: -2})
+    assert u != s and u._codes.keys() <= s._codes.keys()
+    expected = {(id(left), id(t)): _double_loop(left, t)
+                for left in (s, u) for t in sigma.values()}
+    for t in sigma.values():
+        da.face_sum_product(_fresh(s), t)
+    monkeypatch.setattr(cf, "_frames", {})
+    calls = _count_rings(monkeypatch)
+    for left, built in ((s, sum(map(len, s._codes))), (u, 0)):
+        calls.clear()
+        for t in sigma.values():
+            assert da.face_sum_product(left, t)._codes == expected[id(left), id(t)]
+        assert len(calls) == built
 
 
 @pytest.mark.parametrize("fam", [A3, A4, C2, C3], ids=["A3", "A4", "C2", "C3"])
@@ -1040,27 +1076,33 @@ def test_warm_frames_give_the_products_of_fresh_copies(fam):
 
 
 @pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
-def test_a_right_factor_used_as_a_left_one_keeps_its_dicts_apart(fam):
-    """A sum used first as a right factor holds tallies and no frames; used then as a
-    left factor it adds one frame per code to a dict of its own, leaves its tallies as
-    they were, and gives the double loop's products."""
+def test_a_right_factor_used_as_a_left_one_keeps_its_dicts_apart(monkeypatch, fam):
+    """A sum used first as a right factor holds tallies, and its codes have no frames;
+    used then as a left factor it gives the double loop's products, its codes get one
+    frame each in the dict of the finite side, apart from its tallies, which stay as
+    they were, and the tallies are still the only dict it keeps beside its codes."""
+    monkeypatch.setattr(cf, "_frames", {})
     sigma = da._orbit_sums(fam, False)
     t = da.orbit_sum("sigma", [1], fam)
     for s in [*sigma.values(), *da._orbit_sums(fam, True).values()]:
-        da.face_sum_product(s, t)
+        if t._codes.keys().isdisjoint(s._codes):
+            da.face_sum_product(s, t)
     tallies = dict(t._tallies)
-    assert tallies and "_frames" not in vars(t)
+    assert tallies and not t._codes.keys() & cf._frames[None].keys()
     for u in sigma.values():
         assert da.face_sum_product(t, u)._codes == _double_loop(t, u)
     assert t._tallies == tallies and all(t._tallies[k] is v for k, v in tallies.items())
-    assert t._frames is not t._tallies and t._frames.keys() == t._codes.keys()
+    assert t._codes.keys() <= cf._frames[None].keys() and cf._frames[None] is not t._tallies
+    assert [k for k, v in vars(t).items() if isinstance(v, dict)] == ["_codes", "_tallies"]
 
 
 @pytest.mark.parametrize("fam", [Family("C", 1), C2], ids=["C1", "C2"])
-def test_a_necklace_sum_and_a_face_sum_of_one_code_keep_their_frames_apart(fam):
+def test_a_necklace_sum_and_a_face_sum_of_one_code_keep_their_frames_apart(monkeypatch, fam):
     """Type C face and necklace codes share the one-block code.  A face sum and a
     necklace sum of it, used in turn as left factors against every sigma_K, each give
-    the double loop's products, and each frame carries its own anchor."""
+    the double loop's products, and each anchor's dict holds its own frame of the code,
+    which carries that anchor."""
+    monkeypatch.setattr(cf, "_frames", {})
     shared = ({cf._face_code(F) for F in cf.enumerate_faces(fam)}
               & {tf._necklace_code(N) for N in tf.enumerate_torus_faces(fam)})
     assert shared
@@ -1071,8 +1113,8 @@ def test_a_necklace_sum_and_a_face_sum_of_one_code_keep_their_frames_apart(fam):
             for s in (face, necklace, face):
                 assert da.face_sum_product(s, t)._codes == _double_loop(s, t)
         blocks = tuple(map(code.index, code))
-        assert face._frames[code][0] == (None, blocks)
-        assert necklace._frames[code][0] == (tf._anchor(fam), blocks)
+        assert cf._frames[None][code][0] == (None, blocks)
+        assert cf._frames[tf._anchor(fam)][code][0] == (tf._anchor(fam), blocks)
 
 
 @pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
@@ -1087,7 +1129,7 @@ def test_cancelling_products_keep_no_zero(fam, torus):
     chambers = list(cf.enumerate_faces(fam, ColorSet(fam, fam.finite_indices())))
     t = da.FaceSum.from_dict(fam, False, {chambers[0]: 1, chambers[-1]: -1})
     anchor = tf._anchor(fam) if torus else None
-    assert 0 in cf._refine_sums(s._codes, t._codes, anchor, {}, {}).values()
+    assert 0 in cf._refine_sums(s._codes, t._codes, anchor, {}).values()
     product = da.face_sum_product(s, t)
     assert product._codes and 0 not in product._codes.values()
     pairwise = da.FaceSum.from_dict(fam, torus, {})
