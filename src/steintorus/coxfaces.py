@@ -12,17 +12,15 @@ band with the one-block composition as unit.
 
 Products are computed on position codes.  A face's code gives each element
 of [1, n] (type A) or [-n, n] (type C), in order, the end of its block in
-the concatenated full blocks: its block position, relabelled monotonically.
-The one kernel ``_refine`` serves the Tits product and the torus module
-action.  Its result reads q only through its order, with ties, on each
-block of p with two or more elements: it compares q[x] with q[y] only for
-x and y in one block of p.  ``_keys`` reads that order off one packed int per q,
-so ``_by_key``, one left code against many right codes, calls the one
-kernel once per distinct order on p's blocks; every batched caller goes through it.
-``_refine_sums`` adds weighted products with no kernel call per left code: it tallies
-the right codes by that order once per set of left blocks, through ``_by_key``, into
-the refinements of those blocks taken by least element, kept with the right codes; each
-left code reads its results off them through its frame, built once a process.
+the concatenated full blocks; every code is made by ``_pack``, as bytes, which
+keep their hash, below 256 entries.  The one kernel ``_refine`` serves the Tits
+product and the module action.  Its result reads q only through its order, with
+ties, on each block of p with two or more elements.  ``_keys`` reads that order
+off one packed int per q, so ``_by_key``, one left code against many right codes,
+calls the kernel once per distinct order; every batched caller goes through it.
+``_refine_sums`` tallies the right codes by that order once per block pattern,
+faces and necklaces alike, into refinements kept with the right codes; each left
+code translates each result once, by a table of its frame, built once a process.
 Validation stays at the boundary (the public constructors,
 ``SymComposition.from_full`` and ``from_wire``); kernel and enumerator
 output is valid by construction and built by ``weyl._trusted`` unchecked.
@@ -36,7 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, getitem
+from operator import add
 from typing import Iterator, List, Optional, Tuple, Union
 
 from .budget import check_count, current_budget
@@ -45,6 +43,7 @@ from .weyl import ColorSet, Family, WeylElement, _family, _same_family, _trusted
 
 Block = Tuple[int, ...]
 _frames: dict = {}  # per anchor, {left code: its frame}, built once a process (_refine_sums)
+_tables: dict = {}  # every translate table of the frames, one object per value
 
 
 def _check_blocks(blocks, lo: int, n: int) -> None:
@@ -127,7 +126,12 @@ def _from_full(family: Family, blocks) -> Composition:
     return SymComposition.from_full(family, blocks)
 
 
-def _encode(blocks, values, n: int) -> Tuple[int, ...]:
+def _pack(code):
+    """A code, a list or tuple, as bytes, which keep their hash; from 256 entries a tuple."""
+    return bytes(code) if len(code) < 256 else tuple(code)
+
+
+def _encode(blocks, values, n: int):
     """The position code over the len(code) integers ending at n that gives
     every element of each block the block's value."""
     code = [0] * sum(map(len, blocks))
@@ -135,7 +139,7 @@ def _encode(blocks, values, n: int) -> Tuple[int, ...]:
     for block, value in zip(blocks, values):
         for x in block:
             code[x + shift] = value
-    return tuple(code)
+    return _pack(code)
 
 
 def _decode(code, n: int):
@@ -161,13 +165,7 @@ def _refine(p, q, anchor: Optional[int] = None):
     counts = map(bisect_right, itertools.repeat(ordered), keys)
     start = max(p) if anchor is None else -bisect_left(ordered, keys[anchor])
     shift = start % size
-    return tuple(map(_ring(size, shift).__getitem__, counts) if shift else counts)
-
-
-@functools.cache
-def _ring(size: int, shift: int) -> Tuple[int, ...]:
-    """ring[c] is shift + c taken mod size into 1..size, for c in 1..size."""
-    return (0, *range(shift % size + 1, size + 1), *range(1, shift % size + 1))
+    return _pack([(c + shift - 1) % size + 1 for c in counts] if shift else list(counts))
 
 
 def _keys(p, qs, kept):
@@ -187,29 +185,32 @@ def _by_key(p, qs, anchor: Optional[int], kept):
     return keys, {key: _refine(p, q, anchor) for key, q in dict(zip(keys, qs)).items()}
 
 
-def _tally(blocks, qs: dict, anchor: Optional[int], kept: dict):
-    """Keep in kept, and return, (weights, results) per distinct key of the qs on p's blocks,
-    named by first positions: a key's total weight, and _refine(p0, q, anchor) unrotated,
-    p0 p's blocks ordered by least element, one object per value (see ``_refine_sums``)."""
+def _tally(blocks, qs: dict, kept: dict):
+    """Keep in kept[blocks], and return, (weights, results) per distinct key of the qs on
+    p's blocks, named by first positions: a key's total weight, and _refine(p0, q), p0 p's
+    blocks ordered by least element, one object per value (see ``_refine_sums``)."""
     p0 = tuple(map(bisect_right, itertools.repeat(sorted(blocks)), blocks))
-    keys, results = _by_key(p0, qs, anchor, kept)
-    totals, cast = Counter(), bytes if len(blocks) < 256 else tuple
+    keys, results = _by_key(p0, qs, None, kept)
+    totals = Counter()
     for (key, w), m in Counter(zip(keys, qs.values())).items():
         totals[key] += w * m
-    return kept.setdefault((anchor, blocks), (list(map(totals.__getitem__, results)), [
-        kept.setdefault(r, r) for r in map(cast, results.values())]))  # one per value
+    return kept.setdefault(blocks, (list(map(totals.__getitem__, results)), [
+        kept.setdefault(r, r) for r in results.values()]))  # one per value
 
 
 def _refine_sums(ps: dict, qs: dict, anchor: Optional[int], kept: dict):
     """{_refine(p, q, anchor): sum of cp * cq over its pairs}, ps and qs {code: coefficient}.
-    _refine(p, q, anchor) is base + d rotated by start - lt: base[x] counts p's elements in
-    blocks before x's, d[x] those of x's block in pieces up to x's; start is max(p), or
-    -base[anchor] and lt the anchor's block-mates in earlier pieces.  d and lt read only
-    p's blocks, so ``_tally`` runs once per (anchor, blocks) into kept, which a caller keeps
-    with the qs; it holds the tallies by that key, the packed qs by None, results by value.
-    A result r refines p0, with before[x] elements in blocks before x's, so x's entry is
-    r[x] rotated by start + base[x] - before[x], start now max(p) or before[anchor] -
-    base[anchor]; p's frame in _frames[anchor] holds the tally key and these rings."""
+    _refine(p, q, anchor) is base + d rotated by start: base[x] counts p's elements in
+    blocks before x's, d[x] those of x's block in pieces up to x's, and start is max(p),
+    or minus the elements in pieces before the anchor's.  d reads only p's blocks, so
+    ``_tally`` runs once per block pattern into kept, which a caller keeps with the qs:
+    the tallies by pattern, the packed qs by None, results by value.  A result r is
+    _refine(p0, q) = before + d, before[x] counting the elements in blocks before x's in
+    p0, so x's entry is r[x] - lead rotated by start + base[x] - before[x], with lead 0
+    and start max(p), or lead r[anchor] - r.count(r[anchor]) and start before[anchor] -
+    base[anchor].  As r[x] lies in the run of values of x's block, the rotation reads r[x]
+    alone: p's frame in _frames[anchor] holds its pattern, the offsets by value, a table
+    per lead."""
     acc, frames = {}, _frames.setdefault(anchor, {})
     for p, cp in ps.items():
         if (frame := frames.get(p)) is None:  # p met first: its frame, built once
@@ -217,16 +218,22 @@ def _refine_sums(ps: dict, qs: dict, anchor: Optional[int], kept: dict):
             base = list(map(bisect_left, itertools.repeat(sorted(p)), p))
             before = list(map(bisect_left, itertools.repeat(sorted(blocks)), blocks))
             start = max(p) if anchor is None else before[anchor] - base[anchor]
-            frame = frames[p] = ((anchor, blocks), [
-                _ring(len(p), start + b - e) for b, e in zip(base, before)])
-        key, rings = frame
-        weights, results = kept.get(key) or _tally(key[1], qs, anchor, kept)
-        for r, w in zip([tuple(map(getitem, rings, e)) for e in results], weights):
+            frame = frames[p] = (blocks, [start + base[x] - before[x] for x in sorted(
+                range(len(p)), key=before.__getitem__)], {})
+        blocks, offsets, tables = frame
+        weights, results = kept.get(blocks) or _tally(blocks, qs, kept)
+        for r, w in zip(results, weights):
+            lead = 0 if anchor is None else r[anchor] - r.count(r[anchor])
+            if (table := tables.get(lead)) is None:  # a lead met first: its table, by value
+                table = [0, *((v + o - lead - 1) % len(p) + 1 for v, o in enumerate(offsets, 1))]
+                table = bytes(table).ljust(256, b"\0") if len(p) < 256 else tuple(table)
+                table = tables[lead] = _tables.setdefault(table, table)
+            r = r.translate(table) if type(r) is bytes else tuple(map(table.__getitem__, r))
             acc[r] = acc.get(r, 0) + cp * w
     return acc
 
 
-def _face_code(F: Composition) -> Tuple[int, ...]:
+def _face_code(F: Composition):
     blocks = F.full_blocks()
     return _encode(blocks, itertools.accumulate(map(len, blocks)), F.family.rank)
 
@@ -240,7 +247,7 @@ def _from_code(family: Family, code) -> Composition:
     return _trusted(SymComposition, family, blocks[m], blocks[m + 1 :])
 
 
-def _moved(code, w: WeylElement) -> Tuple[int, ...]:
+def _moved(code, w: WeylElement):
     """The code of w's image of a face or necklace: w keeps the block order
     and the labels, so w(x) takes over x's code."""
     n = w.family.rank
@@ -325,7 +332,7 @@ def _w_of_code(family: Family, code) -> Tuple[int, ...]:
         order = sorted(range(-n, n + 1), key=(code[n:] + code[:n]).__getitem__)
         start = order.index(0) + 1
         return tuple(order[start : start + n])
-    order = sorted(range(1, n + 1), key=((0,) + code).__getitem__)
+    order = sorted(range(1, n + 1), key=(0, *code).__getitem__)
     cut = n - max(code)
     return tuple(order[cut:] + order[:cut])
 

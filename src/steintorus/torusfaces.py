@@ -178,7 +178,7 @@ def contract_edge(N: SpinNecklace, p: int) -> SpinNecklace:
     return _from_code(N.family, tuple(kept if c == dropped else c for c in code))
 
 
-def _necklace_code(N) -> Tuple[int, ...]:
+def _necklace_code(N):
     if isinstance(N, SpinNecklace):
         return _encode(N.blocks, N.labels, N.family.rank)
     cycle = full_cycle(N)

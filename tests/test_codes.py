@@ -6,6 +6,7 @@ through the validating constructors; faces and necklaces are drawn by
 shuffling the elements and cutting the sequence, without enumeration.
 """
 
+import functools
 import itertools
 import random
 
@@ -357,6 +358,27 @@ def test_refined_sums_past_a_byte(family, torus, data):
                       tf._anchor(family) if torus else None)
 
 
+@pytest.mark.parametrize("family", [Family("A", 256), Family("C", 128)], ids=["A256", "C128"])
+def test_unit_orbit_sums_past_a_byte(family):
+    """From 256 entries codes stay tuples: the unit orbit sum (one face), and for type C
+    the one-block necklace's orbit sum, multiply, pass the invariance test and map
+    under psi as their single objects do, through the translate tables' tuple form."""
+    U = cf.unit_face(family)
+    sigma = da.orbit_sum("sigma", [], family)
+    assert type(next(iter(sigma._codes))) is tuple and len(next(iter(sigma._codes))) >= 256
+    assert da.face_sum_product(sigma, sigma) == da.FaceSum.from_dict(
+        family, False, {cf.tits_product(U, U): 1})
+    assert da.is_invariant(sigma) and da.psi(sigma) == da.GroupRingElement(
+        family, ((cf.w_of_face(U), 1),))
+    if family.tag == "C":
+        sigmat = da.orbit_sum("sigmat", [family.rank], family)
+        (N, _), = sigmat.coeffs
+        assert da.face_sum_product(sigmat, sigma) == da.FaceSum.from_dict(
+            family, True, {tf.module_action(N, U): 1})
+        assert da.is_invariant(sigmat) and da.psi(sigmat) == da.GroupRingElement(
+            family, ((tf.w_of_torus_face(N), 1),))
+
+
 def assert_keys_are_orders(ps, qs):
     """Per left code p, two right codes share a key exactly when their orders, ties
     included, agree on every pair x < y within one of p's blocks; one kept dict
@@ -435,6 +457,8 @@ def test_repeated_faces_add_up(family, torus):
 @pytest.mark.parametrize("family", [Family("A", 3), Family("A", 4), Family("C", 2),
                                     Family("C", 3)], ids=lambda f: f"{f.tag}{f.rank}")
 def test_is_invariant_fails_without_one_face(family):
+    """Each orbit sum is invariant; then, with the images of all its codes kept, each
+    sum that drops one of its faces is not."""
     sigma, sigmat = da._orbit_sums(family, False), da._orbit_sums(family, True)
     for orbit in list(sigma.values()) + list(sigmat.values()):
         assert da.is_invariant(orbit)
@@ -483,6 +507,44 @@ def test_is_invariant_checks_each_simple_generator(family, torus):
     assert da.is_invariant(full)
     for i in range(len(gens)):
         assert not da.is_invariant(orbit_sum(gens[:i] + gens[i + 1 :]))
+
+
+@pytest.mark.parametrize("family", [Family("A", 3), Family("C", 2)], ids=["A3", "C2"])
+def test_is_invariant_builds_each_generators_image_of_a_code_once(monkeypatch, family):
+    """Over every orbit sum and every face-sum product, checked twice, each simple
+    generator's image of a code is packed once, when the code is first met, and kept:
+    the second pass packs nothing and finds the same image objects."""
+    sums = [*da._orbit_sums(family, False).values(), *da._orbit_sums(family, True).values()]
+    sums += [da.face_sum_product(s, t) for s in sums for t in da._orbit_sums(family, False)
+             .values()]
+    size = len(next(iter(sums[0]._codes)))
+    monkeypatch.setattr(da, "_images", functools.cache(da._images.__wrapped__))
+    pack, packed = cf._pack, []
+    monkeypatch.setattr(cf, "_pack", lambda code: packed.append(code) or pack(code))
+    assert all(map(da.is_invariant, sums))
+    codes = {r for s in sums for r in s._codes}
+    gens = len(simple_generators(family))
+    assert len(packed) == gens * (len(codes) + 1)  # and each generator's moves, once
+    held = [dict(images) for images in da._images(family, size)]
+    assert [images.keys() - {None} for images in held] == [codes] * gens
+    packed.clear()
+    assert all(map(da.is_invariant, sums)) and not packed
+    assert all(images[r] is before[r] for images, before in zip(
+        da._images(family, size), held) for r in codes)
+
+
+def test_images_are_kept_per_family_not_per_length():
+    """A5 and C2 codes both have 5 entries, so images kept by length alone would move
+    one family's codes by the other's generators: in turn, each family's orbit sums are
+    invariant and map to their basis elements, and the psi suite passes at C2."""
+    A5, C2 = Family("A", 5), Family("C", 2)
+    assert {len(r) for fam in (A5, C2) for s in da._orbit_sums(fam, False).values()
+            for r in s._codes} == {5}
+    for fam in (A5, C2, A5, C2):
+        for kind, basis in (("sigma", "x"), ("sigmat", "xt")):
+            for J, s in da._orbit_sums(fam, kind == "sigmat").items():
+                assert da.is_invariant(s) and da.psi(s) == da.basis_element(basis, J, fam)
+    assert da.verify("psi", C2)["pass"]
 
 
 # ---------------------------------------------------------------------------

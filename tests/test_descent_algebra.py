@@ -524,7 +524,7 @@ def test_a_product_that_is_no_face_fails_the_laws_that_read_it(monkeypatch):
     faces, necklaces = list(cf.enumerate_faces(A3)), list(tf.enumerate_torus_faces(A3))
     passing = [da.verify(suite, A3)["checks"] for suite in ("lrb", "oracle")]
     monkeypatch.setattr(cf, "_by_key",
-                        lambda p, qs, anchor, kept: ([0] * len(qs), {0: p + (0,)}))
+                        lambda p, qs, anchor, kept: ([0] * len(qs), {0: (*p, 0)}))
     lrb, oracle = da.verify("lrb", A3), da.verify("oracle", A3)
     laws = Counter(f["law"] for f in lrb["failures"])
     assert set(laws) == {"idempotent", "unit", "chamber absorption", "xyx=xy",
@@ -568,20 +568,76 @@ def test_oracle_side_drives_the_verdict(monkeypatch):
     assert report["checks"] == passing["checks"]
 
 
-@pytest.mark.parametrize("fam, failed", [(A3, 8), (C2, 28)], ids=["A3", "C2"])
+@pytest.mark.parametrize("fam, failed", [(A3, 19), (C2, 27)], ids=["A3", "C2"])
 def test_psi_catches_a_broken_kernel(monkeypatch, fam, failed):
-    """Face-sum products reach the one kernel: a kernel that reverses every result with
-    more than two distinct values fails the psi suite, which the tables and the CLI share."""
+    """Face-sum products reach the one kernel: a kernel that refines p by p itself
+    wherever the true result has more than two distinct values fails the psi suite,
+    which the tables and the CLI share."""
     passing, refine = da.verify("psi", fam), cf._refine
+
+    def coarse_kernel(p, q, anchor=None):
+        r = refine(p, q, anchor)
+        return refine(p, p, anchor) if len(set(r)) > 2 else r
+
+    monkeypatch.setattr(cf, "_refine", coarse_kernel)
+    report = da.verify("psi", fam)
+    assert passing["pass"] and len(report["failures"]) == failed
+    assert report["checks"] == passing["checks"] == 55
+
+
+@pytest.mark.parametrize("fam", [A3, C2, A4, C3], ids=["A3", "C2", "A4", "C3"])
+@pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
+def test_a_reversing_kernel_changes_non_invariant_products(monkeypatch, fam, torus):
+    """Reversing a code's positions is the action of the longest element, so a kernel
+    that reverses every result with more than two distinct values leaves each invariant
+    product as it was.  A chamber (or maximal necklace) times sigma_K is not invariant:
+    under that kernel each such product differs from the pairs taken one at a time
+    before, so the products do read the kernel's results as they come."""
+    refine = cf._refine
+    sigma = da._orbit_sums(fam, False)
+    lefts = [da.FaceSum.from_dict(fam, torus, {X: 1}) for X, _ in
+             list(da._orbit_sums(fam, torus).values())[-1].coeffs[:3]]
+    pairs = [(s, t) for s in lefts for t in sigma.values()]
+    expected = [_double_loop(s, t) for s, t in pairs]
 
     def reversed_kernel(p, q, anchor=None):
         r = refine(p, q, anchor)
         return r[::-1] if len(set(r)) > 2 else r
 
     monkeypatch.setattr(cf, "_refine", reversed_kernel)
+    got = [da.face_sum_product(_fresh(s), _fresh(t))._codes for s, t in pairs]
+    assert all(map(dict.__ne__, got, expected))
+
+
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+def test_psi_reports_an_orbit_sum_missing_a_face(monkeypatch, fam):
+    """sigma_{1} without its first face is not invariant: the psi suite reports its own
+    identity and every product that reads it, and raises nothing."""
+    passing, one = da.verify("psi", fam), frozenset({1})
+    _replacing_one_face(monkeypatch, False, one)
     report = da.verify("psi", fam)
-    assert passing["pass"] and len(report["failures"]) == failed
+    finite = list(da._subsets(fam.finite_indices()))
+    affine = list(da._subsets(fam.affine_indices(), nonempty=True))
+    expected = ([("psi(sigma_J) = x_J", [1], [1])]
+                + [("psi(sigma_J sigma_K) = x_K x_J", sorted(J), sorted(K))
+                   for J in finite for K in finite if one in (J, K)]
+                + [("psi(sigma~_K sigma_J) = x_J x~_K", [1], sorted(K)) for K in affine])
+    assert sorted((f["identity"], f["I"], f["J"]) for f in report["failures"]) == sorted(
+        expected)
     assert report["checks"] == passing["checks"]
+
+
+def test_psi_reports_a_product_that_is_no_face(monkeypatch):
+    """A batched kernel whose every result is its left code with one more entry, which
+    only a defect makes: at C2 those codes move to no code, so each product identity
+    fails, as a report, and nothing is raised."""
+    passing = da.verify("psi", C2)
+    monkeypatch.setattr(cf, "_by_key",
+                        lambda p, qs, anchor, kept: ([0] * len(qs), {0: (*p, 0)}))
+    report = da.verify("psi", C2)
+    assert {f["identity"] for f in report["failures"]} == {
+        "psi(sigma_J sigma_K) = x_K x_J", "psi(sigma~_K sigma_J) = x_J x~_K"}
+    assert len(report["failures"]) == 11 * 4 and report["checks"] == passing["checks"]
 
 
 @pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
@@ -881,23 +937,24 @@ def _order(q, blocks):
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
 def test_face_sum_products_call_the_kernel_only_to_tally(monkeypatch, fam):
     """Every product of ``_products`` equals the double loop.  Products call the kernel
-    only while tallying, once per (right factor, anchor, block set, distinct order of
-    the right codes on those blocks); a second pass over the same products calls it not
-    at all."""
+    only while tallying, with no anchor, once per (right factor, block set, distinct
+    order of the right codes on those blocks), faces and necklaces alike; a second pass
+    over the same products calls it not at all."""
     products = _products(fam)
     expected = [_double_loop(s, t) for s, t in products]
     tally, refine, tallying, made = cf._tally, cf._refine, [], Counter()
 
-    def counted_tally(blocks, qs, anchor, kept):
+    def counted_tally(blocks, qs, kept):
         tallying.append(id(kept))
         try:
-            return tally(blocks, qs, anchor, kept)
+            return tally(blocks, qs, kept)
         finally:
             tallying.pop()
 
     def counted_refine(p, q, anchor=None):
         assert tallying, "a face-sum product called the kernel outside a tally"
-        made[tallying[-1], anchor, _block_set(p)] += 1
+        assert anchor is None, "a tally refined with an anchor"
+        made[tallying[-1], _block_set(p)] += 1
         return refine(p, q, anchor)
 
     monkeypatch.setattr(cf, "_tally", counted_tally)
@@ -905,8 +962,7 @@ def test_face_sum_products_call_the_kernel_only_to_tally(monkeypatch, fam):
     met = Counter()
     for s, t in products:
         for blocks in map(_block_set, s._codes):
-            met[id(t._tallies), tf._anchor(fam) if s.torus else None, blocks] = len(
-                {_order(q, blocks) for q in t._codes})
+            met[id(t._tallies), blocks] = len({_order(q, blocks) for q in t._codes})
     for _ in range(2):
         assert [da.face_sum_product(s, t)._codes for s, t in products] == expected
         assert made == met
@@ -914,24 +970,25 @@ def test_face_sum_products_call_the_kernel_only_to_tally(monkeypatch, fam):
 
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
 def test_right_factor_tallies_once_per_block_set(monkeypatch, fam):
-    """Over a right factor's life its codes are tallied exactly once per anchor and
-    set of left blocks that its products meet, fewer times than they have left
-    codes; a second pass over the same products tallies nothing."""
+    """Over a right factor's life its codes are tallied exactly once per set of left
+    blocks that its products meet, whether faces or necklaces meet it, fewer times
+    than the (anchor, set of blocks) pairs met and than the left codes; a second pass
+    over the same products tallies nothing."""
     products = _products(fam)
     tally, built = cf._tally, Counter()
 
-    def counted(blocks, qs, anchor, kept):
-        built[id(kept), anchor, _block_set(blocks)] += 1
-        return tally(blocks, qs, anchor, kept)
+    def counted(blocks, qs, kept):
+        built[id(kept), _block_set(blocks)] += 1
+        return tally(blocks, qs, kept)
 
     monkeypatch.setattr(cf, "_tally", counted)
-    met = Counter({(id(t._tallies), tf._anchor(fam) if s.torus else None, _block_set(p)): 1
-                   for s, t in products for p in s._codes})
+    met = Counter({(id(t._tallies), _block_set(p)): 1 for s, t in products for p in s._codes})
     for _ in range(2):
         for s, t in products:
             da.face_sum_product(s, t)
         assert built == met
-    assert len(met) < sum(len(s._codes) for s, _ in products)
+    anchored = {(id(t._tallies), s.torus, _block_set(p)) for s, t in products for p in s._codes}
+    assert len(met) < len(anchored) < sum(len(s._codes) for s, _ in products)
 
 
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
@@ -963,7 +1020,8 @@ def test_kept_tallies_depend_on_the_right_factor_alone(fam):
 def test_one_right_factor_serves_faces_and_necklaces(fam, necklaces_first):
     """One right factor against every sigma_J (faces, no anchor) and then every
     sigma~_J (necklaces, anchored), or in the reverse order, gives the double
-    loop's product each time: a tally kept for one anchor serves only that one."""
+    loop's product each time: one tally serves both, each anchor's lead read off its
+    results."""
     faces = list(cf.enumerate_faces(fam))
     t = da.FaceSum.from_dict(fam, False, {G: 1 + i % 3 for i, G in enumerate(faces)})
     passes = [da._orbit_sums(fam, False).values(), da._orbit_sums(fam, True).values()]
@@ -978,8 +1036,8 @@ def test_offsets_are_interned_per_right_factor(monkeypatch, fam):
     factor's results are freed with it, not held by a table across factors."""
     tally, built = cf._tally, {}
 
-    def recording(blocks, qs, anchor, kept):
-        weights, results = tally(blocks, qs, anchor, kept)
+    def recording(blocks, qs, kept):
+        weights, results = tally(blocks, qs, kept)
         built.setdefault(id(kept), []).extend(results)
         return weights, results
 
@@ -1002,35 +1060,64 @@ def _fresh(s):
     return da.FaceSum.from_dict(s.family, s.torus, s.as_dict())
 
 
-def _count_rings(monkeypatch):
-    """A list that records the size of every ``_ring`` call from now on."""
-    ring, calls = cf._ring, []
-    monkeypatch.setattr(cf, "_ring", lambda size, shift: calls.append(size) or ring(size, shift))
-    return calls
+def _frames_built():
+    """How many frames ``coxfaces._frames`` holds, over every anchor."""
+    return sum(map(len, cf._frames.values()))
+
+
+def _tables_built():
+    """How many translate tables the frames of ``coxfaces._frames`` hold."""
+    return sum(len(tables) for frames in cf._frames.values() for _, _, tables in frames.values())
+
+
+@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
+def test_frames_hold_one_table_per_lead_interned_by_value(monkeypatch, fam):
+    """Every s_J * sigma_K: a face's frame holds the one table of lead 0, a type C
+    necklace's frame one table per lead its results met; each table is 256 bytes
+    that take value v to v - lead rotated by the offset of v's block, and equal tables
+    are one object, also across frames."""
+    monkeypatch.setattr(cf, "_frames", {})
+    sigma = da._orbit_sums(fam, False)
+    for s in [*sigma.values(), *da._orbit_sums(fam, True).values()]:
+        for t in sigma.values():
+            da.face_sum_product(s, t)
+    tables = []
+    for anchor, frames in cf._frames.items():
+        for p, (blocks, offsets, by_lead) in frames.items():
+            assert blocks == tuple(map(p.index, p)) and len(offsets) == len(p)
+            assert anchor is not None or list(by_lead) == [0]
+            for lead, table in by_lead.items():
+                assert type(table) is bytes and len(table) == 256
+                assert [table[v] for v in range(1, len(p) + 1)] == [
+                    (v - lead + o - 1) % len(p) + 1 for v, o in enumerate(offsets, 1)]
+                tables.append(table)
+    assert any(len(frame[2]) > 1 for frame in cf._frames[tf._anchor(fam)].values()) == (
+        fam.tag == "C")
+    assert len(set(map(id, tables))) == len(set(tables)) < len(tables)
 
 
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
 def test_left_factor_builds_each_frame_once(monkeypatch, fam):
     """Against right factors whose tallies are warm, with no frame built yet, each left
-    factor builds the frames of its codes that no earlier one built for its anchor, one
-    ring per position, in that anchor's dict (type A faces and necklaces share anchor
-    None and codes); a second pass over the same sums, and a pass over fresh equal
-    copies of them, build nothing: each frame stays the same object."""
+    factor builds the frames of its codes that no earlier one built for its anchor, in
+    that anchor's dict (type A faces and necklaces share anchor None and codes); a
+    second pass over the same sums, and a pass over fresh equal copies of them, build
+    nothing: each frame stays the same object."""
     sigma = da._orbit_sums(fam, False)
     lefts = [*sigma.values(), *da._orbit_sums(fam, True).values()]
     for s in lefts:
         for t in sigma.values():
             da.face_sum_product(s, t)
     monkeypatch.setattr(cf, "_frames", {})
-    calls, held = _count_rings(monkeypatch), {}
+    held = {}
     for i, sums in enumerate([lefts, lefts, list(map(_fresh, lefts))]):
         for s in sums:
             anchor = tf._anchor(fam) if s.torus else None
             new = [p for p in s._codes if (anchor, p) not in held]
-            calls.clear()
+            before = _frames_built()
             for t in sigma.values():
                 da.face_sum_product(s, t)
-            assert len(calls) == sum(map(len, new)) and not (i and new)
+            assert _frames_built() - before == len(new) and not (i and new)
             frames = cf._frames[anchor]
             assert all(frames[p] is held.setdefault((anchor, p), frames[p]) for p in s._codes)
     assert cf._frames.keys() == {None, tf._anchor(fam)}
@@ -1043,8 +1130,8 @@ def test_left_factor_builds_each_frame_once(monkeypatch, fam):
 @pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
 def test_two_sums_of_one_code_build_its_frame_once(monkeypatch, fam, torus):
     """Two distinct left sums that hold one code, one after the other against right
-    factors whose tallies are warm: the first builds each of its codes' frames, one
-    ring per position; the second builds none, and both give the double loop's products."""
+    factors whose tallies are warm: the first builds each of its codes' frames, and
+    the second none, nor a table, and both give the double loop's products."""
     sigma = da._orbit_sums(fam, False)
     s = list(da._orbit_sums(fam, torus).values())[-1]
     u = da.FaceSum.from_dict(fam, torus, {s.coeffs[0][0]: -2})
@@ -1054,12 +1141,11 @@ def test_two_sums_of_one_code_build_its_frame_once(monkeypatch, fam, torus):
     for t in sigma.values():
         da.face_sum_product(_fresh(s), t)
     monkeypatch.setattr(cf, "_frames", {})
-    calls = _count_rings(monkeypatch)
-    for left, built in ((s, sum(map(len, s._codes))), (u, 0)):
-        calls.clear()
+    for left, built in ((s, len(s._codes)), (u, 0)):
+        frames, tables = _frames_built(), _tables_built()
         for t in sigma.values():
             assert da.face_sum_product(left, t)._codes == expected[id(left), id(t)]
-        assert len(calls) == built
+        assert _frames_built() - frames == built and (built or _tables_built() == tables)
 
 
 @pytest.mark.parametrize("fam", [A3, A4, C2, C3], ids=["A3", "A4", "C2", "C3"])
@@ -1100,8 +1186,9 @@ def test_a_right_factor_used_as_a_left_one_keeps_its_dicts_apart(monkeypatch, fa
 def test_a_necklace_sum_and_a_face_sum_of_one_code_keep_their_frames_apart(monkeypatch, fam):
     """Type C face and necklace codes share the one-block code.  A face sum and a
     necklace sum of it, used in turn as left factors against every sigma_K, each give
-    the double loop's products, and each anchor's dict holds its own frame of the code,
-    which carries that anchor."""
+    the double loop's products, and each anchor's dict holds its own frame of the code:
+    its block pattern and offsets that start at max(code) for a face, at 0 for a
+    necklace; the face's frame holds the one table of lead 0."""
     monkeypatch.setattr(cf, "_frames", {})
     shared = ({cf._face_code(F) for F in cf.enumerate_faces(fam)}
               & {tf._necklace_code(N) for N in tf.enumerate_torus_faces(fam)})
@@ -1113,8 +1200,9 @@ def test_a_necklace_sum_and_a_face_sum_of_one_code_keep_their_frames_apart(monke
             for s in (face, necklace, face):
                 assert da.face_sum_product(s, t)._codes == _double_loop(s, t)
         blocks = tuple(map(code.index, code))
-        assert cf._frames[None][code][0] == (None, blocks)
-        assert cf._frames[tf._anchor(fam)][code][0] == (tf._anchor(fam), blocks)
+        face, necklace = cf._frames[None][code], cf._frames[tf._anchor(fam)][code]
+        assert face[:2] == (blocks, [len(code)] * len(code)) and list(face[2]) == [0]
+        assert necklace[:2] == (blocks, [0] * len(code))
 
 
 @pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
@@ -1784,7 +1872,7 @@ def test_psi_keeps_each_familys_elements_apart(monkeypatch):
     C1 = Family("C", 1)
     a3, c1 = _all_codes(A3), _all_codes(C1)
     shared = a3.keys() & c1.keys()
-    assert (3, 3, 3) in shared and (3, 1, 3) in shared
+    assert cf._pack((3, 3, 3)) in shared and cf._pack((3, 1, 3)) in shared
     assert all(a3[r] != c1[r] for r in shared)
     monkeypatch.setattr(da, "_element_cache", {})
     for fam in (A3, C1, A3):
