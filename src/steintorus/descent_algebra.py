@@ -15,19 +15,19 @@ W-invariant face sum to the group ring by replacing each face with its
 canonical group element; on invariants it reverses products on the finite
 side and intertwines the module structures.
 
-Internally a group element is its index in the lexicographic enumeration of
-the group by one-line values, so the convolution, the basis sums and the rows
-of products work on plain integers; each row after the first is the previous
-one read through one of O(n^2) step rows.  A ring element the program computes
-keeps a tuple of its coefficients in index order, the order of ``coeffs``, and
-decodes ``coeffs``, unchecked, on first read; ``multiply`` and ``express_in_basis``
-read only that tuple, which a constructed element derives once.  Each element's
-(affine) descent set is kept as a bit mask.  ``multiply`` counts the pairs
-in U x V with product w, U and V coefficient groups of its factors, as
-|U^-1 w & V|: popcounts along a breadth-first walk of the Cayley graph, or the
-left rows' entries in V's columns.  x_I * x_J is one exact count over all
-|x_I| * |x_J| pairs, which assumes nothing of Solomon's theorem; the solomon
-and module suites check it on the rows, one histogram per element.
+Internally a group element is its index in the lexicographic enumeration of the group by
+one-line values, so the convolution, the basis sums and the rows of products work on
+plain integers; each row after the first is the previous one read through one of O(n^2)
+step rows.  A ring element the program computes keeps a tuple of its coefficients in
+index order, the order of ``coeffs``, and decodes ``coeffs``, unchecked, on first read;
+``multiply`` and ``express_in_basis`` read only that tuple, which a constructed element
+derives once.  Each element's (affine) descent set is kept as a bit mask.  ``multiply``
+counts the pairs in U x V with product w, U and V coefficient groups of its factors, as
+|U^-1 w & V|: popcounts along a breadth-first walk of the Cayley graph, whose generator
+columns it composes, or the left rows' entries in V's columns; past a |W|^2 of the
+default budget every product walks, so only the rows read the table.  x_I * x_J is one
+exact count over all |x_I| * |x_J| pairs, which assumes nothing of Solomon's theorem;
+the solomon and module suites check it on the rows, one histogram per element.
 The structure tables build no group: they expand sigma_J * sigma_I and
 sigma~_J * sigma_I, which psi maps to x_I * x_J (Bidigare's theorem) and
 x_I * x~_J.  Class sums give each element the value at its mask; the zeta
@@ -48,11 +48,11 @@ of each code it meets, so a check is two lookups; ``psi`` keeps per family each
 code's int key, ordered as its element's one-line values, and each key's element,
 built without the group, so it sums and sorts ints; the ``lrb`` and ``oracle`` suites
 index their products by ``_table``.  So none of them builds a face.  The public
-constructors of sums check their keys and int coefficients and make them canonical;
-internal results skip that check.  Each suite and table is one row of ``_SUITES`` or ``_TABLES``:
-its runner, its work (a unit and a count) and the families it refuses.
-``verify`` and the tables check the work against the budget before any work, so
-no suite holds budget code, and neither ``verify`` nor the CLI names a suite.
+constructors of both sums check their keys and int coefficients in ``_summed`` and make
+them canonical; internal results skip that check.  Each suite and table is one row of
+``_SUITES`` or ``_TABLES``: its runner, its work (a unit and a count) and the families it
+refuses.  ``verify`` and the tables check the work against the budget before any work,
+so no suite holds budget code, and neither ``verify`` nor the CLI names a suite.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from itertools import repeat
 from operator import add, and_, eq, itemgetter, lshift, mul, or_, rshift
 from typing import Dict, Tuple
 
-from .budget import check_count
+from .budget import DEFAULT_BUDGET, check_count
 from .errors import (
     FamilyMismatchError,
     NotInSpanError,
@@ -140,15 +140,17 @@ class _GroupData:
 
     @functools.cached_property
     def walk(self):
-        """For ``multiply``, from ``mult``: (inverse_of, batches, by_index).  Right
-        translation by a simple generator s moves index x by x*s - x, a few values
-        d: its classes are {d: mask of the x moved by d}.  Breadth first from the
-        identity, each child is p * s, p one level up, s the generator with the
-        fewest classes; a batch is (its parents' walk positions, s's classes), its
-        children next in walk order.  by_index reads walk order in index order."""
-        table, index_of, steps = self.mult, self.index_of, []
+        """For ``multiply``, its |W|^2 / 64 mask words checked: (inverse_of, batches,
+        by_index).  Right translation by a simple generator s moves index x by x*s - x,
+        a few values d: its classes are {d: mask of the x moved by d}, x*s composed.
+        Breadth first from the identity, each child is p * s, p one level up, s the
+        generator with the fewest classes; a batch is (its parents' walk positions, s's
+        classes), its children next in walk order.  by_index reads walk order in index order."""
+        check_count(self.family, lambda family: family.group_order() ** 2 // 64,
+                    f"mask words of the Cayley walk of {self.family}")
+        index_of, steps = self.index_of, []
         for s in _generators(self.family):
-            column, moved = [row[index_of[s.values]] for row in table], {}
+            column, moved = [index_of[tuple(map(w, s.values))] for w in self.elements], {}
             for x, y in enumerate(column):
                 moved[y - x] = moved.get(y - x, 0) | 1 << x
             steps.append((column, moved))
@@ -184,28 +186,41 @@ def _data(family: Family) -> _GroupData:
 # group ring
 
 
+def _summed(family: Family, coeffs, kinds, noun: str) -> dict:
+    """The one check of both sums' constructors: the family, each key's kind and
+    family, and each coefficient, an int; repeated keys are summed, zeros dropped."""
+    weyl._family(family)
+    acc = {}
+    for key, c in coeffs:
+        if not isinstance(key, kinds) or key.family != family:
+            raise FamilyMismatchError(f"{key} is not {noun} of {family}")
+        acc[key] = acc.get(key, 0) + _integer(c)
+    return {key: c for key, c in acc.items() if c}
+
+
+class _Sum:
+    """Both sums' from_dict, its mapping after the constructor's other arguments, and as_dict."""
+
+    @classmethod
+    def from_dict(cls, *args):
+        *fields, mapping = args
+        return cls(*fields, tuple(mapping.items()))
+
+    def as_dict(self):
+        return dict(self.coeffs)
+
+
 @dataclass(frozen=True, init=False)
-class GroupRingElement:
-    """Checked and canonical: every key is an element of the family and every
-    coefficient an int; repeated keys are summed, zeros dropped, keys sorted.  A
-    computed element keeps dense coefficients and decodes ``coeffs`` on first read."""
+class GroupRingElement(_Sum):
+    """Checked and canonical by ``_summed``, keys sorted.  A computed element
+    keeps dense coefficients and decodes ``coeffs`` on first read."""
 
     family: Family
     coeffs: Tuple[Tuple[WeylElement, int], ...]  # read by ==, hash, repr: the property below
 
     def __init__(self, family: Family, coeffs):
-        weyl._family(family)
-        acc = {}
-        for w, c in coeffs:
-            if not isinstance(w, WeylElement) or w.family != family:
-                raise FamilyMismatchError(f"{w} is not an element of {family}")
-            acc[w] = acc.get(w, 0) + _integer(c)
-        self.__dict__.update(family=family, coeffs=tuple(sorted(
-            ((w, c) for w, c in acc.items() if c), key=lambda wc: wc[0].values)))
-
-    @staticmethod
-    def from_dict(family: Family, mapping) -> "GroupRingElement":
-        return GroupRingElement(family, tuple(mapping.items()))
+        self.__dict__.update(family=family, coeffs=tuple(sorted(_summed(
+            family, coeffs, WeylElement, "an element").items(), key=lambda wc: wc[0].values)))
 
     @functools.cached_property
     def coeffs(self) -> Tuple[Tuple[WeylElement, int], ...]:
@@ -218,9 +233,6 @@ class GroupRingElement:
         data = _data(self.family)
         at = {data.index_of[w.values]: c for w, c in self.coeffs}
         return tuple(map(at.get, range(len(data.elements)), repeat(0)))
-
-    def as_dict(self):
-        return dict(self.coeffs)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -250,18 +262,19 @@ _WALK_FROM = 32  # pairs per walk step from which ``multiply`` walks
 
 
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product in the group ring.  A walk costs about |W| steps
-    per pair of coefficient groups, the rows one per pair of elements.  From
-    _WALK_FROM pairs per walk step, a walk of ``_GroupData.walk`` per group U of
-    a (cu) takes each w's mask of U^-1 w, its parent's classes shifted by their
-    moves, and adds cu * cv times its popcount against each group V of b (cv);
-    below, one pass over a's rows per V adds cu * cv at V's columns."""
+    """Convolution product in the group ring.  A walk costs about |W| steps per pair
+    of coefficient groups, the rows one per pair of elements.  From _WALK_FROM pairs per
+    walk step, or past a |W|^2 table of DEFAULT_BUDGET, a walk of ``_GroupData.walk`` per
+    group U of a (cu) takes each w's mask of U^-1 w, its parent's classes shifted by their
+    moves, and adds cu * cv times its popcount against each group V of b (cv); below, one
+    pass over a's rows per V adds cu * cv at V's columns.  A zero factor reads neither."""
     weyl._same_family((a, GroupRingElement), (b, GroupRingElement))
     data = _data(a.family)
     size, rights = len(data.elements), _groups(b)
-    pairs = (size - a._dense.count(0)) * (size - b._dense.count(0))
-    acc, least = [0] * size, _WALK_FROM * size * len(rights)  # a is grouped only if it may walk
-    if pairs and pairs >= least and pairs >= least * len(lefts := _groups(a)):
+    if not (pairs := (size - a._dense.count(0)) * (size - b._dense.count(0))):
+        return data.element((0,) * size)
+    acc, least = [0] * size, _WALK_FROM * size * len(rights) if size * size <= DEFAULT_BUDGET else 0
+    if pairs >= least and pairs >= least * len(lefts := _groups(a)):  # a grouped if it may walk
         inverse_of, batches, by_index = data.walk
         for cu, us in lefts:
             found = [sum(1 << inverse_of[u] for u in us)]
@@ -399,34 +412,22 @@ def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement
 
 
 @dataclass(frozen=True, init=False)
-class FaceSum:
+class FaceSum(_Sum):
     """A finitely supported integer combination of faces (finite or torus),
-    checked and canonical like ``GroupRingElement``: every key is a face
-    (necklace if torus) of the family.  Its state is {position code:
-    coefficient}; a code encodes its face one to one, so == and hash read
-    the codes, and ``coeffs`` decodes them, sorted by face, on first read."""
+    checked and canonical by ``_summed``: every key is a face (necklace if
+    torus) of the family.  Its state is {position code: coefficient} alone; a
+    code encodes its face one to one, so == and hash read the codes, and
+    ``coeffs`` decodes them, sorted by face, on first read."""
 
     family: Family
     torus: bool
     _codes: dict
 
     def __init__(self, family: Family, torus: bool, coeffs):
-        weyl._family(family)
-        kinds = torusfaces._NECKLACES if torus else coxfaces._FACES
-        acc = {}
-        for F, c in coeffs:
-            if not isinstance(F, kinds) or F.family != family:
-                raise FamilyMismatchError(f"{F} is not a {'necklace' if torus else 'face'}"
-                                          f" of {family}")
-            acc[F] = acc.get(F, 0) + _integer(c)
-        terms = tuple(sorted(((F, c) for F, c in acc.items() if c), key=itemgetter(0)))
+        acc = _summed(family, coeffs, torusfaces._NECKLACES if torus else coxfaces._FACES,
+                      "a necklace" if torus else "a face")
         code = torusfaces._necklace_code if torus else coxfaces._face_code
-        self.__dict__.update(family=family, torus=torus, coeffs=terms,
-                             _codes={code(F): c for F, c in terms})
-
-    @staticmethod
-    def from_dict(family: Family, torus: bool, mapping) -> "FaceSum":
-        return FaceSum(family, torus, tuple(mapping.items()))
+        self.__dict__.update(family=family, torus=torus, _codes={code(F): acc[F] for F in acc})
 
     @functools.cached_property
     def coeffs(self) -> Tuple[Tuple[object, int], ...]:
@@ -442,9 +443,6 @@ class FaceSum:
 
     def __repr__(self):
         return f"FaceSum(family={self.family!r}, torus={self.torus!r}, coeffs={self.coeffs!r})"
-
-    def as_dict(self):
-        return dict(self.coeffs)
 
     def __add__(self, other):
         weyl._same_family((self, FaceSum), (other, FaceSum))
@@ -736,7 +734,7 @@ def _verify_counts(family: Family, seed=0):
                        ("maximal torus faces", len(maximal))):
         checks += 1
         if got != family.group_order():
-            failures.append({"check": check, "got": got})
+            failures.append({"check": check, "want": family.group_order(), "got": got})
     # The faces of colour J map one to one onto the elements with (affine)
     # descent set inside J; codes give one-line values without a face.
     for kind, sums, side in (("x", sigma, "finite"), ("xt", sigmat, "affine")):

@@ -154,6 +154,7 @@ def clasp(N: SpinNecklace) -> Block:
 
 
 def split(N: SpinNecklace) -> SplitNecklace:
+    _same_family((N, SpinNecklace))
     n = N.family.rank
     incoming, outgoing = N.labels[-1], N.labels[0]
     c = clasp(N)
@@ -167,6 +168,7 @@ def split(N: SpinNecklace) -> SplitNecklace:
 
 def contract_edge(N: SpinNecklace, p: int) -> SpinNecklace:
     """Merge the two blocks joined by edge p (labels[p], 0 <= p < k); drop its label."""
+    _same_family((N, SpinNecklace))
     k = len(N.blocks)
     if k < 2:
         raise ValidationError("a one-block necklace has no contractible edge")

@@ -52,6 +52,8 @@ GUARDED = {
     "enumerate_faces": cf.enumerate_faces,
     "count_torus_faces": tf.count_torus_faces,
     "enumerate_torus_faces": tf.enumerate_torus_faces,
+    "split": tf.split,
+    "contract_edge": tf.contract_edge,
     "tits_product": cf.tits_product,
     "coxfaces.act": cf.act,
     "module_action": tf.module_action,
@@ -122,13 +124,13 @@ def test_guarded_functions_refuse_two_families(name, other):
 
 def test_the_api_sweep_leaks_no_more_than_before():
     """Every exported function with at most two required parameters, called
-    with every tuple of the ten samples.  The 342 leaks left, in functions
+    with every tuple of the ten samples.  The 248 leaks left, in functions
     that do not check the kind of what they are given, are the debt of one
     checked boundary for the whole API: the count may fall, not rise."""
     exported = {name: f for name in steintorus.__all__
                 if inspect.isfunction(f := getattr(steintorus, name)) and len(required(f)) <= 2}
     assert sum(len(SAMPLES) ** len(required(f)) for f in exported.values()) == 1100
-    assert sum(len(leaks(f)) for f in exported.values()) <= 342
+    assert sum(len(leaks(f)) for f in exported.values()) <= 248
 
 
 @pytest.mark.parametrize("family", [None, "A3"])

@@ -675,7 +675,8 @@ def test_counts_reports_a_missing_chamber_or_maximal_torus_face(monkeypatch, fam
     _replacing_one_face(monkeypatch, torus,
                         frozenset(fam.affine_indices() if torus else fam.finite_indices()))
     report = da.verify("counts", fam)
-    assert {"check": check, "got": fam.group_order() - 1} in report["failures"]
+    want = fam.group_order()
+    assert {"check": check, "want": want, "got": want - 1} in report["failures"]
 
 
 def test_counts_reports_an_orbit_of_the_wrong_size(monkeypatch):
@@ -1229,6 +1230,16 @@ def test_cancelling_products_keep_no_zero(fam, torus):
     assert product == pairwise
 
 
+@pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
+def test_a_public_face_sum_decodes_coeffs_on_first_read(torus):
+    """A face sum's state is its codes alone: the constructor keeps no coeffs,
+    which decode, sorted by face, when first read."""
+    orbit = da.orbit_sum("sigmat" if torus else "sigma", [1], A3)
+    s = da.FaceSum.from_dict(A3, torus, dict(reversed(orbit.coeffs)))
+    assert "coeffs" not in s.__dict__ and s._codes == orbit._codes
+    assert s.coeffs == orbit.coeffs and "coeffs" in s.__dict__
+
+
 def test_face_sum_repr_shows_faces():
     """A face sum's repr lists its faces with their coefficients, as a ring
     element's does, not its position codes."""
@@ -1308,13 +1319,16 @@ def test_counted_convolution_edge_cases(fam):
     assert da.multiply(pair, plus) == _naive_multiply(pair, plus)
 
 
-@pytest.mark.parametrize("fam", [Family("A", 5), Family("C", 4)], ids=["A5", "C4"])
+@pytest.mark.parametrize("fam", [Family("A", 5), Family("C", 4), Family("C", 5)],
+                         ids=["A5", "C4", "C5"])
 def test_a_zero_factor_does_not_walk(monkeypatch, fam):
     """multiply(x_I, 0) once walked the Cayley graph once per coefficient group
-    of x_I: 0 pairs passed the threshold, which is 0 for a zero right factor."""
+    of x_I: 0 pairs passed the threshold, which is 0 for a zero right factor.
+    At C5, past the default budget's table, it once read the refused table."""
     def refuse(self):
         raise AssertionError("the walk was taken")
 
+    monkeypatch.delenv("STEINTORUS_BUDGET", raising=False)
     monkeypatch.setattr(da._GroupData, "walk", property(refuse))
     zeros = (da.GroupRingElement.from_dict(fam, {}), da.evaluate_expansion({}, "x", fam))
     for I in _legal_sets("x", fam):
@@ -1444,6 +1458,70 @@ def test_the_walk_reads_no_row(monkeypatch, fam):
     below = da.GroupRingElement.from_dict(fam, dict.fromkeys(elements[1 - da._WALK_FROM:], 1))
     with pytest.raises(AssertionError, match="rows were read"):
         da.multiply(group, below)
+
+
+C5 = Family("C", 5)
+
+
+def test_multiply_walks_past_the_default_table_at_C5(monkeypatch):
+    """Under the default budget the |W|^2 table of C5 (14,745,600 products) is
+    refused, and a walk read off that table was refused with it.  x_{0123} x_{1234}
+    walks on composed columns, builds no table, and is the psi image of its solomon
+    table entry."""
+    monkeypatch.delenv("STEINTORUS_BUDGET", raising=False)
+    monkeypatch.setattr(da, "_group_cache", {})
+    I, J = [0, 1, 2, 3], [1, 2, 3, 4]
+    product = da.multiply(da.basis_element("x", I, C5), da.basis_element("x", J, C5))
+    assert "mult" not in da._data(C5).__dict__
+    entry = next(e for e in da.solomon_table(C5)["entries"] if e["I"] == I and e["J"] == J)
+    expansion = {frozenset(json.loads(K)): c for K, c in entry["coeffs"].items()}
+    assert product == da.evaluate_expansion(expansion, "x", C5)
+
+
+def test_the_path_of_multiply_is_chosen_by_the_default_budget(monkeypatch):
+    """A raised budget admits the C5 table, but multiply past the default budget
+    walks whatever the budget: x_{} x_{} builds no table."""
+    monkeypatch.setenv("STEINTORUS_BUDGET", "100000000")
+    monkeypatch.setattr(da, "_group_cache", {})
+    x = da.basis_element("x", [], C5)
+    assert da.multiply(x, x) == x
+    assert "walk" in da._data(C5).__dict__ and "mult" not in da._data(C5).__dict__
+
+
+def test_the_walk_refuses_A8_before_any_mask(monkeypatch):
+    """The walk's masks at A8 are 40320^2 / 64 words: refused under the default
+    budget before any generator's column is composed."""
+    def refuse(family):
+        raise AssertionError("a column was composed")
+
+    monkeypatch.delenv("STEINTORUS_BUDGET", raising=False)
+    monkeypatch.setattr(da, "_group_cache", {})
+    monkeypatch.setattr(da, "_generators", refuse)
+    x = da.basis_element("x", [], Family("A", 8))
+    with pytest.raises(BudgetExceededError, match="mask words of the Cayley walk of .*: 25401600 "):
+        da.multiply(x, x)
+
+
+@pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
+def test_the_walk_composes_the_columns_of_the_table(fam):
+    """Each batch of the walk moves its parents by one simple generator: its
+    classes and its children are those of that generator's column of mult."""
+    data = da._GroupData(fam)
+    inverse_of, batches, by_index = data.walk
+    assert "mult" not in data.__dict__
+    size = len(data.elements)
+    order = sorted(range(size), key=by_index(range(size)).__getitem__)  # walk order
+    columns = [[row[data.index_of[s.values]] for row in data.mult] for s in da._generators(fam)]
+    moves = [{d: sum(1 << x for x, y in enumerate(column) if y - x == d)
+              for d in {y - x for x, y in enumerate(column)}} for column in columns]
+    child = 1
+    for parents, classes in batches:
+        column = columns[moves.index(classes)]
+        for p in parents:
+            assert order[child] == column[order[p]]
+            child += 1
+    assert order[0] == data.index_of[identity(fam).values] and child == size
+    assert inverse_of == [data.index_of[inverse(w).values] for w in data.elements]
 
 
 # ---------------------------------------------------------------------------
