@@ -22,8 +22,9 @@ the edge after block p of c is the translation-invariant count
 
     label == -sum_i floor(x_i - (2p + 1) / 2c)   (mod n).
 
-``oracle_act`` applies G's signs through ``_act``.  The vectors this module
-builds skip the check of the public ``CompactSignVector`` constructor.
+``oracle_act`` applies G's signs through ``_act``.  A vector's family is type A
+of its rank, so each function checks it by ``weyl._same_family`` (``lift`` by
+``split``); the vectors built here skip the ``CompactSignVector`` constructor's check.
 ``project`` keeps every check; the oracle suite caches it per run and hands
 it to ``_locate``, so each distinct vector is projected once.
 """
@@ -35,23 +36,25 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import FamilyMismatchError, NotRealizableError, ValidationError
-from .weyl import Family, _trusted
-from .coxfaces import SetComposition, positive_root_order, sign_vector
+from .weyl import Family, _same_family, _trusted
+from .coxfaces import _FACES, SetComposition, positive_root_order, sign_vector
 from .torusfaces import SpinNecklace, make_spin, split, w_of_torus_face
 
 Entry = Tuple[int, str]
+_type_a = functools.cache(functools.partial(Family, "A"))  # Family("A", n), one per rank
 
 
 @functools.lru_cache(maxsize=None)
 def _pairs(n):
     """The pairs i < j in the root order that ``_act`` reads signs in."""
-    return positive_root_order(Family("A", n))
+    return positive_root_order(_type_a(n))
 
 
 @dataclass(frozen=True)
 class CompactSignVector:
     n: int
     entries: Tuple[Entry, ...]
+    family = property(lambda self: _type_a(self.n))  # type A of rank n
 
     def __post_init__(self):
         if len(self.entries) != self.n * (self.n - 1) // 2:
@@ -81,9 +84,8 @@ def _vector_from_coords(n, coords, scale) -> CompactSignVector:
 
 
 def lift(N: SpinNecklace) -> CompactSignVector:
-    n = N.family.rank
     s = split(N)
-    m = len(s.blocks)
+    n, m = s.family.rank, len(s.blocks)
     coords = [m] * (n + 1)  # the tail, and the unused index 0, at m
     for p, block in enumerate(s.blocks):
         for x in block:
@@ -92,15 +94,16 @@ def lift(N: SpinNecklace) -> CompactSignVector:
 
 
 def translate(V: CompactSignVector, mu: CorootVector) -> CompactSignVector:
-    if len(mu.coords) != V.n:
+    n = _same_family((V, CompactSignVector)).rank
+    if not isinstance(mu, CorootVector) or len(mu.coords) != n:
         raise ValidationError("rank mismatch")
-    return _trusted(CompactSignVector, V.n, tuple(
+    return _trusted(CompactSignVector, n, tuple(
         (k + mu.coords[j - 1] - mu.coords[i - 1], s)
-        for (i, j), (k, s) in zip(_pairs(V.n), V.entries)))
+        for (i, j), (k, s) in zip(_pairs(n), V.entries)))
 
 
 def oracle_act(V: CompactSignVector, G: SetComposition) -> CompactSignVector:
-    if G.family != Family("A", V.n):
+    if _same_family((G, _FACES)) != _same_family((V, CompactSignVector)):
         raise FamilyMismatchError("rank/family mismatch")
     return _act(V, sign_vector(G).signs)
 
@@ -122,7 +125,7 @@ def project(V: CompactSignVector) -> SpinNecklace:
     c roots, where q counts the roots a whose level to b is L[b] - L[a],
     that is, those with a smaller fractional part.  Comparing the point's
     vector with V is the one realizability check."""
-    n = V.n
+    n = (family := _same_family((V, CompactSignVector))).rank
     entry = dict(zip(_pairs(n), V.entries))
     parent = {}
     for (i, j), (k, s) in entry.items():  # the least i comes first
@@ -147,7 +150,7 @@ def project(V: CompactSignVector) -> SpinNecklace:
         blocks[coords[i] % c].append(i)
     labels = [-sum((2 * x - 2 * p - 1) // (2 * c) for x in coords[1:])
               for p in range(c)]
-    return make_spin(Family("A", n), blocks, labels)
+    return make_spin(family, blocks, labels)
 
 
 def w_of_affine_face(V: CompactSignVector):

@@ -295,17 +295,15 @@ def positive_root_order(family: Family) -> Tuple[Tuple[int, int], ...]:
 
 
 def sign_vector(F: Composition) -> FiniteSignVector:
+    family = _same_family((F, _FACES))
     pos = {x: idx for idx, block in enumerate(F.full_blocks()) for x in block}
-    signs = []
-    for a, b in positive_root_order(F.family):
-        pa, pb = pos[a], pos[b]
-        signs.append("0" if pa == pb else ("+" if pa < pb else "-"))
-    return FiniteSignVector(F.family, tuple(signs))
+    signs = ("0" if pos[a] == pos[b] else "+" if pos[a] < pos[b] else "-"
+             for a, b in positive_root_order(family))
+    return FiniteSignVector(family, tuple(signs))
 
 
 def tits_product(F: Composition, G: Composition) -> Composition:
-    _same_family((F, _FACES), (G, _FACES))
-    return _from_code(F.family, _refine(_face_code(F), _face_code(G)))
+    return _from_code(_same_family((F, _FACES), (G, _FACES)), _refine(_face_code(F), _face_code(G)))
 
 
 def unit_face(family: Family) -> Composition:
@@ -315,7 +313,8 @@ def unit_face(family: Family) -> Composition:
 
 
 def w_of_face(F: Composition) -> WeylElement:
-    return _trusted(WeylElement, F.family, _w_of_code(F.family, _face_code(F)))
+    family = _same_family((F, _FACES))
+    return _trusted(WeylElement, family, _w_of_code(family, _face_code(F)))
 
 
 def _w_of_code(family: Family, code) -> Tuple[int, ...]:
@@ -348,8 +347,7 @@ def color_set(F: Composition) -> ColorSet:
 
 
 def act(w: WeylElement, F: Composition) -> Composition:
-    _same_family((w, WeylElement), (F, _FACES))
-    return _from_code(F.family, _moved(_face_code(F), w))
+    return _from_code(_same_family((w, WeylElement), (F, _FACES)), _moved(_face_code(F), w))
 
 
 def _ordered_partitions(elements, sizes=None, above=0) -> Iterator[Tuple[Block, ...]]:

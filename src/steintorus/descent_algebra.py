@@ -46,7 +46,8 @@ against every face, once per order, and counts the colour of each order's result
 sigma_I; ``is_invariant`` keeps per family, code length and simple generator the image
 of each code it meets, so a check is two lookups; ``psi`` keeps per family each
 code's int key, ordered as its element's one-line values, and each key's element,
-built without the group, so it sums and sorts ints; the ``lrb`` and ``oracle`` suites
+built without the group, so it sums and sorts ints, and the psi suite counts its
+refusal of a non-invariant sum as a failed identity; the ``lrb`` and ``oracle`` suites
 index their products by ``_table``.  So none of them builds a face.  The public
 constructors of both sums check their keys and int coefficients in ``_summed`` and make
 them canonical; internal results skip that check.  Each suite and table is one row of
@@ -242,8 +243,8 @@ class GroupRingElement(_Sum):
 
     def _plus(self, other, sign: int) -> "GroupRingElement":
         """self + sign * other, through the checked constructor."""
-        weyl._same_family((self, GroupRingElement), (other, GroupRingElement))
-        return GroupRingElement(self.family, self.coeffs + tuple(
+        family = weyl._same_family((self, GroupRingElement), (other, GroupRingElement))
+        return GroupRingElement(family, self.coeffs + tuple(
             (w, sign * c) for w, c in other.coeffs))
 
     def is_zero(self):
@@ -268,8 +269,7 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     group U of a (cu) takes each w's mask of U^-1 w, its parent's classes shifted by their
     moves, and adds cu * cv times its popcount against each group V of b (cv); below, one
     pass over a's rows per V adds cu * cv at V's columns.  A zero factor reads neither."""
-    weyl._same_family((a, GroupRingElement), (b, GroupRingElement))
-    data = _data(a.family)
+    data = _data(weyl._same_family((a, GroupRingElement), (b, GroupRingElement)))
     size, rights = len(data.elements), _groups(b)
     if not (pairs := (size - a._dense.count(0)) * (size - b._dense.count(0))):
         return data.element((0,) * size)
@@ -373,8 +373,7 @@ def express_in_basis(a: GroupRingElement, kind: str):
     """
     if kind not in ("x", "xt"):
         raise ValidationError("expansions are over kind 'x' or 'xt'")
-    weyl._same_family((a, GroupRingElement))
-    data = _data(a.family)
+    data = _data(weyl._same_family((a, GroupRingElement)))
     masks, mask_of, first_of = data.masks[kind], data.mask_of[kind], data.first_of[kind]
     firsts = itemgetter(*first_of)(a._dense)
     if firsts != a._dense:
@@ -386,7 +385,7 @@ def express_in_basis(a: GroupRingElement, kind: str):
         )
     # Moebius inversion over the classes above I; x~ over the empty set is
     # the empty sum, so masks has no entry for it.
-    values = [0] * (1 << len(_universe(kind, a.family)))
+    values = [0] * (1 << len(_universe(kind, data.family)))
     for i in set(first_of):
         values[mask_of[i]] = a._dense[i]
     _subset_transform(values, -1)
@@ -445,12 +444,12 @@ class FaceSum(_Sum):
         return f"FaceSum(family={self.family!r}, torus={self.torus!r}, coeffs={self.coeffs!r})"
 
     def __add__(self, other):
-        weyl._same_family((self, FaceSum), (other, FaceSum))
+        family = weyl._same_family((self, FaceSum), (other, FaceSum))
         if self.torus != other.torus:
             raise FamilyMismatchError("a sum of faces and a sum of necklaces do not add")
         acc = Counter(self._codes)
         acc.update(other._codes)  # Counter.update adds; dict.update would replace
-        return _trusted(FaceSum, self.family, self.torus, {r: c for r, c in acc.items() if c})
+        return _trusted(FaceSum, family, self.torus, {r: c for r, c in acc.items() if c})
 
 
 def orbit_sum(kind: str, index, family: Family) -> FaceSum:
@@ -467,14 +466,14 @@ def orbit_sum(kind: str, index, family: Family) -> FaceSum:
 
 def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     """Bilinear extension of the Tits product / module action, on codes."""
-    weyl._same_family((s, FaceSum), (t, FaceSum))
+    family = weyl._same_family((s, FaceSum), (t, FaceSum))
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
-    anchor = torusfaces._anchor(s.family) if s.torus else None
+    anchor = torusfaces._anchor(family) if s.torus else None
     acc = coxfaces._refine_sums(s._codes, t._codes, anchor, t._tallies)
     if 0 in acc.values():  # a coefficient cancelled
         acc = {r: c for r, c in acc.items() if c}
-    return _trusted(FaceSum, s.family, s.torus, acc)
+    return _trusted(FaceSum, family, s.torus, acc)
 
 
 def _generators(family: Family):
@@ -510,10 +509,14 @@ def is_invariant(s: FaceSum) -> bool:
                             for images in _images(s.family, len(next(iter(codes)))))
 
 
-def _psi_unchecked(s: FaceSum) -> GroupRingElement:
-    """Per code, an int that orders elements as their one-line values do (digits
-    x + n in base 2n + 1), and per int its element, read once per family and kept."""
-    family, acc, n = s.family, {}, s.family.rank
+def psi(s: FaceSum) -> GroupRingElement:
+    """Replace each face by its canonical group element (invariant sums only).  Per
+    code, an int that orders elements as their one-line values do (digits x + n in
+    base 2n + 1), and per int its element, read once per family and kept."""
+    family = weyl._same_family((s, FaceSum))
+    if not is_invariant(s):
+        raise ValidationError("psi is only defined on W-invariant face sums")
+    acc, n = {}, family.rank
     memo, elements = _element_cache.setdefault(family, ({}, {}))
     for r, c in s._codes.items():
         if (k := memo.get(r)) is None:  # a code met first: read it once
@@ -523,14 +526,6 @@ def _psi_unchecked(s: FaceSum) -> GroupRingElement:
         acc[k] = acc.get(k, 0) + c
     return _trusted(GroupRingElement, family, tuple(
         (elements[k], c) for k, c in sorted(acc.items()) if c))
-
-
-def psi(s: FaceSum) -> GroupRingElement:
-    """Replace each face by its canonical group element (invariant sums only)."""
-    weyl._same_family((s, FaceSum))
-    if not is_invariant(s):
-        raise ValidationError("psi is only defined on W-invariant face sums")
-    return _psi_unchecked(s)
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +632,8 @@ def _verify_psi(family: Family, seed=0):
     x = {K: basis_element("x", K, family) for K in sigma}
 
     def check(s, image, identity, I, J):  # only a kernel defect makes such a code
-        with suppress(IndexError, KeyError):
-            if is_invariant(s) and _psi_unchecked(s)._dense == image._dense:
+        with suppress(IndexError, KeyError, ValidationError):  # psi refuses a non-invariant s
+            if psi(s)._dense == image._dense:
                 return
         failures.append({"identity": identity, "I": sorted(I), "J": sorted(J)})
 
@@ -744,15 +739,15 @@ def _verify_counts(family: Family, seed=0):
             target = {w.values for w, d in zip(data.elements, data.mask_of[kind]) if d | m == m}
             if len(images) != len(set(images)) or set(images) != target:
                 failures.append({"check": f"{side} descent bijection", "J": sorted(J)})
-    if family.tag == "A":
-        n = family.rank
-        for J in _subsets(finite):
-            checks += 1
-            cuts = [0, *sorted(J), n]
-            multinomial = math.factorial(n) // math.prod(
-                math.factorial(b - a) for a, b in zip(cuts, cuts[1:]))
-            if len(sigma[J]._codes) != multinomial:
-                failures.append({"check": "orbit size", "J": sorted(J)})
+    # A colour's orbit size: a multinomial, in type C a sign per letter off the zero block.
+    n = family.rank
+    for J in _subsets(finite):
+        checks += 1
+        cuts = [0, *sorted(J), n]
+        multinomial = math.factorial(n) // math.prod(
+            math.factorial(b - a) for a, b in zip(cuts, cuts[1:]))
+        if len(sigma[J]._codes) != multinomial << (n - cuts[1] if family.tag == "C" else 0):
+            failures.append({"check": "orbit size", "J": sorted(J)})
     return _report("counts", family, checks, failures)
 
 

@@ -154,21 +154,20 @@ def clasp(N: SpinNecklace) -> Block:
 
 
 def split(N: SpinNecklace) -> SplitNecklace:
-    _same_family((N, SpinNecklace))
-    n = N.family.rank
+    n = (family := _same_family((N, SpinNecklace))).rank
     incoming, outgoing = N.labels[-1], N.labels[0]
     c = clasp(N)
     assert incoming + len(c) == outgoing + n, "clasp labels inconsistent"
     head = c[: n - incoming]  # the tail C1: first n - incoming elements
     c2 = c[n - incoming :]  # the last `outgoing` elements
     return SplitNecklace(
-        N.family, (c2,) + N.blocks[1:], head if head else None
+        family, (c2,) + N.blocks[1:], head if head else None
     )
 
 
 def contract_edge(N: SpinNecklace, p: int) -> SpinNecklace:
     """Merge the two blocks joined by edge p (labels[p], 0 <= p < k); drop its label."""
-    _same_family((N, SpinNecklace))
+    family = _same_family((N, SpinNecklace))
     k = len(N.blocks)
     if k < 2:
         raise ValidationError("a one-block necklace has no contractible edge")
@@ -177,7 +176,7 @@ def contract_edge(N: SpinNecklace, p: int) -> SpinNecklace:
     # The merged block leaves by the edge after it.
     dropped, kept = N.labels[p], N.labels[(p + 1) % k]
     code = _necklace_code(N)
-    return _from_code(N.family, tuple(kept if c == dropped else c for c in code))
+    return _from_code(family, tuple(kept if c == dropped else c for c in code))
 
 
 def _necklace_code(N):
@@ -208,12 +207,13 @@ def module_action(N, G: Composition):
     """Right action of a finite face on a torus face: the Tits product on the
     block cycle.  A type A piece's outgoing label is the clasp's incoming
     label plus the sizes of the pieces up to it (mod n)."""
-    _same_family((N, _NECKLACES), (G, _FACES))
-    return _from_code(N.family, _refine(_necklace_code(N), _face_code(G), _anchor(N.family)))
+    family = _same_family((N, _NECKLACES), (G, _FACES))
+    return _from_code(family, _refine(_necklace_code(N), _face_code(G), _anchor(family)))
 
 
 def w_of_torus_face(N) -> WeylElement:
-    return _trusted(WeylElement, N.family, _w_of_code(N.family, _necklace_code(N)))
+    family = _same_family((N, _NECKLACES))
+    return _trusted(WeylElement, family, _w_of_code(family, _necklace_code(N)))
 
 
 def color_set(N) -> ColorSet:
@@ -227,8 +227,8 @@ def color_set(N) -> ColorSet:
 
 def act(w: WeylElement, N):
     """Left W-action: replace every block by its image, structure unchanged."""
-    _same_family((w, WeylElement), (N, _NECKLACES))
-    return _from_code(N.family, _moved(_necklace_code(N), w))
+    family = _same_family((w, WeylElement), (N, _NECKLACES))
+    return _from_code(family, _moved(_necklace_code(N), w))
 
 
 def count_torus_faces(family: Family) -> int:

@@ -26,8 +26,8 @@ The public constructors ``Family``, ``WeylElement`` and ``ColorSet`` check
 their input, a rank, one-line value or colour index being an ``int`` only
 (``_integer``, shared with the coefficients of sums); the results computed
 here are valid by construction and built unchecked.  ``_same_family`` is
-the one kind-and-family check of the functions that take objects, and
-``_family`` the check of a family passed in.
+the one kind-and-family check of the functions that take objects, which read
+their family off its return, and ``_family`` the check of a family passed in.
 """
 
 from __future__ import annotations
@@ -91,16 +91,17 @@ def _trusted(cls, *fields):
     return obj
 
 
-def _same_family(*pairs) -> None:
-    """The one kind-and-family check of a function that takes objects: each
-    (object, kind) pair must hold an instance of its kind, a class or a tuple of
-    classes, and the objects the first one's family; else a FamilyMismatchError."""
+def _same_family(*pairs) -> Family:
+    """The one kind-and-family check of a function that takes objects, returning their
+    family: each (object, kind) pair must hold an instance of its kind, a class or a
+    tuple of classes, and the objects the first one's family; else a FamilyMismatchError."""
     for obj, kind in pairs:
         if not isinstance(obj, kind):
             names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
             raise FamilyMismatchError(f"a {type(obj).__name__} where a {names} belongs")
-        if obj.family != pairs[0][0].family:
+        if obj is not pairs[0][0] and obj.family != pairs[0][0].family:
             raise FamilyMismatchError(f"family mismatch: {pairs[0][0].family} vs {obj.family}")
+    return pairs[0][0].family
 
 
 def _family(family) -> Family:
@@ -188,11 +189,10 @@ def identity(family: Family) -> WeylElement:
 
 
 def inverse(u: WeylElement) -> WeylElement:
-    _same_family((u, WeylElement))
-    out = [0] * u.family.rank
+    out = [0] * (family := _same_family((u, WeylElement))).rank
     for i, image in enumerate(u.values, 1):
         out[abs(image) - 1] = i if image > 0 else -i
-    return _trusted(WeylElement, u.family, tuple(out))
+    return _trusted(WeylElement, family, tuple(out))
 
 
 def _descent_list(w: WeylElement, indices: range) -> list:
@@ -209,8 +209,7 @@ def _descents(w: WeylElement, indices: range) -> ColorSet:
 
 def descent_set(w: WeylElement) -> ColorSet:
     """Finite descent set: indices i with w_i > w_{i+1} (finite range only)."""
-    _same_family((w, WeylElement))
-    return _descents(w, w.family.finite_indices())
+    return _descents(w, _same_family((w, WeylElement)).finite_indices())
 
 
 def affine_descent_set(w: WeylElement) -> ColorSet:
@@ -220,8 +219,7 @@ def affine_descent_set(w: WeylElement) -> ColorSet:
     type A (rank >= 2) and the word 0 w_1 ... w_n 0 of type C both rise
     and fall.
     """
-    _same_family((w, WeylElement))
-    return _descents(w, w.family.affine_indices())
+    return _descents(w, _same_family((w, WeylElement)).affine_indices())
 
 
 def enumerate_group(family: Family) -> Iterator[WeylElement]:
