@@ -20,7 +20,7 @@ off one packed int per q, so ``_by_key``, one left code against many right codes
 calls the kernel once per distinct order; every batched caller goes through it.
 ``_refine_sums`` tallies the right codes by that order once per block pattern,
 faces and necklaces alike, into refinements kept with the right codes; each left
-code translates each result once, by a table of its frame, built once a process.
+code translates each result once, by a table of its frame, kept by the caller.
 Validation stays at the boundary (the public constructors,
 ``SymComposition.from_full`` and ``from_wire``); kernel and enumerator
 output is valid by construction and built by ``weyl._trusted`` unchecked.
@@ -42,14 +42,15 @@ from .errors import BudgetExceededError, FamilyMismatchError, ValidationError
 from .weyl import ColorSet, Family, WeylElement, _family, _same_family, _trusted
 
 Block = Tuple[int, ...]
-_frames: dict = {}  # per anchor, {left code: its frame}, built once a process (_refine_sums)
-_tables: dict = {}  # every translate table of the frames, one object per value
 
 
 def _check_blocks(blocks, lo: int, n: int) -> None:
-    """The blocks must be nonempty, sorted ascending, and partition [lo, n];
-    the element count is compared first, so a huge n builds no range."""
-    elements = sorted(x for b in blocks for x in b)
+    """The blocks, a tuple of int tuples, must be nonempty, sorted ascending, and partition
+    [lo, n]; the element count is compared first, so a huge n builds no range."""
+    if type(blocks) is not tuple or set(map(type, blocks)) - {tuple} or set(
+            map(type, elements := [*itertools.chain(*blocks)])) - {int}:
+        raise ValidationError("blocks must be a tuple of integer tuples")
+    elements.sort()
     if len(elements) != n - lo + 1 or elements != list(range(lo, n + 1)):
         raise ValidationError(f"blocks do not partition [{lo}, {n}]: {blocks}")
     if any(tuple(sorted(b)) != b or not b for b in blocks):
@@ -198,7 +199,7 @@ def _tally(blocks, qs: dict, kept: dict):
         kept.setdefault(r, r) for r in results.values()]))  # one per value
 
 
-def _refine_sums(ps: dict, qs: dict, anchor: Optional[int], kept: dict):
+def _refine_sums(ps: dict, qs: dict, anchor: Optional[int], kept: dict, frames: dict):
     """{_refine(p, q, anchor): sum of cp * cq over its pairs}, ps and qs {code: coefficient}.
     _refine(p, q, anchor) is base + d rotated by start: base[x] counts p's elements in
     blocks before x's, d[x] those of x's block in pieces up to x's, and start is max(p),
@@ -209,16 +210,16 @@ def _refine_sums(ps: dict, qs: dict, anchor: Optional[int], kept: dict):
     p0, so x's entry is r[x] - lead rotated by start + base[x] - before[x], with lead 0
     and start max(p), or lead r[anchor] - r.count(r[anchor]) and start before[anchor] -
     base[anchor].  As r[x] lies in the run of values of x's block, the rotation reads r[x]
-    alone: p's frame in _frames[anchor] holds its pattern, the offsets by value, a table
-    per lead."""
-    acc, frames = {}, _frames.setdefault(anchor, {})
+    alone: p's frame in frames[anchor] holds its pattern, offsets by value and a table per
+    lead, each table one object per value, kept in frames under itself beside the anchors."""
+    acc, at = {}, frames.setdefault(anchor, {})
     for p, cp in ps.items():
-        if (frame := frames.get(p)) is None:  # p met first: its frame, built once
+        if (frame := at.get(p)) is None:  # p met first: its frame, built once
             blocks = tuple(map(p.index, p))
             base = list(map(bisect_left, itertools.repeat(sorted(p)), p))
             before = list(map(bisect_left, itertools.repeat(sorted(blocks)), blocks))
             start = max(p) if anchor is None else before[anchor] - base[anchor]
-            frame = frames[p] = (blocks, [start + base[x] - before[x] for x in sorted(
+            frame = at[p] = (blocks, [start + base[x] - before[x] for x in sorted(
                 range(len(p)), key=before.__getitem__)], {})
         blocks, offsets, tables = frame
         weights, results = kept.get(blocks) or _tally(blocks, qs, kept)
@@ -227,7 +228,7 @@ def _refine_sums(ps: dict, qs: dict, anchor: Optional[int], kept: dict):
             if (table := tables.get(lead)) is None:  # a lead met first: its table, by value
                 table = [0, *((v + o - lead - 1) % len(p) + 1 for v, o in enumerate(offsets, 1))]
                 table = bytes(table).ljust(256, b"\0") if len(p) < 256 else tuple(table)
-                table = tables[lead] = _tables.setdefault(table, table)
+                table = tables[lead] = frames.setdefault(table, table)
             r = r.translate(table) if type(r) is bytes else tuple(map(table.__getitem__, r))
             acc[r] = acc.get(r, 0) + cp * w
     return acc
@@ -454,8 +455,8 @@ def to_wire(F: Composition) -> dict:
 
 
 def _is_ints(value) -> bool:
-    """True for a JSON list of integers; bools and floats do not count."""
-    return isinstance(value, list) and all(type(x) is int for x in value)
+    """True for a list (as JSON has) or a tuple of integers; bools and floats do not count."""
+    return isinstance(value, (list, tuple)) and all(type(x) is int for x in value)
 
 
 def _wire_ints(value, field: str) -> Tuple[int, ...]:
@@ -465,8 +466,8 @@ def _wire_ints(value, field: str) -> Tuple[int, ...]:
 
 
 def _wire_blocks(value, field: str) -> Tuple[Block, ...]:
-    """A JSON list of integer lists, each block sorted."""
-    if not isinstance(value, list) or not all(_is_ints(b) for b in value):
+    """A list (as JSON has) or tuple of integer lists or tuples, each block sorted."""
+    if not isinstance(value, (list, tuple)) or not all(_is_ints(b) for b in value):
         raise ValidationError(f"'{field}' must be a list of integer lists")
     return tuple(tuple(sorted(b)) for b in value)
 

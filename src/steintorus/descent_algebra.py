@@ -40,12 +40,12 @@ right code in one call of ``coxfaces._refine_sums``, which tallies the right
 coefficients by their order on a left code's blocks, once per block pattern (faces
 and necklaces alike) and with one kernel call per order, into results that each left
 code translates once, by a table of its frame, and adds each result's total times the
-left coefficient into the codes returned.  The right factor keeps its tallies; a
-code's frame is built once a process.  ``_face_table`` refines one face per colour
-against every face, once per order, and counts the colour of each order's result per
-sigma_I; ``is_invariant`` keeps per family, code length and simple generator the image
-of each code it meets, so a check is two lookups; ``psi`` adds each coefficient at its
-code's element index, kept per code in the group data, so its images land in index
+left coefficient into the codes returned.  The right factor keeps its tallies, and
+the family's ``_Kept`` each left code's frame.  ``_face_table`` refines one face per
+colour against every face, once per order, and counts the colour of each order's result
+per sigma_I; ``is_invariant`` keeps per family and simple generator the image of each
+code it meets, so a check is two lookups; ``psi`` adds each coefficient at its code's
+element index, kept per code in the group data, so its images land in index
 order, bounded by the group budget, and the psi suite counts its refusal of a
 non-invariant sum as a failed identity; the ``lrb`` and ``oracle`` suites
 index their products by ``_table``.  So none of them builds a face.  The public
@@ -68,7 +68,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add, and_, eq, itemgetter, lshift, mul, or_, rshift
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .budget import DEFAULT_BUDGET, check_count, current_budget
 from .errors import (
@@ -91,7 +91,7 @@ from . import affine_oracle as oracle, coxfaces, torusfaces, weyl
 
 
 # ---------------------------------------------------------------------------
-# cached per-family group data
+# per-family kept state: the group data, the frames and the generator images
 
 
 class _GroupData:
@@ -173,12 +173,23 @@ class _GroupData:
         return g
 
 
-_group_cache: Dict[Family, _GroupData] = {}
+class _Kept:
+    """All a process keeps between calls for one family, each part built on first use: the
+    frames, the group data, and each simple generator's images.  ``verify`` drops them all."""
+
+    def __init__(self, family: Family):
+        self.family, self.frames = family, {}  # frames: {anchor: {left code: frame}}
+
+    group = functools.cached_property(lambda self: _GroupData(self.family))
+
+    @functools.cached_property
+    def images(self) -> tuple:
+        size = self.family.rank if self.family.tag == "A" else 2 * self.family.rank + 1
+        return tuple(_Images({None: itemgetter(*coxfaces._moved(range(size), g))})
+                     for g in _generators(self.family))
 
 
-def _data(family: Family) -> _GroupData:
-    """The family's group data, built once."""
-    return _group_cache.get(family) or _group_cache.setdefault(family, _GroupData(family))
+_data = functools.cache(_Kept)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +239,12 @@ class GroupRingElement(_Sum):
     @functools.cached_property
     def coeffs(self) -> Tuple[Tuple[WeylElement, int], ...]:
         dense = self._dense
-        return tuple(zip(itertools.compress(_data(self.family).elements, dense),
+        return tuple(zip(itertools.compress(_data(self.family).group.elements, dense),
                          filter(None, dense)))
 
     @functools.cached_property
     def _dense(self) -> tuple:
-        data = _data(self.family)
+        data = _data(self.family).group
         at = {data.index_of[w.values]: c for w, c in self.coeffs}
         return tuple(map(at.get, range(len(data.elements)), repeat(0)))
 
@@ -271,7 +282,7 @@ def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
     group U of a (cu) takes each w's mask of U^-1 w, its parent's classes shifted by their
     moves, and adds cu * cv times its popcount against each group V of b (cv); below, one
     pass over a's rows per V adds cu * cv at V's columns.  A zero factor reads neither."""
-    data = _data(weyl._same_family((a, GroupRingElement), (b, GroupRingElement)))
+    data = _data(weyl._same_family((a, GroupRingElement), (b, GroupRingElement))).group
     size, rights = len(data.elements), _groups(b)
     if not (pairs := (size - a._dense.count(0)) * (size - b._dense.count(0))):
         return data.element((0,) * size)
@@ -357,7 +368,7 @@ def _subset_transform(f: list, sign: int) -> list:
 def basis_element(kind: str, index, family: Family) -> GroupRingElement:
     """x_J, y_J, x~_J (kind 'xt') or y~_J (kind 'yt'): 1 on the classes of J's
     submasks (x, x~), walked as sub = (sub - 1) & mask, or of J alone (y, y~)."""
-    (J,), data = _index_sets(kind, [index], family), _data(family)
+    (J,), data = _index_sets(kind, [index], family), _data(family).group
     values, mask = [0] * (1 << len(_universe(kind, family))), data.masks[kind][J]
     values[mask], sub = 1, mask
     while sub and kind in ("x", "xt"):
@@ -376,7 +387,7 @@ def express_in_basis(a: GroupRingElement, kind: str):
     """
     if kind not in ("x", "xt"):
         raise ValidationError("expansions are over kind 'x' or 'xt'")
-    data = _data(weyl._same_family((a, GroupRingElement)))
+    data = _data(weyl._same_family((a, GroupRingElement))).group
     masks, mask_of, first_of = data.masks[kind], data.mask_of[kind], data.first_of[kind]
     firsts = itemgetter(*first_of)(a._dense)
     if firsts != a._dense:
@@ -401,7 +412,7 @@ def evaluate_expansion(expansion, kind: str, family: Family) -> GroupRingElement
     itemgetter reads each element's value at its mask (a tuple: |W| > 1)."""
     sets = _index_sets(kind, expansion.keys(), family)
     terms = list(zip(sets, map(_integer, expansion.values())))  # before the group is built
-    values, data = [0] * (1 << len(_universe(kind, family))), _data(family)
+    values, data = [0] * (1 << len(_universe(kind, family))), _data(family).group
     for J, c in terms:
         values[data.masks[kind][J]] += c
     if kind in ("x", "xt"):
@@ -473,7 +484,7 @@ def face_sum_product(s: FaceSum, t: FaceSum) -> FaceSum:
     if t.torus:
         raise ValidationError("the right factor must be a finite face sum")
     anchor = torusfaces._anchor(family) if s.torus else None
-    acc = coxfaces._refine_sums(s._codes, t._codes, anchor, t._tallies)
+    acc = coxfaces._refine_sums(s._codes, t._codes, anchor, t._tallies, _data(family).frames)
     if 0 in acc.values():  # a coefficient cancelled
         acc = {r: c for r, c in acc.items() if c}
     return _trusted(FaceSum, family, s.torus, acc)
@@ -495,21 +506,13 @@ class _Images(dict):
         return image
 
 
-@functools.cache
-def _images(family: Family, size: int) -> tuple:
-    """Per simple generator, its images of the family's codes of the given length."""
-    return tuple(_Images({None: itemgetter(*coxfaces._moved(range(size), g))})
-                 for g in _generators(family))
-
-
 def is_invariant(s: FaceSum) -> bool:
     """True iff every simple generator maps s to itself, that is, moves each code
     to a code of s with the same coefficient: the moves are one to one.  Each check
     is two lookups of codes, which keep their hashes: the image, then its coefficient."""
-    family, codes = weyl._same_family((s, FaceSum)), s._codes
+    kept, codes = _data(weyl._same_family((s, FaceSum))), s._codes
     return not codes or all(all(map(eq, map(codes.get, map(images.__getitem__, codes)),
-                                    codes.values()))
-                            for images in _images(family, len(next(iter(codes)))))
+                                    codes.values())) for images in kept.images)
 
 
 def psi(s: FaceSum) -> GroupRingElement:
@@ -517,7 +520,7 @@ def psi(s: FaceSum) -> GroupRingElement:
     coefficient in index order at its element's index, kept per code in ``index_of_code``."""
     if not is_invariant(s):  # which checks s's kind first
         raise ValidationError("psi is only defined on W-invariant face sums")
-    data = _data(s.family)
+    data = _data(s.family).group
     acc, at = [0] * len(data.elements), data.index_of_code
     for r, c in s._codes.items():
         if (i := at.get(r)) is None:  # a code met first: read it once
@@ -604,7 +607,7 @@ def _verify_products(suite: str, kind: str, family: Family, seed=0):
     """Every x_I * x_J or x_I * x~_J is constant on D-classes (D = Des or Ades)
     iff each w's histogram of (Des(w v), D(v^-1)) over all v, at (A, B) w's
     coefficient in y_A * y_B or y_A * y~_B, is its class's first one's."""
-    data, width = _data(family), len(_universe(kind, family))
+    data, width = _data(family).group, len(_universe(kind, family))
     d = data.mask_of[kind]
     d_inverse = [d[data.index_of[inverse(w).values]] for w in data.elements]
     named = {k: {m: sorted(J) for J, m in data.masks[k].items()} for k in ("x", kind)}
@@ -718,7 +721,7 @@ def _verify_euler(family: Family, seed=0):
 
 def _verify_counts(family: Family, seed=0):
     checks, failures = 0, []
-    data = _data(family)
+    data = _data(family).group
     sigma, sigmat = _orbit_sums(family, False), _orbit_sums(family, True)
     finite = frozenset(family.finite_indices())
     maximal = [r for r in sigmat[frozenset(family.affine_indices())]._codes
@@ -830,8 +833,8 @@ def _check_work(name: str, row: _Row, family: Family) -> None:
 
 
 def verify(suite: str, family: Family, seed: int = 0) -> dict:
-    """Run one suite, or with 'all' every suite whose row does not refuse the
-    family; the work of each suite it runs is checked before the first starts."""
+    """Run one suite, or with 'all' every suite whose row does not refuse the family, once
+    the work of each is checked; every family's kept state is dropped when the runs end."""
     if suite not in ("all", *_SUITES):
         raise ValidationError(f"unknown suite {suite!r}")
     tag = weyl._family(family).tag
@@ -841,7 +844,10 @@ def verify(suite: str, family: Family, seed: int = 0) -> dict:
         if tag in row.refuses:  # before the budget is read
             raise ValidationError(row.refuses[tag])
         _check_work(f"{name} suite", row, family)
-    reports = [row.run(family, seed) for row in rows.values()]
+    try:
+        reports = [row.run(family, seed) for row in rows.values()]
+    finally:
+        _data.cache_clear()
     return reports[0] if suite != "all" else {
         "suite": "all", "family": tag, "rank": family.rank,
         "reports": reports, "pass": all(r["pass"] for r in reports)}

@@ -97,9 +97,9 @@ class SpinNecklace:
 
 
 def make_spin(family: Family, blocks, labels) -> SpinNecklace:
-    """Build a spin necklace from any rotation, canonicalizing to clasp-first."""
-    blocks = tuple(tuple(sorted(b)) for b in blocks)
-    labels = tuple(_norm_label(l, _family(family).rank) for l in labels)
+    """Build a spin necklace, clasp-first, from any rotation given as int lists or tuples."""
+    n, blocks = _family(family).rank, _wire_blocks(blocks, "blocks")
+    labels = tuple(_norm_label(l, n) for l in _wire_ints(labels, "labels"))
     k = len(blocks)
     if k != len(labels) or k == 0:
         raise ValidationError("need one label per edge")
@@ -294,8 +294,7 @@ def from_wire(family: Family, data: dict):
     if family.tag == "A":
         if "blocks" not in data or "labels" not in data:
             raise ValidationError("spin necklace needs 'blocks' and 'labels'")
-        return make_spin(family, _wire_blocks(data["blocks"], "blocks"),
-                         _wire_ints(data["labels"], "labels"))
+        return make_spin(family, data["blocks"], data["labels"])
     if "zero_block" not in data or "clockwise" not in data:
         raise ValidationError("symmetric necklace needs 'zero_block' and 'clockwise'")
     anti = data.get("antipodal")

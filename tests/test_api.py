@@ -147,10 +147,10 @@ def test_the_api_sweep_leaks_no_more_than_before():
 def test_the_constructor_sweep_leaks_no_more_than_before():
     """Every exported class of at most three required parameters, all but
     SymNecklace, and every exported function of three, called with every tuple
-    of the ten samples.  The 1,318 leaks left, all TypeErrors of constructors
-    that read a field of the wrong type (make_spin 1,000; FiniteSignVector and
-    SpinNecklace 100 each; CompactSignVector 98; CorootVector and SetComposition
-    10 each), are the debt of checked constructors: the count may fall, not rise."""
+    of the ten samples.  The 208 leaks left, all TypeErrors of constructors
+    that read a field of the wrong type (FiniteSignVector 100; CompactSignVector
+    98; CorootVector 10), are the debt of checked constructors: the count may
+    fall, not rise."""
     swept = {name: f for name in steintorus.__all__
              if inspect.isclass(f := getattr(steintorus, name)) and not issubclass(f, Exception)
              and len(required(f)) <= 3 or inspect.isfunction(f) and len(required(f)) == 3}
@@ -158,7 +158,7 @@ def test_the_constructor_sweep_leaks_no_more_than_before():
     assert sum(len(SAMPLES) ** len(required(f)) for f in swept.values()) == 7710
     found = [type_name for f in swept.values() for _, type_name in leaks(f)]
     assert set(found) <= {"TypeError"}
-    assert len(found) <= 1318
+    assert len(found) <= 208
 
 
 @pytest.mark.parametrize("family", [None, "A3"])
@@ -214,6 +214,14 @@ REFUSALS = {
                             "one label per edge required"),
     "make_spin labels": (lambda: tf.make_spin(A3, [(1, 2, 3)], [3, 1]),
                          "need one label per edge"),
+    "make_spin blocks of no ints": (lambda: tf.make_spin(A3, 1, 1),
+                                    "'blocks' must be a list of integer lists"),
+    "make_spin labels of no ints": (lambda: tf.make_spin(A3, [(1, 2, 3)], ["3"]),
+                                    "'labels' must be a list of integers"),
+    "blocks of no int tuples": (lambda: cf.SetComposition(A3, 5),
+                                "blocks must be a tuple of integer tuples"),
+    "blocks of a list": (lambda: tf.SpinNecklace(A3, [(1, 2, 3)], (3,)),
+                         "blocks must be a tuple of integer tuples"),
     "empty tail": (lambda: tf.SplitNecklace(A3, ((1, 2, 3),), ()),
                    "an empty tail is stored as None"),
     "finite sign": (lambda: cf.FiniteSignVector(A3, ("x",) * 3), "signs must be in {-,0,+}"),

@@ -525,7 +525,7 @@ def test_ill_typed_wire_fields_exit_one(capsys, argv):
 
 def test_budget_counts_the_multiplication_table(capsys, monkeypatch):
     # 24 elements fit a budget of 500, their 576 group products do not.
-    monkeypatch.setattr(descent_algebra, "_group_cache", {})
+    descent_algebra._data.cache_clear()
     monkeypatch.setenv("STEINTORUS_BUDGET", "500")
     for suite in ("solomon", "module"):
         code, out, err = run(capsys, "verify", "--family", "A", "--rank", "4",
@@ -537,9 +537,10 @@ def test_budget_counts_the_multiplication_table(capsys, monkeypatch):
 
 def test_budget_counts_a_cached_multiplication_table(capsys, monkeypatch):
     # The A4 group data and its table are built under the default budget; at
-    # a budget of 100 its 576 products are refused as a fresh build would be.
-    monkeypatch.setattr(descent_algebra, "_group_cache", {})
-    descent_algebra._data(Family("A", 4)).mult
+    # a budget of 100 its 576 products are refused as a fresh build would be,
+    # before any run, so the kept A4 state and its table stay.
+    descent_algebra._data.cache_clear()
+    descent_algebra._data(Family("A", 4)).group.mult
     monkeypatch.setenv("STEINTORUS_BUDGET", "100")
     for suite in ("solomon", "module"):
         code, out, err = run(capsys, "verify", "--family", "A", "--rank", "4",
@@ -547,7 +548,8 @@ def test_budget_counts_a_cached_multiplication_table(capsys, monkeypatch):
         assert code == 3
         assert out == ""
         assert "group products" in err and err.count("\n") == 1
-    assert list(descent_algebra._group_cache) == [Family("A", 4)]
+    assert descent_algebra._data.cache_info().currsize == 1
+    assert "mult" in vars(descent_algebra._data(Family("A", 4)).group)
 
 
 def test_seed_is_a_verify_flag(capsys):

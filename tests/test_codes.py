@@ -6,7 +6,6 @@ through the validating constructors; faces and necklaces are drawn by
 shuffling the elements and cutting the sequence, without enumeration.
 """
 
-import functools
 import itertools
 import random
 
@@ -312,7 +311,7 @@ def assert_sums_match(ps, qs, anchor):
         for q, cq in qs.items():
             r = cf._refine(p, q, anchor)
             expected[r] = expected.get(r, 0) + cp * cq
-    assert cf._refine_sums(ps, qs, anchor, {}) == expected
+    assert cf._refine_sums(ps, qs, anchor, {}, {}) == expected
 
 
 @pytest.mark.parametrize("family", [Family("A", n) for n in (2, 3, 4)]
@@ -338,8 +337,8 @@ def test_refined_sums_match_one_pair_at_a_time(family, torus):
     cancelling[faces[0]] = -sum(cancelling.values())
     assert sum(cancelling.values()) == 0
     assert_sums_match(ps, cancelling, anchor)
-    assert cf._refine_sums(ps, {}, anchor, {}) == {}
-    assert cf._refine_sums({}, weights, anchor, {}) == {}
+    assert cf._refine_sums(ps, {}, anchor, {}, {}) == {}
+    assert cf._refine_sums({}, weights, anchor, {}, {}) == {}
 
 
 @pytest.mark.parametrize("family", [Family("A", 256), Family("C", 128)], ids=["A256", "C128"])
@@ -516,20 +515,19 @@ def test_is_invariant_builds_each_generators_image_of_a_code_once(monkeypatch, f
     sums = [*da._orbit_sums(family, False).values(), *da._orbit_sums(family, True).values()]
     sums += [da.face_sum_product(s, t) for s in sums for t in da._orbit_sums(family, False)
              .values()]
-    size = len(next(iter(sums[0]._codes)))
-    monkeypatch.setattr(da, "_images", functools.cache(da._images.__wrapped__))
+    da._data.cache_clear()
     pack, packed = cf._pack, []
     monkeypatch.setattr(cf, "_pack", lambda code: packed.append(code) or pack(code))
     assert all(map(da.is_invariant, sums))
     codes = {r for s in sums for r in s._codes}
     gens = len(simple_generators(family))
     assert len(packed) == gens * (len(codes) + 1)  # and each generator's moves, once
-    held = [dict(images) for images in da._images(family, size)]
+    held = [dict(images) for images in da._data(family).images]
     assert [images.keys() - {None} for images in held] == [codes] * gens
     packed.clear()
     assert all(map(da.is_invariant, sums)) and not packed
     assert all(images[r] is before[r] for images, before in zip(
-        da._images(family, size), held) for r in codes)
+        da._data(family).images, held) for r in codes)
 
 
 def test_images_are_kept_per_family_not_per_length():

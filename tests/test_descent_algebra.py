@@ -108,7 +108,7 @@ def test_finite_class_splits_into_two_affine_classes():
                          + [Family("C", r) for r in range(1, 5)],
                          ids=lambda fam: f"{fam.tag}{fam.rank}")
 def test_each_element_keeps_its_descent_mask_and_its_class_first(fam):
-    data = da._data(fam)
+    data = da._data(fam).group
     for kind, descents, universe in (("x", descent_set, fam.finite_indices()),
                                      ("y", descent_set, fam.finite_indices()),
                                      ("xt", affine_descent_set, fam.affine_indices()),
@@ -123,16 +123,19 @@ def test_each_element_keeps_its_descent_mask_and_its_class_first(fam):
                          ids=["A4", "C3"])
 def test_suites_read_descent_classes_off_the_group_data(monkeypatch, fam, counts):
     """Once the group data is built, the solomon, module and counts suites
-    recompute no descent set; they once did for every element and inverse."""
+    recompute no descent set; they once did for every element and inverse.
+    ``verify`` drops the group data, so it is built afresh before each suite."""
     def refuse(w):
         raise AssertionError("a descent set was recomputed")
 
-    da._data(fam)
-    monkeypatch.setattr(da, "descent_set", refuse)
-    monkeypatch.setattr(da, "affine_descent_set", refuse)
     for suite, checks in (("solomon", 64), ("module", 120), ("counts", counts)):
-        assert da.verify(suite, fam) == {"suite": suite, "family": fam.tag, "rank": fam.rank,
-                                         "checks": checks, "failures": [], "pass": True}
+        da._data(fam).group
+        with monkeypatch.context() as patched:
+            patched.setattr(da, "descent_set", refuse)
+            patched.setattr(da, "affine_descent_set", refuse)
+            assert da.verify(suite, fam) == {"suite": suite, "family": fam.tag,
+                                             "rank": fam.rank, "checks": checks,
+                                             "failures": [], "pass": True}
 
 
 def test_ring_identity():
@@ -288,7 +291,7 @@ def test_product_suites_store_no_table(monkeypatch, fam):
         (GOLDEN / "verify_all_C3.json").read_text())["reports"]}
     checks = {"solomon": 2 ** 3 * 2 ** 3, "module": 2 ** 3 * (2 ** 4 - 1)}
     assert checks == {suite: golden[suite] for suite in checks}
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     monkeypatch.setattr(da._GroupData, "mult", property(refuse))
     for name in ("multiply", "express_in_basis", "evaluate_expansion"):
         monkeypatch.setattr(da, name, refuse)
@@ -645,7 +648,7 @@ def test_psi_reports_a_wrong_image_of_an_orbit_sum(monkeypatch, fam):
     """An element map wrong on the one-block face alone: psi(sigma_J) is not x_J at the
     empty J, whose one face that is."""
     unit, w_of_code = cf._face_code(cf.unit_face(fam)), cf._w_of_code
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     monkeypatch.setattr(cf, "_w_of_code", lambda family, code: (
         w_of_code(family, code)[::-1] if code == unit else w_of_code(family, code)))
     report = da.verify("psi", fam)
@@ -876,7 +879,7 @@ def test_evaluate_expansion_checks_before_the_group_is_built(monkeypatch):
     def refuse(*args):
         raise AssertionError("a group was built")
 
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     monkeypatch.setattr(da, "enumerate_group", refuse)
     for expansion in ({frozenset({99}): 1}, {frozenset({1}): 1, frozenset({12}): 1},
                       {frozenset({1}): 1.5}):
@@ -1063,44 +1066,54 @@ def _fresh(s):
     return da.FaceSum.from_dict(s.family, s.torus, s.as_dict())
 
 
-def _frames_built():
-    """How many frames ``coxfaces._frames`` holds, over every anchor."""
-    return sum(map(len, cf._frames.values()))
+def _anchors(fam):
+    """The anchors of the frames kept for fam: every key of its frames but the translate
+    tables interned beside them, each kept under itself."""
+    frames = da._data(fam).frames
+    return {key for key, value in frames.items() if value is not key}
 
 
-def _tables_built():
-    """How many translate tables the frames of ``coxfaces._frames`` hold."""
-    return sum(len(tables) for frames in cf._frames.values() for _, _, tables in frames.values())
+def _frames_built(fam):
+    """How many frames are kept for fam, over every anchor."""
+    return sum(len(da._data(fam).frames[anchor]) for anchor in _anchors(fam))
+
+
+def _tables_built(fam):
+    """How many translate tables the frames kept for fam hold."""
+    return sum(len(tables) for anchor in _anchors(fam)
+               for _, _, tables in da._data(fam).frames[anchor].values())
 
 
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
-def test_frames_hold_one_table_per_lead_interned_by_value(monkeypatch, fam):
+def test_frames_hold_one_table_per_lead_interned_by_value(fam):
     """Every s_J * sigma_K: a face's frame holds the one table of lead 0, a type C
     necklace's frame one table per lead its results met; each table is 256 bytes
     that take value v to v - lead rotated by the offset of v's block, and equal tables
-    are one object, also across frames."""
-    monkeypatch.setattr(cf, "_frames", {})
+    are one object, also across frames, kept under itself beside the anchors."""
+    da._data.cache_clear()
     sigma = da._orbit_sums(fam, False)
     for s in [*sigma.values(), *da._orbit_sums(fam, True).values()]:
         for t in sigma.values():
             da.face_sum_product(s, t)
     tables = []
-    for anchor, frames in cf._frames.items():
-        for p, (blocks, offsets, by_lead) in frames.items():
+    frames = da._data(fam).frames
+    for anchor in _anchors(fam):
+        for p, (blocks, offsets, by_lead) in frames[anchor].items():
             assert blocks == tuple(map(p.index, p)) and len(offsets) == len(p)
             assert anchor is not None or list(by_lead) == [0]
             for lead, table in by_lead.items():
                 assert type(table) is bytes and len(table) == 256
                 assert [table[v] for v in range(1, len(p) + 1)] == [
                     (v - lead + o - 1) % len(p) + 1 for v, o in enumerate(offsets, 1)]
+                assert frames[table] is table
                 tables.append(table)
-    assert any(len(frame[2]) > 1 for frame in cf._frames[tf._anchor(fam)].values()) == (
+    assert any(len(frame[2]) > 1 for frame in frames[tf._anchor(fam)].values()) == (
         fam.tag == "C")
     assert len(set(map(id, tables))) == len(set(tables)) < len(tables)
 
 
 @pytest.mark.parametrize("fam", [A4, C3], ids=["A4", "C3"])
-def test_left_factor_builds_each_frame_once(monkeypatch, fam):
+def test_left_factor_builds_each_frame_once(fam):
     """Against right factors whose tallies are warm, with no frame built yet, each left
     factor builds the frames of its codes that no earlier one built for its anchor, in
     that anchor's dict (type A faces and necklaces share anchor None and codes); a
@@ -1111,27 +1124,27 @@ def test_left_factor_builds_each_frame_once(monkeypatch, fam):
     for s in lefts:
         for t in sigma.values():
             da.face_sum_product(s, t)
-    monkeypatch.setattr(cf, "_frames", {})
+    da._data.cache_clear()
     held = {}
     for i, sums in enumerate([lefts, lefts, list(map(_fresh, lefts))]):
         for s in sums:
             anchor = tf._anchor(fam) if s.torus else None
             new = [p for p in s._codes if (anchor, p) not in held]
-            before = _frames_built()
+            before = _frames_built(fam)
             for t in sigma.values():
                 da.face_sum_product(s, t)
-            assert _frames_built() - before == len(new) and not (i and new)
-            frames = cf._frames[anchor]
+            assert _frames_built(fam) - before == len(new) and not (i and new)
+            frames = da._data(fam).frames[anchor]
             assert all(frames[p] is held.setdefault((anchor, p), frames[p]) for p in s._codes)
-    assert cf._frames.keys() == {None, tf._anchor(fam)}
-    assert sum(map(len, cf._frames.values())) == len(held)
+    assert _anchors(fam) == {None, tf._anchor(fam)}
+    assert _frames_built(fam) == len(held)
     assert len(held) == len({(tf._anchor(fam) if s.torus else None, p)
                              for s in lefts for p in s._codes})
 
 
 @pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
 @pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
-def test_two_sums_of_one_code_build_its_frame_once(monkeypatch, fam, torus):
+def test_two_sums_of_one_code_build_its_frame_once(fam, torus):
     """Two distinct left sums that hold one code, one after the other against right
     factors whose tallies are warm: the first builds each of its codes' frames, and
     the second none, nor a table, and both give the double loop's products."""
@@ -1143,12 +1156,12 @@ def test_two_sums_of_one_code_build_its_frame_once(monkeypatch, fam, torus):
                 for left in (s, u) for t in sigma.values()}
     for t in sigma.values():
         da.face_sum_product(_fresh(s), t)
-    monkeypatch.setattr(cf, "_frames", {})
+    da._data.cache_clear()
     for left, built in ((s, len(s._codes)), (u, 0)):
-        frames, tables = _frames_built(), _tables_built()
+        frames, tables = _frames_built(fam), _tables_built(fam)
         for t in sigma.values():
             assert da.face_sum_product(left, t)._codes == expected[id(left), id(t)]
-        assert _frames_built() - frames == built and (built or _tables_built() == tables)
+        assert _frames_built(fam) - frames == built and (built or _tables_built(fam) == tables)
 
 
 @pytest.mark.parametrize("fam", [A3, A4, C2, C3], ids=["A3", "A4", "C2", "C3"])
@@ -1165,34 +1178,35 @@ def test_warm_frames_give_the_products_of_fresh_copies(fam):
 
 
 @pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
-def test_a_right_factor_used_as_a_left_one_keeps_its_dicts_apart(monkeypatch, fam):
+def test_a_right_factor_used_as_a_left_one_keeps_its_dicts_apart(fam):
     """A sum used first as a right factor holds tallies, and its codes have no frames;
     used then as a left factor it gives the double loop's products, its codes get one
     frame each in the dict of the finite side, apart from its tallies, which stay as
     they were, and the tallies are still the only dict it keeps beside its codes."""
-    monkeypatch.setattr(cf, "_frames", {})
+    da._data.cache_clear()
     sigma = da._orbit_sums(fam, False)
     t = da.orbit_sum("sigma", [1], fam)
     for s in [*sigma.values(), *da._orbit_sums(fam, True).values()]:
         if t._codes.keys().isdisjoint(s._codes):
             da.face_sum_product(s, t)
     tallies = dict(t._tallies)
-    assert tallies and not t._codes.keys() & cf._frames[None].keys()
+    assert tallies and not t._codes.keys() & da._data(fam).frames[None].keys()
     for u in sigma.values():
         assert da.face_sum_product(t, u)._codes == _double_loop(t, u)
     assert t._tallies == tallies and all(t._tallies[k] is v for k, v in tallies.items())
-    assert t._codes.keys() <= cf._frames[None].keys() and cf._frames[None] is not t._tallies
+    frames = da._data(fam).frames[None]
+    assert t._codes.keys() <= frames.keys() and frames is not t._tallies
     assert [k for k, v in vars(t).items() if isinstance(v, dict)] == ["_codes", "_tallies"]
 
 
 @pytest.mark.parametrize("fam", [Family("C", 1), C2], ids=["C1", "C2"])
-def test_a_necklace_sum_and_a_face_sum_of_one_code_keep_their_frames_apart(monkeypatch, fam):
+def test_a_necklace_sum_and_a_face_sum_of_one_code_keep_their_frames_apart(fam):
     """Type C face and necklace codes share the one-block code.  A face sum and a
     necklace sum of it, used in turn as left factors against every sigma_K, each give
     the double loop's products, and each anchor's dict holds its own frame of the code:
     its block pattern and offsets that start at max(code) for a face, at 0 for a
     necklace; the face's frame holds the one table of lead 0."""
-    monkeypatch.setattr(cf, "_frames", {})
+    da._data.cache_clear()
     shared = ({cf._face_code(F) for F in cf.enumerate_faces(fam)}
               & {tf._necklace_code(N) for N in tf.enumerate_torus_faces(fam)})
     assert shared
@@ -1203,9 +1217,48 @@ def test_a_necklace_sum_and_a_face_sum_of_one_code_keep_their_frames_apart(monke
             for s in (face, necklace, face):
                 assert da.face_sum_product(s, t)._codes == _double_loop(s, t)
         blocks = tuple(map(code.index, code))
-        face, necklace = cf._frames[None][code], cf._frames[tf._anchor(fam)][code]
+        frames = da._data(fam).frames
+        face, necklace = frames[None][code], frames[tf._anchor(fam)][code]
         assert face[:2] == (blocks, [len(code)] * len(code)) and list(face[2]) == [0]
         assert necklace[:2] == (blocks, [0] * len(code))
+
+
+@pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
+def test_public_calls_share_the_kept_state(fam):
+    """Outside ``verify`` the public functions keep the family's state between calls:
+    a second product of one left sum builds no frame, each frame staying the same
+    object, and a second psi builds no group."""
+    s, t = da.orbit_sum("sigmat", [fam.rank], fam), da.orbit_sum("sigma", [], fam)
+    da._data.cache_clear()
+    da.psi(da.face_sum_product(s, t))
+    frames, group = dict(da._data(fam).frames[tf._anchor(fam)]), da._data(fam).group
+    assert s._codes.keys() <= frames.keys()
+    da.psi(da.face_sum_product(s, t))
+    assert da._data(fam).frames[tf._anchor(fam)].keys() == frames.keys()
+    assert all(da._data(fam).frames[tf._anchor(fam)][p] is frames[p] for p in frames)
+    assert da._data(fam).group is group
+
+
+def test_verify_drops_every_familys_kept_state():
+    """``verify`` keeps nothing once it returns: neither what its suites built nor what
+    library calls built before it."""
+    da.psi(da.orbit_sum("sigma", [], A3))
+    assert da._data.cache_info().currsize
+    assert da.verify("all", C3)["pass"]
+    assert da._data.cache_info().currsize == 0
+
+
+def test_verify_drops_the_kept_state_when_a_suite_raises(monkeypatch):
+    """A suite that raises after the earlier suites of ``all`` filled the kept state, and
+    after building the group itself, leaves nothing kept."""
+    def raising(family, seed):
+        da._data(family).group
+        raise RuntimeError("the suite failed")
+
+    monkeypatch.setitem(da._SUITES, "euler", da._SUITES["euler"]._replace(run=raising))
+    with pytest.raises(RuntimeError, match="the suite failed"):
+        da.verify("all", C3)
+    assert da._data.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("fam", [A3, C2], ids=["A3", "C2"])
@@ -1220,7 +1273,7 @@ def test_cancelling_products_keep_no_zero(fam, torus):
     chambers = list(cf.enumerate_faces(fam, ColorSet(fam, fam.finite_indices())))
     t = da.FaceSum.from_dict(fam, False, {chambers[0]: 1, chambers[-1]: -1})
     anchor = tf._anchor(fam) if torus else None
-    assert 0 in cf._refine_sums(s._codes, t._codes, anchor, {}).values()
+    assert 0 in cf._refine_sums(s._codes, t._codes, anchor, {}, {}).values()
     product = da.face_sum_product(s, t)
     assert product._codes and 0 not in product._codes.values()
     pairwise = da.FaceSum.from_dict(fam, torus, {})
@@ -1446,7 +1499,7 @@ def test_the_walk_reads_no_row(monkeypatch, fam):
     """Once the walk is built, a product at the threshold reads nothing of the
     table, and one below it reads the rows: the whole group times _WALK_FROM
     elements, then times one element fewer."""
-    da._data(fam).walk
+    da._data(fam).group.walk
     elements = list(enumerate_group(fam))
 
     def refuse(self):
@@ -1471,10 +1524,10 @@ def test_multiply_walks_past_the_default_table_at_C5(monkeypatch):
     walks on composed columns, builds no table, and is the psi image of its solomon
     table entry."""
     monkeypatch.delenv("STEINTORUS_BUDGET", raising=False)
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     I, J = [0, 1, 2, 3], [1, 2, 3, 4]
     product = da.multiply(da.basis_element("x", I, C5), da.basis_element("x", J, C5))
-    assert "mult" not in da._data(C5).__dict__
+    assert "mult" not in vars(da._data(C5).group)
     entry = next(e for e in da.solomon_table(C5)["entries"] if e["I"] == I and e["J"] == J)
     expansion = {frozenset(json.loads(K)): c for K, c in entry["coeffs"].items()}
     assert product == da.evaluate_expansion(expansion, "x", C5)
@@ -1484,21 +1537,21 @@ def test_the_path_of_multiply_is_chosen_by_the_default_budget(monkeypatch):
     """A raised budget admits the C5 table, but multiply past the default budget
     walks whatever the budget: x_{} x_{} builds no table."""
     monkeypatch.setenv("STEINTORUS_BUDGET", "100000000")
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     x = da.basis_element("x", [], C5)
     assert da.multiply(x, x) == x
-    assert "walk" in da._data(C5).__dict__ and "mult" not in da._data(C5).__dict__
+    assert "walk" in vars(da._data(C5).group) and "mult" not in vars(da._data(C5).group)
 
 
 def test_multiply_walks_past_a_lowered_budget(monkeypatch):
     """A budget below the A6 table (518,400 products) refuses the table, so multiply
     walks there too: x_{} x_{} is the identity and builds no table."""
     monkeypatch.setenv("STEINTORUS_BUDGET", "100000")
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     A6 = Family("A", 6)
     x = da.basis_element("x", [], A6)
     assert da.multiply(x, x) == da.GroupRingElement(A6, ((identity(A6), 1),))
-    assert "mult" not in da._data(A6).__dict__
+    assert "mult" not in vars(da._data(A6).group)
 
 
 def test_the_walk_refuses_A8_before_any_mask(monkeypatch):
@@ -1508,7 +1561,7 @@ def test_the_walk_refuses_A8_before_any_mask(monkeypatch):
         raise AssertionError("a column was composed")
 
     monkeypatch.delenv("STEINTORUS_BUDGET", raising=False)
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     monkeypatch.setattr(da, "_generators", refuse)
     x = da.basis_element("x", [], Family("A", 8))
     with pytest.raises(BudgetExceededError, match="mask words of the Cayley walk of .*: 25401600 "):
@@ -1605,7 +1658,7 @@ def test_subset_transform_matches_naive_inversion(case):
 TABLES = {"module": (da.module_table, "xt"), "solomon": (da.solomon_table, "x")}
 
 
-def _both_tables(families):
+def _both_table_kinds(families):
     """Parametrize over (kind, fam) for both tables; a module case is named
     by its family alone, a solomon case by 'solomon-' and its family."""
     cases = [(kind, fam) for kind in TABLES for fam in families]
@@ -1614,7 +1667,7 @@ def _both_tables(families):
         for kind, fam in cases])
 
 
-@_both_tables(KERNEL_FAMILIES)
+@_both_table_kinds(KERNEL_FAMILIES)
 def test_module_table_matches_the_ring(kind, fam):
     """Each entry's coefficients, evaluated over x (solomon) or x~ (module),
     give x_I * x_J or x_I * x~_J; the ring's own expansion of the product
@@ -1658,7 +1711,7 @@ def _all_pairs_entries(kind, fam):
     return entries
 
 
-@_both_tables([Family("A", r) for r in (2, 3, 4, 5)] + [Family("C", r) for r in (1, 2, 3)])
+@_both_table_kinds([Family("A", r) for r in (2, 3, 4, 5)] + [Family("C", r) for r in (1, 2, 3)])
 def test_module_table_matches_all_pairs(kind, fam):
     """One face per colour, scaled by the orbit sizes, gives the
     coefficients of the product over every pair of faces."""
@@ -1718,11 +1771,11 @@ def test_solomon_table_builds_no_group(monkeypatch):
     def refuse(*args):
         raise AssertionError("a group was built")
 
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     monkeypatch.setattr(da, "enumerate_group", refuse)
     golden = pathlib.Path(__file__).resolve().parent / "golden" / "mult_table_solomon_A4.json"
     assert da.solomon_table(A4) == json.loads(golden.read_text())
-    assert da._group_cache == {}
+    assert da._data.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1886,7 +1939,7 @@ ROWS = {**{name: (da._SUITES, name) for name in da._SUITES},
 def test_work_is_checked_before_any_work(monkeypatch, name):
     """With the budget one below its work, a suite or table stops before it
     enumerates anything, and a cached group does not let it through."""
-    da._data(A4).mult  # cached under the default budget
+    da._data(A4).group.mult  # cached under the default budget
     rows, key = ROWS[name]
     row = rows[key]
     sizes = (A4.group_order(), cf.count_faces(A4), tf.count_torus_faces(A4),
@@ -1957,7 +2010,7 @@ def _all_codes(fam):
             for s in da._orbit_sums(fam, torus).values() for r in s._codes}
 
 
-def test_psi_keeps_each_familys_elements_apart(monkeypatch):
+def test_psi_keeps_each_familys_elements_apart():
     """A3 and C1 share codes that name different elements, so a memo keyed
     by the code alone would hand C1 an element of A3, or A3 one of C1."""
     C1 = Family("C", 1)
@@ -1965,7 +2018,7 @@ def test_psi_keeps_each_familys_elements_apart(monkeypatch):
     shared = a3.keys() & c1.keys()
     assert cf._pack((3, 3, 3)) in shared and cf._pack((3, 1, 3)) in shared
     assert all(a3[r] != c1[r] for r in shared)
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     for fam in (A3, C1, A3):
         for kind, basis in (("sigma", "x"), ("sigmat", "xt")):
             for J, s in da._orbit_sums(fam, kind == "sigmat").items():
@@ -1986,7 +2039,7 @@ def test_psi_reads_each_codes_element_once(monkeypatch):
         calls[family, code] += 1
         return w_of_code(family, code)
 
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     monkeypatch.setattr(cf, "_w_of_code", counted)
     distinct = set()
     for s, t in products:
@@ -2002,11 +2055,11 @@ def test_psi_reads_each_codes_element_once(monkeypatch):
 
 @pytest.mark.parametrize("fam", [A3, A4, C2, C3], ids=["A3", "A4", "C2", "C3"])
 @pytest.mark.parametrize("torus", [False, True], ids=["faces", "necklaces"])
-def test_psi_is_exact_and_canonical(monkeypatch, fam, torus):
+def test_psi_is_exact_and_canonical(fam, torus):
     """Signed sums of orbit sums, a * s_J - b * s_K for J inside K, cancel on
     the elements that both colours reach; psi of each is the sum of the
     faces' elements through the checked constructor, with no zero left."""
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     w_of = tf.w_of_torus_face if torus else cf.w_of_face
     sums = {J: s.as_dict() for J, s in da._orbit_sums(fam, torus).items()}
     cancelled = 0
@@ -2026,15 +2079,15 @@ def test_psi_is_exact_and_canonical(monkeypatch, fam, torus):
     assert cancelled
 
 
-def test_psi_of_a_lone_face_at_high_rank_builds_no_group(monkeypatch):
+def test_psi_of_a_lone_face_at_high_rank_builds_no_group():
     """psi adds into the family's group, so past the group budget psi of an invariant
     sum of one face is refused; a sum that is not W-invariant is refused first, as
     at any rank.  Neither refusal builds a group."""
-    monkeypatch.setattr(da, "_group_cache", {})
+    da._data.cache_clear()
     for kind, J, fam in (("sigma", [], Family("A", 12)), ("sigmat", [9], Family("C", 9))):
         with pytest.raises(BudgetExceededError, match="group of"):
             da.psi(da.orbit_sum(kind, J, fam))
         F = next(cf.enumerate_faces(fam, ColorSet(fam, {1})))
         with pytest.raises(ValidationError, match="W-invariant"):
             da.psi(da.FaceSum(fam, False, ((F, 1),)))
-    assert da._group_cache == {}
+    assert not any("group" in vars(da._data(fam)) for fam in (Family("A", 12), Family("C", 9)))
